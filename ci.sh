@@ -118,9 +118,6 @@ if ! cmp -s "$tmpdir/seq.trace.json" "$tmpdir/par.trace.json"; then
 	exit 1
 fi
 
-echo "==> tracecheck (trace-event JSON validity)"
-go run ./cmd/tracecheck "$tmpdir/seq.trace.json"
-
 echo "==> nocserve cache smoke (race)"
 # Start the server on an ephemeral port, fetch the same figure twice,
 # and check three contracts: the two responses are byte-identical, the

@@ -294,9 +294,12 @@ func (s *server) handleList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, rows)
 }
 
-// handleMetricz renders every instrument — the store's cache counters,
-// the HTTP layer's, and each simulation's own scope — as the same
-// sorted-key JSON document `nocchar -metrics` writes.
+// handleMetricz renders the server's registry as the same sorted-key
+// JSON document `nocchar -metrics` writes: the result store's cache,
+// spill and compute-latency instruments under resultstore/, the HTTP
+// layer's request, shed, timeout and latency instruments under http/,
+// and, in cluster mode, the forwarding instruments under cluster/.
+// Simulations run unobserved, so no per-simulation scope appears.
 func (s *server) handleMetricz(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	if err := s.reg.WriteMetrics(w); err != nil {

@@ -145,7 +145,9 @@ func (prog *Program) addNode(p *Package, fn *ast.FuncDecl) {
 		if callee.Pkg() == nil || !prog.moduleLocal(callee.Pkg().Path()) {
 			return true
 		}
-		cid := callee.FullName()
+		// A generic method's instantiation (ring[flit].push) names no
+		// declaration; its origin is the declared method.
+		cid := callee.Origin().FullName()
 		if !seen[cid] {
 			seen[cid] = true
 			n.calls = append(n.calls, cid)

@@ -59,24 +59,9 @@ func RunFairness(cfg FairnessConfig) (*FairnessResult, error) {
 		return nil, err
 	}
 	m.Observe(cfg.Obs)
-	mcs := cfg.MCs
-	if len(mcs) == 0 {
-		for x := 0; x < cfg.Mesh.Width; x++ {
-			mcs = append(mcs, m.NodeAt(x, cfg.Mesh.Height-1))
-		}
-	}
-	isMC := make(map[int]bool, len(mcs))
-	for _, n := range mcs {
-		if n < 0 || n >= m.Nodes() {
-			return nil, fmt.Errorf("noc: MC node %d out of range", n)
-		}
-		isMC[n] = true
-	}
-	var compute []int
-	for n := 0; n < m.Nodes(); n++ {
-		if !isMC[n] {
-			compute = append(compute, n)
-		}
+	mcs, compute, err := m.placeMCs(cfg.MCs)
+	if err != nil {
+		return nil, err
 	}
 	if len(compute) == 0 {
 		return nil, fmt.Errorf("noc: no compute nodes left")
@@ -116,23 +101,47 @@ func RunFairness(cfg FairnessConfig) (*FairnessResult, error) {
 	}
 
 	res := &FairnessResult{ComputeNodes: compute, MCs: mcs}
-	minT, maxT := math.MaxFloat64, 0.0
-	for _, src := range compute {
-		tp := float64(m.AcceptedPackets[src]-base[src]) / float64(cfg.Cycles)
-		res.Throughput = append(res.Throughput, tp)
-		if tp < minT {
-			minT = tp
-		}
-		if tp > maxT {
-			maxT = tp
+	res.fold(m.AcceptedPackets, base, cfg.Cycles)
+	return res, nil
+}
+
+// placeMCs returns the memory-controller nodes, mcs or the bottom row
+// when mcs is empty, and the remaining compute nodes in ascending order.
+func (m *Mesh) placeMCs(mcs []int) ([]int, []int, error) {
+	if len(mcs) == 0 {
+		for x := 0; x < m.cfg.Width; x++ {
+			mcs = append(mcs, m.NodeAt(x, m.cfg.Height-1))
 		}
 	}
+	isMC := make([]bool, m.Nodes())
+	for _, n := range mcs {
+		if n < 0 || n >= m.Nodes() {
+			return nil, nil, fmt.Errorf("noc: MC node %d out of range", n)
+		}
+		isMC[n] = true
+	}
+	var compute []int
+	for n, is := range isMC {
+		if !is {
+			compute = append(compute, n)
+		}
+	}
+	return mcs, compute, nil
+}
+
+// fold fills Throughput with each compute node's packets accepted since
+// base, per cycle, and MaxMinRatio with their spread.
+func (res *FairnessResult) fold(accepted, base []int64, cycles int) {
+	minT, maxT := math.MaxFloat64, 0.0
+	for _, n := range res.ComputeNodes {
+		tp := float64(accepted[n]-base[n]) / float64(cycles)
+		res.Throughput = append(res.Throughput, tp)
+		minT, maxT = min(minT, tp), max(maxT, tp)
+	}
+	res.MaxMinRatio = math.Inf(1)
 	if minT > 0 {
 		res.MaxMinRatio = maxT / minT
-	} else {
-		res.MaxMinRatio = math.Inf(1)
 	}
-	return res, nil
 }
 
 // DefaultFairnessConfig mirrors the paper's footnote-10 setup: a 6x6 mesh,

@@ -79,9 +79,9 @@ type GPUSimResult struct {
 
 // mcState bridges a request-mesh sink to a reply-mesh source.
 type mcState struct {
-	node     int
-	queue    []*Packet
-	queueCap int
+	node int
+	// queue holds admitted requests, bounded at MCQueue.
+	queue ring[*Packet]
 	// admitted is the packet whose head flit was granted queue headroom
 	// and whose remaining flits are still draining into the sink.
 	admitted *Packet
@@ -97,18 +97,6 @@ type mcState struct {
 	served       int64
 }
 
-// popRequest dequeues the oldest pending request. It compacts the queue
-// down instead of reslicing: q = q[1:] would pin the popped *Packet in
-// the backing array and erode append capacity, forcing a reallocation
-// every few pops (the fifo.pop pattern).
-func (mc *mcState) popRequest() *Packet {
-	req := mc.queue[0]
-	n := copy(mc.queue, mc.queue[1:])
-	mc.queue[n] = nil
-	mc.queue = mc.queue[:n]
-	return req
-}
-
 // Accept admits or refuses one flit of a request packet. The admission
 // decision is made at the head flit: once the head is accepted the rest
 // of the packet must drain, because wormhole output ownership means a
@@ -119,14 +107,13 @@ func (mc *mcState) popRequest() *Packet {
 func (mc *mcState) Accept(p *Packet, lastFlit bool, _ int64) bool {
 	if p != mc.admitted {
 		// Head flit: admit only with queue headroom.
-		if len(mc.queue) >= mc.queueCap {
+		if mc.queue.full() {
 			return false
 		}
 		mc.admitted = p
 	}
 	if lastFlit {
-		//lint:ignore hotpathalloc queue growth is bounded by queueCap and popRequest compacts in place, keeping capacity; steady-state appends are alloc-free (TestMCQueueSteadyStateDoesNotAllocate)
-		mc.queue = append(mc.queue, p)
+		mc.queue.push(p)
 		mc.admitted = nil
 	}
 	return true
@@ -189,27 +176,16 @@ func newGPUSim(cfg GPUSimConfig) (*gpuSim, error) {
 		return nil, err
 	}
 	g := &gpuSim{cfg: cfg, reqFlits: reqFlits, reqNet: reqNet, repNet: repNet}
-	g.mcs = cfg.MCs
-	if len(g.mcs) == 0 {
-		for x := 0; x < cfg.Mesh.Width; x++ {
-			g.mcs = append(g.mcs, reqNet.NodeAt(x, cfg.Mesh.Height-1))
-		}
+	if g.mcs, g.compute, err = reqNet.placeMCs(cfg.MCs); err != nil {
+		return nil, err
 	}
 	g.mcStates = make([]*mcState, reqNet.Nodes())
 	for _, n := range g.mcs {
-		if n < 0 || n >= reqNet.Nodes() {
-			return nil, fmt.Errorf("noc: MC node %d out of range", n)
-		}
-		st := &mcState{node: n, queueCap: cfg.MCQueue}
+		st := &mcState{node: n, queue: newRing[*Packet](cfg.MCQueue)}
 		g.mcStates[n] = st
 		reqNet.SetSink(n, st)
 	}
 	g.outstanding = make([]int, reqNet.Nodes())
-	for n := 0; n < reqNet.Nodes(); n++ {
-		if g.mcStates[n] == nil {
-			g.compute = append(g.compute, n)
-		}
-	}
 	// Reply completion decrements the source's outstanding window.
 	for _, n := range g.compute {
 		node := n
@@ -271,7 +247,7 @@ func (g *gpuSim) serviceMCs(measuring bool) (busyNow int, injected int64, err er
 	cycle := g.reqNet.Cycle()
 	for _, n := range g.mcs {
 		st := g.mcStates[n]
-		g.mcQueueDepth.Observe(int64(len(st.queue)))
+		g.mcQueueDepth.Observe(int64(st.queue.len()))
 		// Try to flush a reply whose DRAM access completed but whose
 		// injection is blocked by the reply-network interface.
 		if st.pendingReply != nil && cycle >= st.busyUntil {
@@ -300,11 +276,10 @@ func (g *gpuSim) serviceMCs(measuring bool) (busyNow int, injected int64, err er
 			}
 		}
 		busy := cycle < st.busyUntil
-		if !busy && st.pendingReply == nil && len(st.queue) > 0 {
+		if !busy && st.pendingReply == nil && !st.queue.empty() {
 			// Start servicing the next request.
-			req := st.popRequest()
 			st.busyUntil = cycle + int64(g.cfg.MCServiceCycles)
-			st.pendingReply = req
+			st.pendingReply = st.queue.pop()
 			busy = true
 		}
 		if busy {
@@ -357,7 +332,7 @@ func (g *gpuSim) run() (*GPUSimResult, error) {
 		// paid when observed).
 		for _, n := range g.mcs {
 			st := g.mcStates[n]
-			g.mcObs.Gauge(fmt.Sprintf("n%03d/final_queue_depth", st.node)).Set(int64(len(st.queue)))
+			g.mcObs.Gauge(fmt.Sprintf("n%03d/final_queue_depth", st.node)).Set(int64(st.queue.len()))
 			g.mcObs.Gauge(fmt.Sprintf("n%03d/served", st.node)).Set(st.served)
 		}
 	}

@@ -2,28 +2,25 @@ package noc
 
 import "testing"
 
-// The MC service path used to reslice st.queue[1:], pinning every
-// serviced request's *Packet in the backing array and eroding append
-// capacity so steady-state servicing reallocated every ~queueCap pops.
-// This drives the exact Accept/popRequest cadence RunGPUSim runs per
-// cycle and demands zero allocations once warmed.
+// The MC request queue is a ring built at its MCQueue bound, so
+// admitting and servicing requests must never allocate, including
+// when the ring wraps. This drives the exact Accept / queue.pop cadence
+// serviceMCs runs per cycle, starting from a full queue so every
+// measured push lands on a wrapped slot.
 func TestMCQueueSteadyStateDoesNotAllocate(t *testing.T) {
-	st := &mcState{queueCap: 16}
+	st := &mcState{queue: newRing[*Packet](16)}
 	p := &Packet{ID: 1, Flits: 1}
-	// Warm up: grow the queue's backing array to its working size.
-	for i := 0; i < st.queueCap; i++ {
+	for !st.queue.full() {
 		if !st.Accept(p, true, 0) {
-			t.Fatal("warm-up enqueue refused below capacity")
+			t.Fatal("enqueue refused below capacity")
 		}
 	}
-	for len(st.queue) > 0 {
-		st.popRequest()
-	}
+	st.queue.pop()
 	avg := testing.AllocsPerRun(1000, func() {
 		if !st.Accept(p, true, 0) {
 			t.Fatal("steady-state enqueue refused")
 		}
-		if st.popRequest() != p {
+		if st.queue.pop() != p {
 			t.Fatal("popped wrong request")
 		}
 	})
@@ -37,7 +34,7 @@ func TestMCQueueSteadyStateDoesNotAllocate(t *testing.T) {
 // queue was full - a multi-flit request would be half-consumed, wedging
 // the wormhole with the tail refused forever.
 func TestMCAcceptRefusesAtHeadFlit(t *testing.T) {
-	st := &mcState{queueCap: 1}
+	st := &mcState{queue: newRing[*Packet](1)}
 	a := &Packet{ID: 1, Flits: 2}
 	if !st.Accept(a, false, 0) {
 		t.Fatal("head flit refused with queue headroom")
@@ -45,8 +42,8 @@ func TestMCAcceptRefusesAtHeadFlit(t *testing.T) {
 	if !st.Accept(a, true, 0) {
 		t.Fatal("tail flit refused after head was admitted")
 	}
-	if len(st.queue) != 1 {
-		t.Fatalf("queued %d packets, want 1", len(st.queue))
+	if st.queue.len() != 1 {
+		t.Fatalf("queued %d packets, want 1", st.queue.len())
 	}
 	// Queue is now full: the next packet must be refused at its HEAD,
 	// before any flit is consumed (the old code accepted it here).
@@ -55,7 +52,7 @@ func TestMCAcceptRefusesAtHeadFlit(t *testing.T) {
 		t.Fatal("head flit admitted with no queue headroom; tail would wedge")
 	}
 	// Drain one request; the refused packet's head retries and lands.
-	st.popRequest()
+	st.queue.pop()
 	if !st.Accept(b, false, 0) || !st.Accept(b, true, 0) {
 		t.Fatal("retried packet refused after headroom opened")
 	}
@@ -115,7 +112,7 @@ func TestGPUSimRequestFlitsDefaults(t *testing.T) {
 // must be behaviour-preserving: these values were captured from the
 // pre-refactor implementation, then re-captured once for the simcheck
 // round-robin arbiter fix (the pointer used to advance on refused
-// grants; see commitGrant and EXPERIMENTS.md for the figure deltas:
+// grants; see arbiter.commit and EXPERIMENTS.md for the figure deltas:
 // served 3125->3123 / 22807->23280, util 0.712625->0.708125 /
 // 0.17255->0.175858...).
 func TestGPUSimGoldenResults(t *testing.T) {

@@ -89,22 +89,14 @@ func RunLoadLatency(cfg LoadLatencyConfig) ([]LoadPoint, error) {
 			return nil, err
 		}
 		m.Observe(cfg.Obs.Scope(fmt.Sprintf("rate%.2f", rate)))
-		var mcs []int
-		for x := 0; x < cfg.Mesh.Width; x++ {
-			mcs = append(mcs, m.NodeAt(x, cfg.Mesh.Height-1))
+		mcs, compute, err := m.placeMCs(nil)
+		if err != nil {
+			return nil, err
 		}
 		sinks := make([]*latencySink, len(mcs))
-		isMC := map[int]bool{}
 		for i, n := range mcs {
 			sinks[i] = &latencySink{measureFrom: int64(cfg.Warmup)}
 			m.SetSink(n, sinks[i])
-			isMC[n] = true
-		}
-		var compute []int
-		for n := 0; n < m.Nodes(); n++ {
-			if !isMC[n] {
-				compute = append(compute, n)
-			}
 		}
 		rng := rand.New(rand.NewSource(cfg.Seed))
 		step := func() error {

@@ -10,7 +10,6 @@ package noc
 
 import (
 	"fmt"
-	"math"
 
 	"gpunoc/internal/obs"
 )
@@ -77,9 +76,8 @@ type Packet struct {
 
 // flit is one flow-control unit of a packet in the network.
 type flit struct {
-	pkt  *Packet
-	seq  int // 0-based flit index within the packet
-	tail bool
+	pkt        *Packet
+	head, tail bool // first and last flit of the packet
 }
 
 // Port indices of a router.
@@ -110,45 +108,13 @@ func (s *countingSink) Accept(_ *Packet, lastFlit bool, _ int64) bool {
 	return true
 }
 
-type fifo struct {
-	q   []flit
-	cap int
-}
-
-func (f *fifo) empty() bool { return len(f.q) == 0 }
-func (f *fifo) full() bool  { return len(f.q) >= f.cap }
-func (f *fifo) head() *flit { return &f.q[0] }
-
-// pop compacts the queue down instead of reslicing (f.q = f.q[1:]): a
-// reslice pins every popped flit's *Packet in the backing array and
-// shrinks the slice capacity, so each ~BufferFlits pushes forced append
-// to reallocate. Copy-down keeps the array at full capacity forever and
-// overwrites dropped packet pointers, making steady-state Step
-// allocation-free (see TestStepSteadyStateDoesNotAllocate).
-func (f *fifo) pop() flit {
-	h := f.q[0]
-	n := copy(f.q, f.q[1:])
-	f.q[n] = flit{} // drop the duplicated tail's *Packet reference
-	f.q = f.q[:n]
-	return h
-}
-
-// push enqueues one flit. The append is amortized: pop compacts in
-// place and keeps capacity, and occupancy is bounded by BufferFlits, so
-// steady-state pushes never grow the backing array
-// (TestMeshSteadyStateDoesNotAllocate).
-//
-//lint:ignore hotpathalloc bounded-occupancy queue; pop's copy-down compaction keeps append capacity, steady-state pushes are alloc-free
-func (f *fifo) push(x flit) { f.q = append(f.q, x) }
-
 type router struct {
 	node int
-	in   [numPorts]fifo
+	// in holds each input port's flits, bounded at BufferFlits.
+	in [numPorts]ring[flit]
 	// outOwner is the input port currently holding each output via
 	// wormhole allocation, or -1.
 	outOwner [numPorts]int
-	// rr is the round-robin pointer per output.
-	rr [numPorts]int
 }
 
 // Mesh is the simulator instance.
@@ -157,9 +123,11 @@ type Mesh struct {
 	routers []*router
 	sinks   []Sink
 	// injectQ holds flits awaiting entry into each node's local input.
-	injectQ [][]flit
-	cycle   int64
-	nextID  uint64
+	injectQ []ring[flit]
+	// arb arbitrates output node*numPorts+out among its input ports.
+	arb    arbiter
+	cycle  int64
+	nextID uint64
 
 	// AcceptedPackets counts packets delivered per source node.
 	AcceptedPackets []int64
@@ -226,8 +194,8 @@ func (m *Mesh) Observe(reg *obs.Registry) {
 }
 
 type move struct {
-	from *fifo
-	to   *fifo // nil means ejection
+	from *ring[flit]
+	to   *ring[flit] // nil means ejection
 	r    *router
 	out  int
 }
@@ -235,7 +203,7 @@ type move struct {
 // pendingPush defers a flit's arrival until all pops of the cycle have
 // freed buffer space.
 type pendingPush struct {
-	to *fifo
+	to *ring[flit]
 	f  flit
 }
 
@@ -249,14 +217,15 @@ func NewMesh(cfg MeshConfig) (*Mesh, error) {
 		cfg:             cfg,
 		routers:         make([]*router, n),
 		sinks:           make([]Sink, n),
-		injectQ:         make([][]flit, n),
+		injectQ:         make([]ring[flit], n),
+		arb:             newArbiter(cfg.Arbiter, n*numPorts),
 		AcceptedPackets: make([]int64, n),
 		AcceptedFlits:   make([]int64, n),
 	}
 	for i := range m.routers {
 		r := &router{node: i}
 		for p := range r.in {
-			r.in[p].cap = cfg.BufferFlits
+			r.in[p] = newRing[flit](cfg.BufferFlits)
 		}
 		for p := range r.outOwner {
 			r.outOwner[p] = -1
@@ -279,7 +248,7 @@ func (m *Mesh) Config() MeshConfig { return m.cfg }
 func (m *Mesh) VisitFIFOs(fn func(node, port, occupancy, capacity int)) {
 	for node, r := range m.routers {
 		for p := 0; p < numPorts; p++ {
-			fn(node, p, len(r.in[p].q), r.in[p].cap)
+			fn(node, p, r.in[p].len(), m.cfg.BufferFlits)
 		}
 	}
 }
@@ -361,15 +330,14 @@ func (m *Mesh) Inject(src, dst, flits int, payload any) (*Packet, error) {
 	m.nextID++
 	p := &Packet{ID: m.nextID, Src: src, Dst: dst, Flits: flits, CreatedAt: m.cycle, Payload: payload}
 	for s := 0; s < flits; s++ {
-		//lint:ignore hotpathalloc injection-queue growth is caller-throttled via PendingInjection and the per-cycle drain compacts in place, keeping capacity; steady-state injects are alloc-free
-		m.injectQ[src] = append(m.injectQ[src], flit{pkt: p, seq: s, tail: s == flits-1})
+		m.injectQ[src].push(flit{pkt: p, head: s == 0, tail: s == flits-1})
 	}
 	return p, nil
 }
 
 // PendingInjection returns the number of flits queued for injection at a
 // node (source-queue occupancy).
-func (m *Mesh) PendingInjection(node int) int { return len(m.injectQ[node]) }
+func (m *Mesh) PendingInjection(node int) int { return m.injectQ[node].len() }
 
 // Step advances the simulation by one cycle: output arbitration and flit
 // movement across every router, then source-queue injection.
@@ -378,33 +346,52 @@ func (m *Mesh) Step() {
 
 	// Phase 1: decide moves using pre-cycle state.
 	for _, r := range m.routers {
+		// heads[out][in] is the head flit's packet when input in holds a
+		// packet head routed to out: one route per input serves every
+		// output's arbitration.
+		var heads [numPorts][numPorts]*Packet
+		for in := range r.in {
+			if q := &r.in[in]; !q.empty() && q.peek().head {
+				pkt := q.peek().pkt
+				heads[m.route(r.node, pkt.Dst)][in] = pkt
+			}
+		}
 		for out := 0; out < numPorts; out++ {
-			in := m.pickInput(r, out)
-			if in < 0 {
+			// An owned output only accepts the owner's next flit, in
+			// order; a free one goes to the arbitrated packet head.
+			in := r.outOwner[out]
+			owned := in >= 0
+			if !owned {
+				in = m.arb.pick(r.node*numPorts+out, heads[out][:])
+			}
+			if in < 0 || r.in[in].empty() {
 				continue
 			}
-			f := r.in[in].head()
+			var to *ring[flit] // nil means ejection
 			if out == portLocal {
-				// Ejection: ask the sink.
+				f := r.in[in].peek()
 				if !m.sinks[r.node].Accept(f.pkt, f.tail, m.cycle) {
 					m.obs.stallSink.Inc()
 					continue
 				}
-				m.commitGrant(r, out, in, f)
-				m.moves = append(m.moves, move{from: &r.in[in], to: nil, r: r, out: out})
-				continue
+			} else {
+				next, inPort, ok := m.neighbor(r.node, out)
+				if !ok {
+					continue
+				}
+				to = &m.routers[next].in[inPort]
+				if to.full() {
+					m.obs.stallCredit.Inc()
+					continue
+				}
 			}
-			next, inPort, ok := m.neighbor(r.node, out)
-			if !ok {
-				continue
+			if !owned {
+				// Wormhole ownership and round-robin priority move only
+				// on a served grant, never on a refused pick.
+				r.outOwner[out] = in
+				m.arb.commit(r.node*numPorts+out, in)
 			}
-			df := &m.routers[next].in[inPort]
-			if df.full() {
-				m.obs.stallCredit.Inc()
-				continue
-			}
-			m.commitGrant(r, out, in, f)
-			m.moves = append(m.moves, move{from: &r.in[in], to: df, r: r, out: out})
+			m.moves = append(m.moves, move{from: &r.in[in], to: to, r: r, out: out})
 		}
 	}
 
@@ -436,86 +423,21 @@ func (m *Mesh) Step() {
 		p.to.push(p.f)
 	}
 
-	// Phase 3: source-queue injection into the local input port. The
-	// queue is compacted down like fifo.pop: reslicing q[1:] would pin
-	// drained packets and erode the append capacity of a queue that
-	// Inject refills every cycle.
-	for node, q := range m.injectQ {
-		if len(q) == 0 {
+	// Phase 3: source-queue injection into the local input port.
+	for node := range m.injectQ {
+		q := &m.injectQ[node]
+		if q.empty() {
 			continue
 		}
 		in := &m.routers[node].in[portLocal]
 		if in.full() {
 			continue
 		}
-		in.push(q[0])
+		in.push(q.pop())
 		m.obs.buffered++
-		n := copy(q, q[1:])
-		q[n] = flit{}
-		m.injectQ[node] = q[:n]
 	}
 	m.obs.occupancy.Observe(m.obs.buffered)
 	m.cycle++
-}
-
-// commitGrant records wormhole ownership of an output by an input. The
-// round-robin pointer advances here, on a committed head-flit grant, not
-// in pickInput: a pick can still lose to sink refusal or exhausted
-// downstream credit, and rotating priority past an unserved input skews
-// fairness under back-pressure (see
-// TestRoundRobinPointerHoldsOnRefusedGrant).
-func (m *Mesh) commitGrant(r *router, out, in int, f *flit) {
-	if f.seq == 0 {
-		r.outOwner[out] = in
-		if m.cfg.Arbiter == RoundRobin {
-			r.rr[out] = in
-		}
-	}
-}
-
-// pickInput returns the input port granted output out this cycle, or -1.
-func (m *Mesh) pickInput(r *router, out int) int {
-	// An owned output only accepts the owner's next flit, in order.
-	if owner := r.outOwner[out]; owner >= 0 {
-		if r.in[owner].empty() {
-			return -1
-		}
-		return owner
-	}
-	// Free output: head flits (seq 0) requesting it compete.
-	switch m.cfg.Arbiter {
-	case AgeBased:
-		// Oldest packet wins; an exact age tie breaks to the lowest
-		// packet ID (the earliest-injected packet), never to the scan
-		// order — see TestAgeBasedEqualAgeTieBreaksToLowestID.
-		best, bestAge, bestID := -1, int64(math.MaxInt64), uint64(math.MaxUint64)
-		for p := 0; p < numPorts; p++ {
-			if r.in[p].empty() {
-				continue
-			}
-			f := r.in[p].head()
-			if f.seq != 0 || m.route(r.node, f.pkt.Dst) != out {
-				continue
-			}
-			if f.pkt.CreatedAt < bestAge || (f.pkt.CreatedAt == bestAge && f.pkt.ID < bestID) {
-				best, bestAge, bestID = p, f.pkt.CreatedAt, f.pkt.ID
-			}
-		}
-		return best
-	default: // RoundRobin
-		for i := 1; i <= numPorts; i++ {
-			p := (r.rr[out] + i) % numPorts
-			if r.in[p].empty() {
-				continue
-			}
-			f := r.in[p].head()
-			if f.seq != 0 || m.route(r.node, f.pkt.Dst) != out {
-				continue
-			}
-			return p
-		}
-		return -1
-	}
 }
 
 // Run advances the simulation by n cycles.
@@ -527,12 +449,11 @@ func (m *Mesh) Run(n int) {
 
 // Drained reports whether the network and all source queues are empty.
 func (m *Mesh) Drained() bool {
-	for node, q := range m.injectQ {
-		if len(q) > 0 {
+	for node, r := range m.routers {
+		if !m.injectQ[node].empty() {
 			return false
 		}
-		r := m.routers[node]
-		for p := 0; p < numPorts; p++ {
+		for p := range r.in {
 			if !r.in[p].empty() {
 				return false
 			}

@@ -473,10 +473,9 @@ func TestCreditBalanceUnderSaturatedBackpressure(t *testing.T) {
 }
 
 func TestStepSteadyStateDoesNotAllocate(t *testing.T) {
-	// The old fifo.pop resliced q[1:], shrinking the append capacity so
-	// every ~BufferFlits pushes reallocated the buffer (and pinned every
-	// popped flit's *Packet until then). With copy-down compaction and
-	// the reused move/push scratch, a warmed-up Step allocates nothing.
+	// Router inputs are rings built at BufferFlits, source queues stop
+	// growing at their working size, and the move/push scratch is
+	// reused, so a warmed-up Step allocates nothing.
 	m, err := NewMesh(MeshConfig{Width: 4, Height: 4, BufferFlits: 4, Arbiter: RoundRobin})
 	if err != nil {
 		t.Fatal(err)
@@ -491,7 +490,7 @@ func TestStepSteadyStateDoesNotAllocate(t *testing.T) {
 			}
 		}
 	}
-	m.Run(100) // warm up: grow FIFO backing arrays and scratch buffers
+	m.Run(100) // warm up: grow the move/push scratch buffers
 	avg := testing.AllocsPerRun(200, func() { m.Step() })
 	if avg != 0 {
 		t.Errorf("steady-state Step allocates %.1f times per cycle, want 0", avg)

@@ -2,6 +2,7 @@ package noc
 
 import (
 	"bytes"
+	"encoding/json"
 	"reflect"
 	"testing"
 
@@ -104,6 +105,65 @@ func TestObservedGPUSimEmitsDeterministically(t *testing.T) {
 	}
 	if t1 != t2 {
 		t.Error("trace differs between identically-seeded observed runs")
+	}
+}
+
+// WriteTrace must emit Chrome trace-event JSON that chrome://tracing and
+// Perfetto load: every event is named, uses a phase the tracer emits,
+// and carries a pid; non-metadata events also carry a tid and a
+// non-negative ts, complete events a non-negative dur; and every pid is
+// named by process_name metadata. A GPU sim and a crossbar run under
+// separate scopes put several processes in one file.
+func TestWriteTraceIsValidTraceEventJSON(t *testing.T) {
+	reg := obs.New()
+	gpu := quickGPUSim(4)
+	gpu.Obs = reg.Scope("gpu")
+	if _, err := RunGPUSim(gpu); err != nil {
+		t.Fatal(err)
+	}
+	xbar := DefaultXbarFairnessConfig(AgeBased, 4)
+	xbar.Cycles, xbar.Warmup = 2000, 200
+	xbar.Obs = reg.Scope("xbar")
+	if _, err := RunXbarFairness(xbar); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := reg.WriteTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var file struct {
+		TraceEvents []struct {
+			Name     string
+			Ph       string
+			Ts, Dur  *float64
+			Pid, Tid *int64
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &file); err != nil {
+		t.Fatalf("trace is not valid JSON: %v", err)
+	}
+	validPhases := map[string]bool{"M": true, "i": true, "C": true, "X": true}
+	pids, named := map[int64]bool{}, map[int64]bool{}
+	for i, e := range file.TraceEvents {
+		switch {
+		case e.Name == "" || !validPhases[e.Ph] || e.Pid == nil:
+			t.Fatalf("event %d (%q, phase %q) lacks a name, a known phase or a pid", i, e.Name, e.Ph)
+		case e.Ph == "M":
+			named[*e.Pid] = true
+		case e.Tid == nil || e.Ts == nil || *e.Ts < 0:
+			t.Fatalf("event %d (%q) lacks a tid or a non-negative ts", i, e.Name)
+		case e.Ph == "X" && (e.Dur == nil || *e.Dur < 0):
+			t.Fatalf("complete event %d (%q) lacks a non-negative dur", i, e.Name)
+		}
+		pids[*e.Pid] = true
+	}
+	if len(pids) < 2 {
+		t.Errorf("trace holds %d processes, want at least 2", len(pids))
+	}
+	for pid := range pids {
+		if !named[pid] {
+			t.Errorf("pid %d has no process_name metadata", pid)
+		}
 	}
 }
 

@@ -56,27 +56,14 @@ func ReplayTrace(cfg ReplayConfig, steps [][]uint64) ([]ReplayStepStats, error) 
 	if err != nil {
 		return nil, err
 	}
-	mcs := cfg.MCs
-	if len(mcs) == 0 {
-		for x := 0; x < cfg.Mesh.Width; x++ {
-			mcs = append(mcs, m.NodeAt(x, cfg.Mesh.Height-1))
-		}
+	mcs, compute, err := m.placeMCs(cfg.MCs)
+	if err != nil {
+		return nil, err
 	}
-	isMC := map[int]bool{}
 	sinks := make([]*latencySink, len(mcs))
 	for i, n := range mcs {
-		if n < 0 || n >= m.Nodes() {
-			return nil, fmt.Errorf("noc: MC node %d out of range", n)
-		}
 		sinks[i] = &latencySink{}
 		m.SetSink(n, sinks[i])
-		isMC[n] = true
-	}
-	var compute []int
-	for n := 0; n < m.Nodes(); n++ {
-		if !isMC[n] {
-			compute = append(compute, n)
-		}
 	}
 	if len(compute) == 0 {
 		return nil, fmt.Errorf("noc: no compute nodes")

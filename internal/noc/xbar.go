@@ -2,7 +2,6 @@ package noc
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"gpunoc/internal/obs"
@@ -50,22 +49,20 @@ func (c XbarConfig) Validate() error {
 	return nil
 }
 
-// xbarFlit is one flow-control unit in the crossbar.
-type xbarFlit struct {
-	pkt  *Packet
-	tail bool
-}
-
 // Xbar is the cycle-driven hierarchical crossbar simulator.
 type Xbar struct {
 	cfg XbarConfig
 	// injectQ[node] holds flits awaiting the node's hub link.
-	injectQ [][]xbarFlit
-	// voq[cluster][port] is the hub's virtual output queue.
-	voq [][][]xbarFlit
-	// rrNode[cluster] and rrHub[port] are round-robin pointers.
+	injectQ []ring[flit]
+	// voq[cluster][port] is the hub's virtual output queue, bounded at
+	// VOQDepth.
+	voq [][]ring[flit]
+	// rrNode[cluster] is the hub's round-robin pointer over its nodes.
 	rrNode []int
-	rrHub  []int
+	// arb arbitrates each memory port among the cluster hubs; heads is
+	// its per-port candidate scratch, one entry per cluster.
+	arb    arbiter
+	heads  []*Packet
 	cycle  int64
 	nextID uint64
 
@@ -125,15 +122,19 @@ func NewXbar(cfg XbarConfig) (*Xbar, error) {
 	n := cfg.Clusters * cfg.NodesPerCluster
 	x := &Xbar{
 		cfg:             cfg,
-		injectQ:         make([][]xbarFlit, n),
-		voq:             make([][][]xbarFlit, cfg.Clusters),
+		injectQ:         make([]ring[flit], n),
+		voq:             make([][]ring[flit], cfg.Clusters),
 		rrNode:          make([]int, cfg.Clusters),
-		rrHub:           make([]int, cfg.MemPorts),
+		arb:             newArbiter(cfg.Arbiter, cfg.MemPorts),
+		heads:           make([]*Packet, cfg.Clusters),
 		AcceptedPackets: make([]int64, n),
 		AcceptedFlits:   make([]int64, cfg.MemPorts),
 	}
 	for c := range x.voq {
-		x.voq[c] = make([][]xbarFlit, cfg.MemPorts)
+		x.voq[c] = make([]ring[flit], cfg.MemPorts)
+		for p := range x.voq[c] {
+			x.voq[c][p] = newRing[flit](cfg.VOQDepth)
+		}
 	}
 	return x, nil
 }
@@ -153,7 +154,7 @@ func (x *Xbar) Config() XbarConfig { return x.cfg }
 func (x *Xbar) VisitVOQs(fn func(cluster, port, occupancy, depth int)) {
 	for c := range x.voq {
 		for p := range x.voq[c] {
-			fn(c, p, len(x.voq[c][p]), x.cfg.VOQDepth)
+			fn(c, p, x.voq[c][p].len(), x.cfg.VOQDepth)
 		}
 	}
 }
@@ -165,7 +166,7 @@ func (x *Xbar) ClusterOf(node int) int { return node / x.cfg.NodesPerCluster }
 func (x *Xbar) Cycle() int64 { return x.cycle }
 
 // PendingInjection returns the node's source-queue occupancy in flits.
-func (x *Xbar) PendingInjection(node int) int { return len(x.injectQ[node]) }
+func (x *Xbar) PendingInjection(node int) int { return x.injectQ[node].len() }
 
 // Inject queues a packet from node to memory port.
 func (x *Xbar) Inject(node, port, flits int) (*Packet, error) {
@@ -181,8 +182,7 @@ func (x *Xbar) Inject(node, port, flits int) (*Packet, error) {
 	x.nextID++
 	p := &Packet{ID: x.nextID, Src: node, Dst: port, Flits: flits, CreatedAt: x.cycle}
 	for s := 0; s < flits; s++ {
-		//lint:ignore hotpathalloc injection-queue growth is caller-throttled via PendingInjection and Step's copy-down drain keeps append capacity; steady-state injects are alloc-free
-		x.injectQ[node] = append(x.injectQ[node], xbarFlit{pkt: p, tail: s == flits-1})
+		x.injectQ[node].push(flit{pkt: p, head: s == 0, tail: s == flits-1})
 	}
 	return p, nil
 }
@@ -191,29 +191,19 @@ func (x *Xbar) Inject(node, port, flits int) (*Packet, error) {
 // from their nodes' source queues.
 func (x *Xbar) Step() {
 	// Phase 1: each memory port accepts up to PortCapacity flits,
-	// arbitrating among cluster hubs.
+	// arbitrating among the cluster hubs' VOQ heads.
 	for port := 0; port < x.cfg.MemPorts; port++ {
+		for c := range x.heads {
+			x.heads[c] = x.voqHead(c, port)
+		}
 		for grant := 0; grant < x.cfg.PortCapacity; grant++ {
-			hub := x.pickHub(port)
+			hub := x.arb.pick(port, x.heads)
 			if hub < 0 {
 				break
 			}
-			// Pop by compacting down: q = q[1:] would pin the drained
-			// flit's *Packet in the backing array and erode append
-			// capacity, reallocating every few cycles (the fifo.pop
-			// pattern).
-			q := x.voq[hub][port]
-			f := q[0]
-			n := copy(q, q[1:])
-			q[n] = xbarFlit{}
-			x.voq[hub][port] = q[:n]
-			// The round-robin pointer advances here, on the committed
-			// grant — pickHub is a pure pick. Same contract as the mesh's
-			// commitGrant: priority only rotates past a hub that was
-			// actually served.
-			if x.cfg.Arbiter == RoundRobin {
-				x.rrHub[port] = hub
-			}
+			f := x.voq[hub][port].pop()
+			x.heads[hub] = x.voqHead(hub, port)
+			x.arb.commit(port, hub)
 			x.AcceptedFlits[port]++
 			x.obs.voqFlits--
 			if x.obs.portGrants != nil {
@@ -234,21 +224,16 @@ func (x *Xbar) Step() {
 			moved := false
 			for i := 0; i < x.cfg.NodesPerCluster; i++ {
 				node := base + (x.rrNode[c]+1+i)%x.cfg.NodesPerCluster
-				q := x.injectQ[node]
-				if len(q) == 0 {
+				q := &x.injectQ[node]
+				if q.empty() {
 					continue
 				}
-				dst := q[0].pkt.Dst
-				if len(x.voq[c][dst]) >= x.cfg.VOQDepth {
+				voq := &x.voq[c][q.peek().pkt.Dst]
+				if voq.full() {
 					x.obs.stallVOQ.Inc()
 					continue
 				}
-				//lint:ignore hotpathalloc VOQ occupancy is bounded by VOQDepth (checked above) and the port drain compacts in place, keeping capacity; steady-state appends are alloc-free
-				x.voq[c][dst] = append(x.voq[c][dst], q[0])
-				// Same compaction as the port drain above.
-				n := copy(q, q[1:])
-				q[n] = xbarFlit{}
-				x.injectQ[node] = q[:n]
+				voq.push(q.pop())
 				x.rrNode[c] = node - base
 				x.obs.voqFlits++
 				if x.obs.hubForwards != nil {
@@ -266,40 +251,13 @@ func (x *Xbar) Step() {
 	x.cycle++
 }
 
-// pickHub selects the hub whose VOQ head wins memory port port, or -1.
-func (x *Xbar) pickHub(port int) int {
-	switch x.cfg.Arbiter {
-	case AgeBased:
-		// Oldest packet wins; an exact age tie breaks to the lowest
-		// packet ID, never to the cluster scan order (the same contract
-		// as the mesh arbiter — see TestXbarAgeBasedEqualAgeTieBreak).
-		best, bestAge, bestID := -1, int64(math.MaxInt64), uint64(math.MaxUint64)
-		for c := 0; c < x.cfg.Clusters; c++ {
-			q := x.voq[c][port]
-			if len(q) == 0 {
-				continue
-			}
-			pkt := q[0].pkt
-			if pkt.CreatedAt < bestAge || (pkt.CreatedAt == bestAge && pkt.ID < bestID) {
-				best, bestAge, bestID = c, pkt.CreatedAt, pkt.ID
-			}
-		}
-		return best
-	default:
-		// Pure pick: the pointer advances at the drain site in Step, only
-		// on an actual grant (aligned with the mesh's pickInput contract).
-		// In this topology every pick is drained the same cycle, so the
-		// split is behaviour-preserving; it keeps the two arbiters
-		// structurally identical so neither can drift into advancing on a
-		// masked candidate.
-		for i := 1; i <= x.cfg.Clusters; i++ {
-			c := (x.rrHub[port] + i) % x.cfg.Clusters
-			if len(x.voq[c][port]) > 0 {
-				return c
-			}
-		}
-		return -1
+// voqHead returns the packet at the head of a hub's VOQ for a port, or
+// nil when the VOQ is empty.
+func (x *Xbar) voqHead(cluster, port int) *Packet {
+	if q := &x.voq[cluster][port]; !q.empty() {
+		return q.peek().pkt
 	}
+	return nil
 }
 
 // Run advances n cycles.
@@ -311,14 +269,14 @@ func (x *Xbar) Run(n int) {
 
 // Drained reports whether all queues are empty.
 func (x *Xbar) Drained() bool {
-	for _, q := range x.injectQ {
-		if len(q) > 0 {
+	for i := range x.injectQ {
+		if !x.injectQ[i].empty() {
 			return false
 		}
 	}
 	for _, hub := range x.voq {
-		for _, q := range hub {
-			if len(q) > 0 {
+		for p := range hub {
+			if !hub[p].empty() {
 				return false
 			}
 		}
@@ -392,25 +350,12 @@ func RunXbarFairness(cfg XbarFairnessConfig) (*FairnessResult, error) {
 		x.Step()
 	}
 	res := &FairnessResult{}
-	minT, maxT := math.MaxFloat64, 0.0
 	for node := 0; node < x.Nodes(); node++ {
 		res.ComputeNodes = append(res.ComputeNodes, node)
-		tp := float64(x.AcceptedPackets[node]-base[node]) / float64(cfg.Cycles)
-		res.Throughput = append(res.Throughput, tp)
-		if tp < minT {
-			minT = tp
-		}
-		if tp > maxT {
-			maxT = tp
-		}
 	}
 	for p := 0; p < cfg.Xbar.MemPorts; p++ {
 		res.MCs = append(res.MCs, p)
 	}
-	if minT > 0 {
-		res.MaxMinRatio = maxT / minT
-	} else {
-		res.MaxMinRatio = math.Inf(1)
-	}
+	res.fold(x.AcceptedPackets, base, cfg.Cycles)
 	return res, nil
 }

@@ -49,12 +49,12 @@ func TestXbarInjectValidation(t *testing.T) {
 }
 
 // TestXbarRoundRobinAlternatesUnderEqualBacklog pins the crossbar's
-// round-robin contract after pickHub was split into a pure pick with
-// the pointer advanced at the drain site (the mesh arbiter's
-// commitGrant shape): with two clusters holding equal backlogs for one
-// port, service must alternate strictly, giving each cluster exactly
-// half the grants — the pointer moves once per committed grant, never
-// on a scan that granted nothing.
+// round-robin contract, the one the mesh routers share through
+// arbiter: pick is pure and the pointer moves only in commit, at the
+// drain site. With two clusters holding equal backlogs for one port,
+// service must alternate strictly, giving each cluster exactly half
+// the grants — the pointer moves once per committed grant, never on a
+// scan that granted nothing.
 func TestXbarRoundRobinAlternatesUnderEqualBacklog(t *testing.T) {
 	x, err := NewXbar(XbarConfig{
 		Clusters: 2, NodesPerCluster: 1, MemPorts: 1,
@@ -265,10 +265,10 @@ func TestRunXbarFairnessValidation(t *testing.T) {
 	}
 }
 
-// The VOQ drain and source-queue pull used to reslice q[1:], pinning
-// every forwarded flit's *Packet in the backing array and eroding append
-// capacity so the per-cycle hot path of the ext1 crossbar experiment
-// reallocated continuously. Warmed-up Step must allocate nothing.
+// The VOQs are rings built at VOQDepth and the source queues only grow
+// until they reach their throttled working size, so once warmed up the
+// per-cycle hot path of the ext1 crossbar experiment must allocate
+// nothing.
 func TestXbarStepSteadyStateDoesNotAllocate(t *testing.T) {
 	x, err := NewXbar(DefaultXbarFairnessConfig(RoundRobin, 1).Xbar)
 	if err != nil {
@@ -284,7 +284,7 @@ func TestXbarStepSteadyStateDoesNotAllocate(t *testing.T) {
 			}
 		}
 	}
-	x.Run(100) // warm up: grow queue backing arrays to steady-state size
+	x.Run(100) // warm up: fill the VOQs to their steady-state occupancy
 	avg := testing.AllocsPerRun(200, func() { x.Step() })
 	if avg != 0 {
 		t.Errorf("steady-state Xbar.Step allocates %.1f times per cycle, want 0", avg)
