@@ -5,11 +5,18 @@
 // encryptions coalesces its final-round table lookups into a number of
 // unique memory sectors that is linearly visible in the kernel's timing.
 //
-// The implementation favours clarity over speed and is NOT intended for
-// protecting data; it exists to drive the side-channel reproduction.
+// Each inner round is four 32-bit T-table lookups per column (Te0-Te3,
+// built at init from the S-box), indexed by exactly the bytes the Trace
+// records, so the instrumented indices are the lookups the code performs.
+// The implementation does nothing to hide its own timing and is NOT
+// intended for protecting data; it exists to drive the side-channel
+// reproduction.
 package aes
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // BlockSize is the AES block size in bytes.
 const BlockSize = 16
@@ -43,9 +50,18 @@ var sbox = [256]byte{
 // invSbox is the inverse S-box, computed from sbox at init.
 var invSbox [256]byte
 
+// te holds the encryption T-tables: te[i][x] is the MixColumns column
+// contributed by S-box output sbox[x] sitting in row i, packed big-endian
+// (row 0 in the top byte). te[i] is te[0] rotated right by 8*i bits.
+var te [4][256]uint32
+
 func init() {
 	for i, v := range sbox {
 		invSbox[v] = byte(i)
+		w := uint32(mul(v, 2))<<24 | uint32(v)<<16 | uint32(v)<<8 | uint32(mul(v, 3))
+		for r := range te {
+			te[r][i] = w>>(8*r) | w<<(32-8*r)
+		}
 	}
 }
 
@@ -82,8 +98,9 @@ var rcon = [11]byte{0x00, 0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 
 
 // Key is an expanded AES-128 key schedule.
 type Key struct {
-	// rounds[r] is the 16-byte round key for round r (0..10).
-	rounds [Rounds + 1][BlockSize]byte
+	// rounds[r] is the round key for round r (0..10) as four big-endian
+	// column words.
+	rounds [Rounds + 1][4]uint32
 }
 
 // NewKey expands a 16-byte key.
@@ -107,19 +124,23 @@ func NewKey(key []byte) (*Key, error) {
 		}
 	}
 	k := &Key{}
-	for r := 0; r <= Rounds; r++ {
-		for c := 0; c < 4; c++ {
-			copy(k.rounds[r][4*c:4*c+4], w[4*r+c][:])
-		}
+	for i, word := range w {
+		k.rounds[i/4][i%4] = binary.BigEndian.Uint32(word[:])
 	}
 	return k, nil
 }
 
 // RoundKey returns round key r.
-func (k *Key) RoundKey(r int) [BlockSize]byte { return k.rounds[r] }
+func (k *Key) RoundKey(r int) [BlockSize]byte {
+	var b [BlockSize]byte
+	for c, word := range k.rounds[r] {
+		binary.BigEndian.PutUint32(b[4*c:], word)
+	}
+	return b
+}
 
 // LastRoundKey returns the round-10 key, the attack's recovery target.
-func (k *Key) LastRoundKey() [BlockSize]byte { return k.rounds[Rounds] }
+func (k *Key) LastRoundKey() [BlockSize]byte { return k.RoundKey(Rounds) }
 
 // Trace records the memory-access-relevant indices of one encryption: the
 // T-table lookup index of every round's SubBytes stage, in the ShiftRows
@@ -145,60 +166,56 @@ func (k *Key) Encrypt(pt []byte) ([]byte, Trace, error) {
 	if len(pt) != BlockSize {
 		return nil, tr, fmt.Errorf("aes: plaintext length %d, want %d", len(pt), BlockSize)
 	}
-	var s [16]byte
-	copy(s[:], pt)
-	addRoundKey(&s, k.rounds[0])
-	for r := 1; r < Rounds; r++ {
-		for j := 0; j < 16; j++ {
-			tr.RoundIndices[r-1][j] = s[shiftRowsIndex[j]]
-		}
-		subBytes(&s)
-		shiftRows(&s)
-		mixColumns(&s)
-		addRoundKey(&s, k.rounds[r])
-	}
-	// Final round: SubBytes + ShiftRows + AddRoundKey; the SubBytes
-	// lookups (post-ShiftRows order) are the attacked table accesses.
-	var out [16]byte
-	for j := 0; j < 16; j++ {
-		idx := s[shiftRowsIndex[j]]
-		tr.RoundIndices[Rounds-1][j] = idx
-		tr.FinalIndices[j] = idx
-		out[j] = sbox[idx] ^ k.rounds[Rounds][j]
-	}
 	ct := make([]byte, BlockSize)
-	copy(ct, out[:])
+	k.EncryptBlock((*[BlockSize]byte)(ct), (*[BlockSize]byte)(pt), &tr)
 	return ct, tr, nil
 }
 
-func subBytes(s *[16]byte) {
-	for i := range s {
-		s[i] = sbox[s[i]]
+// EncryptBlock encrypts src into dst (which may alias src) and, when tr
+// is non-nil, records the access trace into it. It does not allocate.
+//
+// The state is four big-endian column words. Output column c of an inner
+// round XORs four T-table lookups whose indices are the ShiftRows-ordered
+// state bytes 4c..4c+3 - exactly the RoundIndices the trace records.
+func (k *Key) EncryptBlock(dst, src *[BlockSize]byte, tr *Trace) {
+	var s [4]uint32
+	for c := range s {
+		s[c] = binary.BigEndian.Uint32(src[4*c:]) ^ k.rounds[0][c]
+	}
+	for r := 1; r < Rounds; r++ {
+		idx := roundIndices(&s)
+		if tr != nil {
+			tr.RoundIndices[r-1] = idx
+		}
+		for c := range s {
+			s[c] = te[0][idx[4*c]] ^ te[1][idx[4*c+1]] ^ te[2][idx[4*c+2]] ^ te[3][idx[4*c+3]] ^ k.rounds[r][c]
+		}
+	}
+	// Final round: SubBytes + ShiftRows + AddRoundKey; its S-box lookups
+	// are the attacked table accesses.
+	idx := roundIndices(&s)
+	if tr != nil {
+		tr.RoundIndices[Rounds-1] = idx
+		tr.FinalIndices = idx
+	}
+	for c := range s {
+		word := uint32(sbox[idx[4*c]])<<24 | uint32(sbox[idx[4*c+1]])<<16 |
+			uint32(sbox[idx[4*c+2]])<<8 | uint32(sbox[idx[4*c+3]])
+		binary.BigEndian.PutUint32(dst[4*c:], word^k.rounds[Rounds][c])
 	}
 }
 
-func shiftRows(s *[16]byte) {
-	var t [16]byte
-	for j := 0; j < 16; j++ {
-		t[j] = s[shiftRowsIndex[j]]
-	}
-	*s = t
-}
-
-func mixColumns(s *[16]byte) {
+// roundIndices returns the state bytes in ShiftRows order: the table
+// lookup indices of the round that consumes state s.
+func roundIndices(s *[4]uint32) [BlockSize]byte {
+	var idx [BlockSize]byte
 	for c := 0; c < 4; c++ {
-		a0, a1, a2, a3 := s[4*c], s[4*c+1], s[4*c+2], s[4*c+3]
-		s[4*c] = mul(a0, 2) ^ mul(a1, 3) ^ a2 ^ a3
-		s[4*c+1] = a0 ^ mul(a1, 2) ^ mul(a2, 3) ^ a3
-		s[4*c+2] = a0 ^ a1 ^ mul(a2, 2) ^ mul(a3, 3)
-		s[4*c+3] = mul(a0, 3) ^ a1 ^ a2 ^ mul(a3, 2)
+		idx[4*c] = byte(s[c] >> 24)
+		idx[4*c+1] = byte(s[(c+1)&3] >> 16)
+		idx[4*c+2] = byte(s[(c+2)&3] >> 8)
+		idx[4*c+3] = byte(s[(c+3)&3])
 	}
-}
-
-func addRoundKey(s *[16]byte, k [16]byte) {
-	for i := range s {
-		s[i] ^= k[i]
-	}
+	return idx
 }
 
 // Decrypt inverts Encrypt (equivalent-inverse-cipher free, straightforward
@@ -209,16 +226,16 @@ func (k *Key) Decrypt(ct []byte) ([]byte, error) {
 	}
 	var s [16]byte
 	copy(s[:], ct)
-	addRoundKey(&s, k.rounds[Rounds])
+	addRoundKey(&s, k.RoundKey(Rounds))
 	invShiftRows(&s)
 	invSubBytes(&s)
 	for r := Rounds - 1; r >= 1; r-- {
-		addRoundKey(&s, k.rounds[r])
+		addRoundKey(&s, k.RoundKey(r))
 		invMixColumns(&s)
 		invShiftRows(&s)
 		invSubBytes(&s)
 	}
-	addRoundKey(&s, k.rounds[0])
+	addRoundKey(&s, k.RoundKey(0))
 	pt := make([]byte, BlockSize)
 	copy(pt, s[:])
 	return pt, nil
@@ -245,5 +262,11 @@ func invMixColumns(s *[16]byte) {
 		s[4*c+1] = mul(a0, 9) ^ mul(a1, 14) ^ mul(a2, 11) ^ mul(a3, 13)
 		s[4*c+2] = mul(a0, 13) ^ mul(a1, 9) ^ mul(a2, 14) ^ mul(a3, 11)
 		s[4*c+3] = mul(a0, 11) ^ mul(a1, 13) ^ mul(a2, 9) ^ mul(a3, 14)
+	}
+}
+
+func addRoundKey(s *[16]byte, k [16]byte) {
+	for i := range s {
+		s[i] ^= k[i]
 	}
 }

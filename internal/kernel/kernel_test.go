@@ -39,7 +39,7 @@ func TestCoalesceBasics(t *testing.T) {
 
 func TestCoalescePreservesFirstTouchOrder(t *testing.T) {
 	addrs := []uint64{0x300, 0x100, 0x310, 0x200}
-	lines := Coalesce(addrs, 0x100)
+	lines := coalesce(nil, addrs, 0x100)
 	want := []uint64{0x300, 0x100, 0x200}
 	if len(lines) != len(want) {
 		t.Fatalf("lines = %x, want %x", lines, want)
@@ -74,6 +74,124 @@ func TestCoalescePropertyCount(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// referenceCoalesce is the brute-force oracle for coalesce: a set of
+// seen lines and an ordered list of first touches.
+func referenceCoalesce(addrs []uint64, lineBytes int) []uint64 {
+	seen := map[uint64]bool{}
+	var lines []uint64
+	for _, a := range addrs {
+		line := a / uint64(lineBytes) * uint64(lineBytes)
+		if !seen[line] {
+			seen[line] = true
+			lines = append(lines, line)
+		}
+	}
+	return lines
+}
+
+func sameLines(a, b []uint64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// Property: coalesce returns exactly the oracle's lines in first-touch
+// order. Fixed cases pin the ±32-line mask window around the first
+// lane's line; the random generator straddles it too (in range, exactly
+// at and just past either edge, below the first line, far away and near
+// zero) with unaligned byte offsets, for 32- and 128-byte lines, from
+// empty inputs to inputs past the 2*WarpSize cut-over to the map.
+func TestCoalesceMatchesReference(t *testing.T) {
+	const first = 100
+	edges := []struct {
+		name  string
+		lines []uint64
+	}{
+		{"empty", nil},
+		{"last slot in window", []uint64{first, first + 31, first + 31}},
+		{"first slot past window", []uint64{first, first + 32, first + 32}},
+		{"lowest slot in window", []uint64{first, first - 32, first - 32}},
+		{"just below window", []uint64{first, first - 33, first - 33}},
+		{"mixed in and out", []uint64{first, first + 40, first - 40, first + 1, first + 40, first - 40, first + 1}},
+		{"first line zero", []uint64{0, 31, 32, 0, 31, 32}},
+	}
+	for _, c := range edges {
+		addrs := make([]uint64, len(c.lines))
+		for i, l := range c.lines {
+			addrs[i] = l*32 + uint64(i) // unaligned within the line
+		}
+		if got, want := coalesce(nil, addrs, 32), referenceCoalesce(addrs, 32); !sameLines(got, want) {
+			t.Errorf("%s: got %x, want %x", c.name, got, want)
+		}
+	}
+
+	offsets := []int64{0, 1, -1, 5, -5, 31, -31, 32, -32, 33, -33, 63, -63, 64, -64, 1000, -1000}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		lineBytes := []int{32, 128}[rng.Intn(2)]
+		n := rng.Intn(3*WarpSize + 1)
+		if rng.Intn(4) > 0 {
+			n = rng.Intn(2*WarpSize + 1)
+		}
+		first := uint64(rng.Intn(1 << 20))
+		if rng.Intn(4) == 0 {
+			first = uint64(rng.Intn(8)) // near zero: window slots wrap
+		}
+		addrs := make([]uint64, n)
+		for i := range addrs {
+			line := int64(first) + offsets[rng.Intn(len(offsets))]
+			if i == 0 {
+				line = int64(first)
+			}
+			addrs[i] = uint64(line)*uint64(lineBytes) + uint64(rng.Intn(lineBytes))
+		}
+		want := referenceCoalesce(addrs, lineBytes)
+		got := coalesce(nil, addrs, lineBytes)
+		if !sameLines(got, want) {
+			t.Logf("lineBytes %d addrs %x: got %x, want %x", lineBytes, addrs, got, want)
+			return false
+		}
+		// Appending after a non-empty prefix leaves the prefix alone and
+		// dedups only the new access.
+		prefix := []uint64{7} // unaligned, so no line equals it
+		got = coalesce(prefix, addrs, lineBytes)
+		return got[0] == prefix[0] && sameLines(got[1:], want) &&
+			UniqueLines(addrs, lineBytes) == len(want)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+}
+
+// A warp-sized LoadCG, StoreCG and LoadCGMiss on a machine without the
+// L2 model coalesce into stack scratch: no allocation per warp access.
+func TestWarpAccessesDoNotAllocate(t *testing.T) {
+	m := machine(t, nil)
+	addrs := make([]uint64, WarpSize)
+	for i := range addrs {
+		addrs[i] = 0x40000 + uint64(i*i*4)
+	}
+	allocs := map[string]float64{}
+	if _, err := m.Launch(1, WarpSize, func(w *Warp) {
+		allocs["LoadCG"] = testing.AllocsPerRun(100, func() { w.LoadCG(addrs) })
+		allocs["StoreCG"] = testing.AllocsPerRun(100, func() { w.StoreCG(addrs) })
+		allocs["LoadCGMiss"] = testing.AllocsPerRun(100, func() { w.LoadCGMiss(addrs) })
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for name, n := range allocs {
+		if n != 0 {
+			t.Errorf("%s allocates %.0f times per warp access, want 0", name, n)
+		}
 	}
 }
 

@@ -200,7 +200,8 @@ func (w *Warp) LoadCG(addrs []uint64) int {
 		return 0
 	}
 	dev := w.m.dev
-	sectors := Coalesce(addrs, w.m.opts.SectorBytes)
+	var buf [2 * WarpSize]uint64
+	sectors := coalesce(buf[:0], addrs, w.m.opts.SectorBytes)
 	n := len(sectors)
 	last := sectors[n-1]
 	slice := dev.ServingSlice(w.sm, last)
@@ -235,7 +236,8 @@ func (w *Warp) StoreCG(addrs []uint64) int {
 		return 0
 	}
 	dev := w.m.dev
-	sectors := Coalesce(addrs, w.m.opts.SectorBytes)
+	var buf [2 * WarpSize]uint64
+	sectors := coalesce(buf[:0], addrs, w.m.opts.SectorBytes)
 	n := len(sectors)
 	last := sectors[n-1]
 	slice := dev.ServingSlice(w.sm, last)
@@ -258,7 +260,8 @@ func (w *Warp) LoadCGMiss(addrs []uint64) int {
 		return 0
 	}
 	dev := w.m.dev
-	sectors := Coalesce(addrs, w.m.opts.SectorBytes)
+	var buf [2 * WarpSize]uint64
+	sectors := coalesce(buf[:0], addrs, w.m.opts.SectorBytes)
 	n := len(sectors)
 	last := sectors[n-1]
 	slice := dev.ServingSlice(w.sm, last)
@@ -360,13 +363,9 @@ func (m *Machine) Launch(gridDim, blockDim int, k Kernel) (Result, error) {
 // slowest SM's round trip twice (arrive + release). When the SMs span GPU
 // partitions, the flag is far for some of them.
 func (m *Machine) gridSyncCost(placement []int) float64 {
-	seen := map[int]bool{}
 	worst := 0.0
 	for _, sm := range placement {
-		if seen[sm] {
-			continue
-		}
-		seen[sm] = true
+		// A repeated SM repeats its latency, which cannot move the max.
 		if lat := float64(m.dev.L2HitLatencyMean(sm, m.opts.SyncSlice)); lat > worst {
 			worst = lat
 		}

@@ -66,6 +66,16 @@ func Suite() []Benchmark {
 			},
 		},
 		{
+			Name: "fig18_quick",
+			Doc:  "end-to-end quick fig18 AES attack on V100 incl. fresh Context (the most expensive quick key)",
+			// ~20 k allocs/op; one allocation per warp load (10 rounds x
+			// 16 loads per sample, 5000 samples) would add 800 k.
+			DefaultBudget: Budget{MaxNsRatio: DefaultMaxNsRatio, MaxAllocsDelta: 4096},
+			Fn: func(b *testing.B) {
+				ExperimentLoop(b, "fig18", gpu.V100())
+			},
+		},
+		{
 			Name:          "gpusim_quick",
 			Doc:           "many-to-few-to-many gpusim pipeline, reduced cycle count",
 			DefaultBudget: Budget{MaxNsRatio: DefaultMaxNsRatio, MaxAllocsDelta: 64},

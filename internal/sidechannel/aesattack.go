@@ -8,6 +8,7 @@ package sidechannel
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"gpunoc/internal/aes"
@@ -47,7 +48,7 @@ func (v *AESVictim) Key() *aes.Key { return v.key }
 // AESSample is one attacker observation: the warp's 32 ciphertexts and
 // the measured kernel time.
 type AESSample struct {
-	Ciphertexts [kernel.WarpSize][]byte
+	Ciphertexts [kernel.WarpSize][aes.BlockSize]byte
 	Cycles      float64
 }
 
@@ -55,19 +56,14 @@ type AESSample struct {
 // the attacker sees. The thread block's SM comes from the machine's
 // scheduler: static scheduling lands it on the same SM every time, the
 // random-seed defence does not.
-func (v *AESVictim) EncryptWarp(pts [kernel.WarpSize][]byte) (AESSample, error) {
+func (v *AESVictim) EncryptWarp(pts *[kernel.WarpSize][aes.BlockSize]byte) (AESSample, error) {
 	var sample AESSample
 	var traces [kernel.WarpSize]aes.Trace
-	for lane, pt := range pts {
-		ct, tr, err := v.key.Encrypt(pt)
-		if err != nil {
-			return sample, err
-		}
-		sample.Ciphertexts[lane] = ct
-		traces[lane] = tr
+	for lane := range pts {
+		v.key.EncryptBlock(&sample.Ciphertexts[lane], &pts[lane], &traces[lane])
 	}
+	var addrs [kernel.WarpSize]uint64
 	res, err := v.machine.Launch(1, kernel.WarpSize, func(w *kernel.Warp) {
-		addrs := make([]uint64, kernel.WarpSize)
 		// Every round performs 16 warp-wide T-table lookups; the inner
 		// rounds contribute plaintext-dependent timing the attacker
 		// treats as noise, the final round carries the key-recoverable
@@ -77,7 +73,7 @@ func (v *AESVictim) EncryptWarp(pts [kernel.WarpSize][]byte) (AESSample, error) 
 				for lane := range addrs {
 					addrs[lane] = v.tableBase + uint64(traces[lane].RoundIndices[r][j])*v.wordBytes
 				}
-				w.LoadCG(addrs)
+				w.LoadCG(addrs[:])
 			}
 		}
 	})
@@ -94,14 +90,12 @@ func CollectAESSamples(v *AESVictim, n int, rng *rand.Rand) ([]AESSample, error)
 		return nil, fmt.Errorf("sidechannel: need positive sample count")
 	}
 	samples := make([]AESSample, 0, n)
+	var pts [kernel.WarpSize][aes.BlockSize]byte
 	for i := 0; i < n; i++ {
-		var pts [kernel.WarpSize][]byte
 		for lane := range pts {
-			pt := make([]byte, aes.BlockSize)
-			rng.Read(pt)
-			pts[lane] = pt
+			rng.Read(pts[lane][:])
 		}
-		s, err := v.EncryptWarp(pts)
+		s, err := v.EncryptWarp(&pts)
 		if err != nil {
 			return nil, err
 		}
@@ -140,11 +134,6 @@ func RecoverAESKeyByte(samples []AESSample, j int, sectorBytes int) (AESGuessRes
 	if sectorBytes <= 0 {
 		return res, fmt.Errorf("sidechannel: sector size must be positive")
 	}
-	times := make([]float64, len(samples))
-	for i, s := range samples {
-		times[i] = s.Cycles
-	}
-	predicted := make([]float64, len(samples))
 	// A 256-entry table of 4-byte words spans at most 64 sectors, so a
 	// 64-bit occupancy mask counts unique sectors exactly.
 	const wordBytes = 4
@@ -152,14 +141,30 @@ func RecoverAESKeyByte(samples []AESSample, j int, sectorBytes int) (AESGuessRes
 	if entriesPerSector <= 0 || 256/entriesPerSector > 64 {
 		return res, fmt.Errorf("sidechannel: sector size %d unsupported", sectorBytes)
 	}
+	// sectorOf[x] is the sector bit of the table entry InvSBox(x) names;
+	// under guess g, ciphertext byte c looked up entry InvSBox(c^g).
+	var sectorOf [256]uint64
+	for x := range sectorOf {
+		sectorOf[x] = 1 << (int(aes.InvSBox(byte(x))) / entriesPerSector)
+	}
+	times := make([]float64, len(samples))
+	// cts holds byte j of every lane's ciphertext, sample-major, so each
+	// guess streams one contiguous array.
+	cts := make([]byte, 0, len(samples)*kernel.WarpSize)
+	for i := range samples {
+		times[i] = samples[i].Cycles
+		for lane := range samples[i].Ciphertexts {
+			cts = append(cts, samples[i].Ciphertexts[lane][j])
+		}
+	}
+	predicted := make([]float64, len(samples))
 	for g := 0; g < 256; g++ {
-		for i, s := range samples {
+		for i := range predicted {
 			var mask uint64
-			for lane := 0; lane < kernel.WarpSize; lane++ {
-				idx := aes.InvSBox(s.Ciphertexts[lane][j] ^ byte(g))
-				mask |= 1 << (int(idx) / entriesPerSector)
+			for _, c := range cts[i*kernel.WarpSize : (i+1)*kernel.WarpSize] {
+				mask |= sectorOf[c^byte(g)]
 			}
-			predicted[i] = float64(popcount(mask))
+			predicted[i] = float64(bits.OnesCount64(mask))
 		}
 		r, err := stats.Pearson(predicted, times)
 		if errors.Is(err, stats.ErrZeroVariance) {
@@ -186,15 +191,6 @@ func RecoverAESKeyByte(samples []AESSample, j int, sectorBytes int) (AESGuessRes
 	res.Best = byte(best)
 	res.Margin = res.Correlations[best] - second
 	return res, nil
-}
-
-// popcount counts set bits.
-func popcount(x uint64) int {
-	n := 0
-	for ; x != 0; x &= x - 1 {
-		n++
-	}
-	return n
 }
 
 // RecoverAESKey attacks the first nBytes of the last-round key.

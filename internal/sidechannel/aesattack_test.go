@@ -1,11 +1,15 @@
 package sidechannel
 
 import (
+	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
+	"gpunoc/internal/aes"
 	"gpunoc/internal/gpu"
 	"gpunoc/internal/kernel"
+	"gpunoc/internal/stats"
 )
 
 var testKey = []byte{0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6, 0xab, 0xf7, 0x15, 0x88, 0x09, 0xcf, 0x4f, 0x3c}
@@ -38,13 +42,11 @@ func TestNewAESVictimValidation(t *testing.T) {
 
 func TestEncryptWarpProducesValidCiphertexts(t *testing.T) {
 	v := victim(t, nil)
-	var pts [kernel.WarpSize][]byte
+	var pts [kernel.WarpSize][aes.BlockSize]byte
 	for lane := range pts {
-		pt := make([]byte, 16)
-		pt[0] = byte(lane)
-		pts[lane] = pt
+		pts[lane][0] = byte(lane)
 	}
-	s, err := v.EncryptWarp(pts)
+	s, err := v.EncryptWarp(&pts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +55,7 @@ func TestEncryptWarpProducesValidCiphertexts(t *testing.T) {
 	}
 	// Functional check: ciphertexts decrypt back to the plaintexts.
 	for lane, ct := range s.Ciphertexts {
-		back, err := v.Key().Decrypt(ct)
+		back, err := v.Key().Decrypt(ct[:])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,14 +178,86 @@ func TestAESCorrectGuessCorrelationRank(t *testing.T) {
 	}
 }
 
-func TestPopcount(t *testing.T) {
-	cases := []struct {
-		in   uint64
-		want int
-	}{{0, 0}, {1, 1}, {0b1011, 3}, {^uint64(0), 64}}
-	for _, c := range cases {
-		if got := popcount(c.in); got != c.want {
-			t.Errorf("popcount(%b) = %d, want %d", c.in, got, c.want)
+// referenceRecoverAESKeyByte is the straightforward attack: for every
+// guess and sample, map each lane's ciphertext byte through InvSBox and
+// count the distinct sectors with a set. It is the oracle for the hoisted
+// RecoverAESKeyByte (validation omitted).
+func referenceRecoverAESKeyByte(samples []AESSample, j, sectorBytes int) (AESGuessResult, error) {
+	var res AESGuessResult
+	entriesPerSector := sectorBytes / 4
+	times := make([]float64, len(samples))
+	for i, s := range samples {
+		times[i] = s.Cycles
+	}
+	predicted := make([]float64, len(samples))
+	for g := 0; g < 256; g++ {
+		for i, s := range samples {
+			sectors := map[int]bool{}
+			for lane := 0; lane < kernel.WarpSize; lane++ {
+				idx := aes.InvSBox(s.Ciphertexts[lane][j] ^ byte(g))
+				sectors[int(idx)/entriesPerSector] = true
+			}
+			predicted[i] = float64(len(sectors))
+		}
+		r, err := stats.Pearson(predicted, times)
+		if errors.Is(err, stats.ErrZeroVariance) {
+			r = 0
+		} else if err != nil {
+			return res, err
+		}
+		res.Correlations[g] = r
+	}
+	best, second := 0, -1.0
+	for g, r := range res.Correlations {
+		if r > res.Correlations[best] {
+			best = g
+		}
+	}
+	for g, r := range res.Correlations {
+		if g != best && r > second {
+			second = r
+		}
+	}
+	res.Best = byte(best)
+	res.Margin = res.Correlations[best] - second
+	return res, nil
+}
+
+// The hoisted attack (sector table, contiguous byte column, hardware
+// popcount) returns bit-identical correlations, best guess and margin to
+// the per-lane reference, for every supported sector granularity and on
+// samples from both schedulers.
+func TestRecoverAESKeyByteMatchesReference(t *testing.T) {
+	scheds := map[string]kernel.Scheduler{
+		"static": kernel.StaticScheduler{},
+		"random": kernel.RandomScheduler{Rand: rand.New(rand.NewSource(9)).Uint64},
+	}
+	for name, sched := range scheds {
+		samples, err := CollectAESSamples(victim(t, sched), 300, rand.New(rand.NewSource(5)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sectorBytes := range []int{16, 32, 128} {
+			for _, j := range []int{0, 7, 15} {
+				got, err := RecoverAESKeyByte(samples, j, sectorBytes)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := referenceRecoverAESKeyByte(samples, j, sectorBytes)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for g := range want.Correlations {
+					if math.Float64bits(got.Correlations[g]) != math.Float64bits(want.Correlations[g]) {
+						t.Fatalf("%s, %dB sectors, byte %d, guess %02x: correlation %v, reference %v",
+							name, sectorBytes, j, g, got.Correlations[g], want.Correlations[g])
+					}
+				}
+				if got.Best != want.Best || math.Float64bits(got.Margin) != math.Float64bits(want.Margin) {
+					t.Fatalf("%s, %dB sectors, byte %d: best %02x margin %v, reference %02x %v",
+						name, sectorBytes, j, got.Best, got.Margin, want.Best, want.Margin)
+				}
+			}
 		}
 	}
 }
