@@ -1,12 +1,11 @@
-// Benchmark harness: one benchmark per table and figure of the paper
-// (regenerating its data through the experiment registry) plus ablation
-// benchmarks for the design choices DESIGN.md calls out. Run with:
+// Benchmark harness: one benchmark per (gpu, experiment) key of the
+// registry, plus ablation benchmarks for the design choices DESIGN.md
+// calls out. Run with:
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench . -benchmem
 //
-// Benchmarks report figure-of-merit metrics (latency spreads, bandwidth
-// ratios, fairness ratios...) via b.ReportMetric so the bench output
-// doubles as the reproduction's summary table.
+// The ablations report their figures of merit via b.ReportMetric; each
+// experiment's own figures of merit are in its rendered artifacts.
 package gpunoc_test
 
 import (
@@ -26,124 +25,20 @@ import (
 	"gpunoc/internal/stats"
 )
 
-// runExperiment executes a registry experiment b.N times in quick mode.
-// It delegates to perfbench.ExperimentLoop, which builds a fresh
-// core.Context inside the timed region each iteration: the old shared
-// Context let state warmed by the first run (engine scratch, device
-// tables) make every later iteration cheaper than the cold path
-// production pays, and b.ReportAllocs was missing entirely.
-func runExperiment(b *testing.B, id string, cfg gpu.Config) {
-	b.Helper()
-	perfbench.ExperimentLoop(b, id, cfg)
-}
-
-func BenchmarkTableI(b *testing.B)                { runExperiment(b, "table1", gpu.V100()) }
-func BenchmarkFig01Latency(b *testing.B)          { runExperiment(b, "fig1", gpu.V100()) }
-func BenchmarkFig02Histogram(b *testing.B)        { runExperiment(b, "fig2", gpu.V100()) }
-func BenchmarkFig03SortedOrder(b *testing.B)      { runExperiment(b, "fig3", gpu.V100()) }
-func BenchmarkFig04Floorplan(b *testing.B)        { runExperiment(b, "fig4", gpu.V100()) }
-func BenchmarkFig05PlacementLatency(b *testing.B) { runExperiment(b, "fig5", gpu.V100()) }
-
-func BenchmarkFig06Heatmap(b *testing.B) {
+// BenchmarkExperiments cold-fills, in quick mode, every (gpu, experiment)
+// key that `nocchar -all` runs, as sub-benchmark <GPU>/<id>. A key whose
+// run returns an error is reported as a skip carrying that error.
+func BenchmarkExperiments(b *testing.B) {
 	for _, cfg := range gpu.AllConfigs() {
-		b.Run(string(cfg.Name), func(b *testing.B) { runExperiment(b, "fig6", cfg) })
+		b.Run(string(cfg.Name), func(b *testing.B) {
+			for _, e := range core.All() {
+				if e.SupportsGPU(cfg.Name) {
+					b.Run(e.ID, func(b *testing.B) { perfbench.ExperimentLoop(b, e.ID, cfg) })
+				}
+			}
+		})
 	}
 }
-
-func BenchmarkFig07CPC(b *testing.B) { runExperiment(b, "fig7", gpu.H100()) }
-
-func BenchmarkFig08Partitions(b *testing.B) {
-	for _, cfg := range gpu.AllConfigs() {
-		b.Run(string(cfg.Name), func(b *testing.B) { runExperiment(b, "fig8", cfg) })
-	}
-}
-
-func BenchmarkFig09Bandwidth(b *testing.B) {
-	runExperiment(b, "fig9", gpu.V100())
-	// Report the headline fabric-to-memory ratio.
-	ctx, err := core.NewContext(gpu.V100(), true)
-	if err != nil {
-		b.Fatal(err)
-	}
-	fabric, err := microbench.AggregateFabricBandwidth(ctx.Engine)
-	if err != nil {
-		b.Fatal(err)
-	}
-	mem, err := microbench.MemoryBandwidth(ctx.Engine)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(fabric/mem, "fabric/mem")
-}
-
-func BenchmarkFig10Speedup(b *testing.B) {
-	for _, cfg := range gpu.AllConfigs() {
-		b.Run(string(cfg.Name), func(b *testing.B) { runExperiment(b, "fig10", cfg) })
-	}
-}
-
-func BenchmarkFig11LinkTree(b *testing.B) { runExperiment(b, "fig11", gpu.V100()) }
-func BenchmarkFig12NearFar(b *testing.B)  { runExperiment(b, "fig12", gpu.A100()) }
-
-func BenchmarkFig13BWDistribution(b *testing.B) {
-	for _, cfg := range []gpu.Config{gpu.A100(), gpu.H100()} {
-		b.Run(string(cfg.Name), func(b *testing.B) { runExperiment(b, "fig13", cfg) })
-	}
-}
-
-func BenchmarkFig14Saturation(b *testing.B) { runExperiment(b, "fig14", gpu.A100()) }
-func BenchmarkFig15Placement(b *testing.B)  { runExperiment(b, "fig15", gpu.V100()) }
-func BenchmarkFig16Traffic(b *testing.B)    { runExperiment(b, "fig16", gpu.V100()) }
-func BenchmarkFig17Coalescing(b *testing.B) { runExperiment(b, "fig17", gpu.A100()) }
-func BenchmarkFig18AES(b *testing.B)        { runExperiment(b, "fig18", gpu.V100()) }
-func BenchmarkFig19RSA(b *testing.B)        { runExperiment(b, "fig19", gpu.A100()) }
-func BenchmarkFig20Pattern(b *testing.B)    { runExperiment(b, "fig20", gpu.V100()) }
-
-func BenchmarkFig21Backpressure(b *testing.B) {
-	runExperiment(b, "fig21", gpu.V100())
-	res, err := noc.RunGPUSim(noc.DefaultGPUSimConfig(1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(res.MemUtilization, "mem-util")
-}
-
-func BenchmarkFig22NetworkWall(b *testing.B) { runExperiment(b, "fig22", gpu.V100()) }
-
-func BenchmarkFig23MeshFairness(b *testing.B) {
-	runExperiment(b, "fig23", gpu.V100())
-	rr, err := noc.RunFairness(noc.DefaultFairnessConfig(noc.RoundRobin, 42))
-	if err != nil {
-		b.Fatal(err)
-	}
-	age, err := noc.RunFairness(noc.DefaultFairnessConfig(noc.AgeBased, 42))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(rr.MaxMinRatio, "rr-ratio")
-	b.ReportMetric(age.MaxMinRatio, "age-ratio")
-}
-
-// --- Extension benchmarks ------------------------------------------------------
-
-// Extension 1 (Sec. VI-C): hierarchical crossbar vs mesh fairness.
-func BenchmarkExt1CrossbarFairness(b *testing.B) {
-	runExperiment(b, "ext1", gpu.V100())
-	xbar, err := noc.RunXbarFairness(noc.DefaultXbarFairnessConfig(noc.RoundRobin, 42))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(xbar.MaxMinRatio, "xbar-rr-ratio")
-}
-
-// Extension 2 (Sec. V-A): slice-contention covert channel.
-func BenchmarkExt2CovertChannel(b *testing.B) { runExperiment(b, "ext2", gpu.V100()) }
-
-// Extension 3 (Sec. VI-B): series-bottleneck audit.
-func BenchmarkExt3Bottleneck(b *testing.B) { runExperiment(b, "ext3", gpu.H100()) }
-
-// Extension 4: working-set latency sweep with the residency-modelled L2.
-func BenchmarkExt4WorkingSet(b *testing.B) { runExperiment(b, "ext4", gpu.V100()) }
 
 // --- Ablation benchmarks (DESIGN.md) -----------------------------------------
 
@@ -357,6 +252,3 @@ func BenchmarkFacadeQuickstart(b *testing.B) {
 		}
 	}
 }
-
-// Extension 5 (Sec. IV-C): memory camping vs hashing on the mesh.
-func BenchmarkExt5MemoryCamping(b *testing.B) { runExperiment(b, "ext5", gpu.V100()) }

@@ -50,6 +50,19 @@ echo "==> go test -race -shuffle=on"
 # run, so inter-test state dependencies fail in CI instead of lurking.
 go test -race -shuffle=on ./...
 
+echo "==> root benchmarks once, examples run"
+# go vet compiles benchmarks but never runs them, and nothing else runs
+# the examples: every root benchmark (each (gpu, experiment) key, the
+# ablations, the facade) runs one iteration, then every examples/* main
+# must exit 0.
+go test -run '^$' -bench . -benchtime 1x .
+for ex in examples/*; do
+	if ! go run "./$ex" >/dev/null; then
+		echo "example $ex failed" >&2
+		exit 1
+	fi
+done
+
 echo "==> nocfuzz invariant sweep (race)"
 # The differential oracles (zero-load latency, arbiter low-load
 # equivalence, replay determinism) plus 64 seeded fuzz cases must clear

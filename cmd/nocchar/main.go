@@ -27,6 +27,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -80,42 +81,13 @@ func main() {
 		return
 	}
 
-	if *observations {
-		checks, err := core.CheckObservations()
+	if *observations || *implications {
+		kind, checks, err := runChecks(*observations)
 		if err != nil {
 			fatal(err)
 		}
-		failed := 0
-		for _, o := range checks {
-			status := "PASS"
-			if !o.Pass {
-				status = "FAIL"
-				failed++
-			}
-			fmt.Printf("[%s] Observation #%d: %s\n       %s\n", status, o.ID, o.Text, o.Detail)
-		}
-		if failed > 0 {
-			fatal(fmt.Errorf("%d observation(s) failed", failed))
-		}
-		return
-	}
-
-	if *implications {
-		imps, err := core.CheckImplications()
-		if err != nil {
-			fatal(err)
-		}
-		failed := 0
-		for _, im := range imps {
-			status := "PASS"
-			if !im.Pass {
-				status = "FAIL"
-				failed++
-			}
-			fmt.Printf("[%s] Implication #%d: %s\n       %s\n", status, im.ID, im.Text, im.Detail)
-		}
-		if failed > 0 {
-			fatal(fmt.Errorf("%d implication(s) failed", failed))
+		if failed := printChecks(os.Stdout, kind, checks); failed > 0 {
+			fatal(fmt.Errorf("%d %s(s) failed", failed, strings.ToLower(kind)))
 		}
 		return
 	}
@@ -242,6 +214,36 @@ func main() {
 	if err := writeObsFiles(reg, *metricsOut, *traceOut); err != nil {
 		fatal(err)
 	}
+}
+
+// runChecks evaluates the paper's observations, or with observations
+// false its implications, as one kind of check.
+func runChecks(observations bool) (string, []core.ObservationResult, error) {
+	if observations {
+		checks, err := core.CheckObservations()
+		return "Observation", checks, err
+	}
+	imps, err := core.CheckImplications()
+	checks := make([]core.ObservationResult, len(imps))
+	for i, im := range imps {
+		checks[i] = core.ObservationResult(im)
+	}
+	return "Implication", checks, err
+}
+
+// printChecks writes a [PASS]/[FAIL] line and an indented detail line
+// per check and returns how many failed.
+func printChecks(w io.Writer, kind string, checks []core.ObservationResult) int {
+	failed := 0
+	for _, c := range checks {
+		status := "PASS"
+		if !c.Pass {
+			status = "FAIL"
+			failed++
+		}
+		mustWrite(fmt.Fprintf(w, "[%s] %s #%d: %s\n       %s\n", status, kind, c.ID, c.Text, c.Detail))
+	}
+	return failed
 }
 
 // writeReportFile writes the full Markdown report to path, surfacing

@@ -69,7 +69,7 @@ func TestReportDeterminism(t *testing.T) {
 	fixed := time.Date(2024, 11, 2, 12, 0, 0, 0, time.UTC)
 	render := func() []byte {
 		var buf bytes.Buffer
-		if err := core.WriteReport(&buf, []gpu.Config{gpu.V100()}, true, fixed); err != nil {
+		if err := core.WriteReportOptions(&buf, []gpu.Config{gpu.V100()}, core.ReportOptions{Quick: true, Now: fixed}); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()

@@ -164,7 +164,7 @@ func TestWriteReport(t *testing.T) {
 		t.Skip("runs the full registry")
 	}
 	var buf strings.Builder
-	err := WriteReport(&buf, []gpu.Config{gpu.V100()}, true, time.Date(2026, 7, 6, 12, 0, 0, 0, time.UTC))
+	err := WriteReportOptions(&buf, []gpu.Config{gpu.V100()}, ReportOptions{Quick: true, Now: time.Date(2026, 7, 6, 12, 0, 0, 0, time.UTC)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestWriteReport(t *testing.T) {
 	if strings.Contains(out, "- [ ]") {
 		t.Error("report contains a failed observation")
 	}
-	if err := WriteReport(&buf, nil, true, time.Time{}); err == nil {
+	if err := WriteReportOptions(&buf, nil, ReportOptions{Quick: true}); err == nil {
 		t.Error("empty generation list should fail")
 	}
 }

@@ -43,15 +43,10 @@ type ReportOptions struct {
 	Cancel context.Context
 }
 
-// WriteReport runs every experiment applicable to the given generations
-// and writes a self-contained Markdown report: per experiment, the
-// paper's claim and the model's artifacts. It is the one-command
-// regeneration of the paper's evaluation section.
-func WriteReport(w io.Writer, cfgs []gpu.Config, quick bool, now time.Time) error {
-	return WriteReportOptions(w, cfgs, ReportOptions{Quick: quick, Now: now})
-}
-
-// WriteReportOptions is WriteReport with explicit options. The
+// WriteReportOptions runs every experiment applicable to the given
+// generations and writes a self-contained Markdown report: per
+// experiment, the paper's claim and the model's artifacts. It is the
+// one-command regeneration of the paper's evaluation section. The
 // (experiment, generation) pairs run concurrently on the deterministic
 // parallel runner; results land in index-addressed slots and are
 // rendered in registry order, so the output is byte-identical to a

@@ -499,23 +499,3 @@ func TestStepSteadyStateDoesNotAllocate(t *testing.T) {
 		t.Fatal("mesh drained mid-measurement; the test no longer exercises steady state")
 	}
 }
-
-func BenchmarkMeshStep(b *testing.B) {
-	m, err := NewMesh(MeshConfig{Width: 8, Height: 8, BufferFlits: 4, Arbiter: RoundRobin})
-	if err != nil {
-		b.Fatal(err)
-	}
-	n := m.Nodes()
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < b.N+1000; i++ {
-		if _, err := m.Inject(rng.Intn(n), rng.Intn(n), 4, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-	m.Run(100)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Step()
-	}
-}

@@ -293,24 +293,3 @@ func TestXbarStepSteadyStateDoesNotAllocate(t *testing.T) {
 		t.Fatal("xbar drained mid-measurement; the test no longer exercises steady state")
 	}
 }
-
-func BenchmarkXbarStep(b *testing.B) {
-	x, err := NewXbar(DefaultXbarFairnessConfig(RoundRobin, 1).Xbar)
-	if err != nil {
-		b.Fatal(err)
-	}
-	n := x.Nodes()
-	rng := rand.New(rand.NewSource(1))
-	// Ports drain up to 6 flits/cycle; keep the queues fed for b.N cycles.
-	for i := 0; i < b.N+1000; i++ {
-		if _, err := x.Inject(rng.Intn(n), rng.Intn(x.cfg.MemPorts), 4); err != nil {
-			b.Fatal(err)
-		}
-	}
-	x.Run(100)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		x.Step()
-	}
-}
