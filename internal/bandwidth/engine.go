@@ -123,17 +123,16 @@ func (e *Engine) Solve(flows []Flow) (Result, error) {
 		res.PerFlowGBs[f] = gbs
 		res.TotalGBs += gbs
 	}
-	for si, st := range m.stations {
-		var u float64
-		for f := range m.classes {
-			for _, dm := range m.classes[f] {
-				if dm.station == si {
-					u += x[f] * dm.d
-				}
-			}
+	// Each station's utilization sums its visitors' x[f]*d in ascending
+	// class order, as the AMVA queue totals do.
+	util := make([]float64, len(m.stations))
+	for f, dms := range m.classes {
+		for _, dm := range dms {
+			util[dm.station] += x[f] * dm.d
 		}
-		_ = st
-		if u > res.Utilization[m.stations[si].name] {
+	}
+	for si, u := range util {
+		if u > 0 {
 			res.Utilization[m.stations[si].name] = u
 		}
 	}
@@ -263,47 +262,57 @@ func (e *Engine) servingSlice(sm, slice int) int {
 
 // solveAMVA runs multi-class Schweitzer approximate Mean Value Analysis to
 // a fixed point and returns per-class throughput in lines per second.
+//
+// Queue lengths are kept per demand: q[f][i] is class f's mean customers
+// at its i-th demand's station. Each iteration rebuilds the station
+// totals by walking the classes in ascending order. Because build never
+// gives a class the same station twice, every total receives the same
+// terms, in the same order, as a column sum over a stations x classes
+// matrix whose other entries are exact zeros, so the result does not
+// depend on the storage.
 func solveAMVA(m *netModel) []float64 {
 	nClasses := len(m.classes)
-	nStations := len(m.stations)
-	// qcf[s][f]: mean number of class-f customers at station s.
-	qcf := make([][]float64, nStations)
-	for s := range qcf {
-		qcf[s] = make([]float64, nClasses)
+	longest, total := 0, 0
+	for _, dms := range m.classes {
+		total += len(dms)
+		if len(dms) > longest {
+			longest = len(dms)
+		}
 	}
+	backing := make([]float64, total)
+	q := make([][]float64, nClasses)
 	// Initialize customers spread evenly over each class's stations.
 	for f, dms := range m.classes {
-		if len(dms) == 0 {
-			continue
-		}
+		q[f], backing = backing[:len(dms):len(dms)], backing[len(dms):]
 		each := m.population[f] / float64(len(dms)+1)
-		for _, dm := range dms {
-			qcf[dm.station][f] = each
+		for i := range dms {
+			q[f][i] = each
 		}
 	}
 	x := make([]float64, nClasses)
-	qTot := make([]float64, nStations)
+	qTot := make([]float64, len(m.stations))
+	rs := make([]float64, longest)
 	const (
 		maxIter = 2000
 		tol     = 1e-10
 		damp    = 0.5
 	)
 	for iter := 0; iter < maxIter; iter++ {
-		for s := range qTot {
-			qTot[s] = 0
-			for f := 0; f < nClasses; f++ {
-				qTot[s] += qcf[s][f]
+		clear(qTot)
+		for f, dms := range m.classes {
+			for i, dm := range dms {
+				qTot[dm.station] += q[f][i]
 			}
 		}
 		maxDelta := 0.0
 		for f, dms := range m.classes {
 			nf := m.population[f]
 			r := m.think[f]
-			rs := make([]float64, len(dms))
+			qf := q[f]
 			for i, dm := range dms {
 				// Schweitzer approximation: remove this class's fair share
 				// of its own queue when estimating queue seen on arrival.
-				seen := qTot[dm.station] - qcf[dm.station][f]/nf
+				seen := qTot[dm.station] - qf[i]/nf
 				if seen < 0 {
 					seen = 0
 				}
@@ -312,14 +321,14 @@ func solveAMVA(m *netModel) []float64 {
 			}
 			xf := nf / r
 			x[f] = xf
-			for i, dm := range dms {
+			for i := range dms {
 				next := xf * rs[i]
-				old := qcf[dm.station][f]
+				old := qf[i]
 				upd := old*(1-damp) + next*damp
 				if d := math.Abs(upd - old); d > maxDelta {
 					maxDelta = d
 				}
-				qcf[dm.station][f] = upd
+				qf[i] = upd
 			}
 		}
 		if maxDelta < tol {

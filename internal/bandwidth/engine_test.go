@@ -1,6 +1,8 @@
 package bandwidth
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -695,5 +697,194 @@ func TestDeriveProfileValidation(t *testing.T) {
 	}
 	if p, err := ProfileOrDerive(gpu.V100()); err != nil || p.SliceGBs != 85 {
 		t.Errorf("canonical generation should keep its hand calibration: %v %v", p.SliceGBs, err)
+	}
+}
+
+// solveAMVADense is the dense-matrix Schweitzer AMVA solveAMVA replaced,
+// kept as its oracle: queue lengths live in a stations x classes matrix
+// whose columns are re-summed every iteration.
+func solveAMVADense(m *netModel) []float64 {
+	nClasses := len(m.classes)
+	nStations := len(m.stations)
+	qcf := make([][]float64, nStations)
+	for s := range qcf {
+		qcf[s] = make([]float64, nClasses)
+	}
+	for f, dms := range m.classes {
+		if len(dms) == 0 {
+			continue
+		}
+		each := m.population[f] / float64(len(dms)+1)
+		for _, dm := range dms {
+			qcf[dm.station][f] = each
+		}
+	}
+	x := make([]float64, nClasses)
+	qTot := make([]float64, nStations)
+	const (
+		maxIter = 2000
+		tol     = 1e-10
+		damp    = 0.5
+	)
+	for iter := 0; iter < maxIter; iter++ {
+		for s := range qTot {
+			qTot[s] = 0
+			for f := 0; f < nClasses; f++ {
+				qTot[s] += qcf[s][f]
+			}
+		}
+		maxDelta := 0.0
+		for f, dms := range m.classes {
+			nf := m.population[f]
+			r := m.think[f]
+			rs := make([]float64, len(dms))
+			for i, dm := range dms {
+				seen := qTot[dm.station] - qcf[dm.station][f]/nf
+				if seen < 0 {
+					seen = 0
+				}
+				rs[i] = dm.d * (1 + seen)
+				r += rs[i]
+			}
+			xf := nf / r
+			x[f] = xf
+			for i, dm := range dms {
+				next := xf * rs[i]
+				old := qcf[dm.station][f]
+				upd := old*(1-damp) + next*damp
+				if d := math.Abs(upd - old); d > maxDelta {
+					maxDelta = d
+				}
+				qcf[dm.station][f] = upd
+			}
+		}
+		if maxDelta < tol {
+			break
+		}
+	}
+	return x
+}
+
+// denseUtilization is Solve's former O(stations x demands) utilization
+// pass over the dense solver's throughputs.
+func denseUtilization(m *netModel, x []float64) map[string]float64 {
+	util := make(map[string]float64, len(m.stations))
+	for si := range m.stations {
+		var u float64
+		for f := range m.classes {
+			for _, dm := range m.classes[f] {
+				if dm.station == si {
+					u += x[f] * dm.d
+				}
+			}
+		}
+		if u > util[m.stations[si].name] {
+			util[m.stations[si].name] = u
+		}
+	}
+	return util
+}
+
+// oracleFlowSets returns, per canonical GPU, the flow sets the figures
+// solve (the aggregate fabric and memory sweeps, single-slice and
+// per-GPC slice bandwidth, fig14's SM sweep) plus seeded random sets
+// with mixed directions, DRAM flows, shared SMs and repeated slices.
+func oracleFlowSets(e *Engine) map[string][]Flow {
+	dev := e.Device()
+	cfg := dev.Config()
+	all := allSlices(cfg)
+	sets := map[string][]Flow{}
+	var fabric, memory []Flow
+	for sm := 0; sm < cfg.SMs(); sm++ {
+		fabric = append(fabric, Flow{SM: sm, Slices: all})
+		memory = append(memory, Flow{SM: sm, Slices: all, DRAM: true})
+	}
+	sets["fabric"], sets["memory"] = fabric, memory
+	for _, sm := range []int{0, cfg.SMs() / 2, cfg.SMs() - 1} {
+		for _, s := range []int{0, cfg.L2Slices / 3, cfg.L2Slices - 1} {
+			sets[fmt.Sprintf("slice sm%d->%d", sm, s)] = []Flow{{SM: sm, Slices: []int{s}}}
+		}
+	}
+	for g := 0; g < cfg.GPCs; g++ {
+		var flows []Flow
+		for _, sm := range dev.SMsOfGPC(g) {
+			flows = append(flows, Flow{SM: sm, Slices: []int{5}})
+		}
+		sets[fmt.Sprintf("gpc%d->5", g)] = flows
+	}
+	gpc0 := dev.SMsOfGPC(0)
+	for n := 1; n <= 14 && n <= len(gpc0); n++ {
+		for _, s := range []int{0, cfg.MPs - 1} {
+			var flows []Flow
+			for _, sm := range gpc0[:n] {
+				flows = append(flows, Flow{SM: sm, Slices: []int{s}})
+			}
+			sets[fmt.Sprintf("fig14 n%d->%d", n, s)] = flows
+		}
+	}
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 40; i++ {
+		flows := make([]Flow, 1+rng.Intn(24))
+		for j := range flows {
+			slices := make([]int, 1+rng.Intn(12))
+			for k := range slices {
+				slices[k] = rng.Intn(cfg.L2Slices)
+			}
+			flows[j] = Flow{SM: rng.Intn(cfg.SMs()), Slices: slices, Write: rng.Intn(2) == 0, DRAM: rng.Intn(3) == 0}
+		}
+		sets[fmt.Sprintf("random%d", i)] = flows
+	}
+	return sets
+}
+
+// TestSparseAMVAMatchesDense pins the sparse solver and Solve's
+// utilization pass to the dense oracle bit for bit on every flow set of
+// oracleFlowSets.
+func TestSparseAMVAMatchesDense(t *testing.T) {
+	for _, cfg := range gpu.AllConfigs() {
+		e := engineFor(t, cfg)
+		for name, flows := range oracleFlowSets(e) {
+			m := e.build(flows)
+			got, want := solveAMVA(m), solveAMVADense(m)
+			for f := range want {
+				if math.Float64bits(got[f]) != math.Float64bits(want[f]) {
+					t.Fatalf("%s %s: class %d throughput %v, dense %v", cfg.Name, name, f, got[f], want[f])
+				}
+			}
+			res, err := e.Solve(flows)
+			if err != nil {
+				t.Fatalf("%s %s: %v", cfg.Name, name, err)
+			}
+			wantU := denseUtilization(m, want)
+			if len(res.Utilization) != len(wantU) {
+				t.Fatalf("%s %s: %d utilization entries, dense %d", cfg.Name, name, len(res.Utilization), len(wantU))
+			}
+			for st, u := range wantU {
+				if gotU, ok := res.Utilization[st]; !ok || math.Float64bits(gotU) != math.Float64bits(u) {
+					t.Fatalf("%s %s: %s utilization %v, dense %v", cfg.Name, name, st, gotU, u)
+				}
+			}
+		}
+	}
+}
+
+// TestBuildVisitsEachStationOncePerClass checks the property the sparse
+// queue totals rest on: no class of a built network has two demands at
+// one station.
+func TestBuildVisitsEachStationOncePerClass(t *testing.T) {
+	for _, cfg := range gpu.AllConfigs() {
+		e := engineFor(t, cfg)
+		for name, flows := range oracleFlowSets(e) {
+			m := e.build(flows)
+			for f, dms := range m.classes {
+				seen := map[int]bool{}
+				for _, dm := range dms {
+					if seen[dm.station] {
+						t.Fatalf("%s %s: class %d visits %s twice", cfg.Name, name, f, m.stations[dm.station].name)
+					}
+					seen[dm.station] = true
+				}
+			}
+		}
 	}
 }

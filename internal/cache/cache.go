@@ -41,30 +41,32 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cache: line/sector sizes must be powers of two")
 	case c.LineBytes%c.SectorBytes != 0:
 		return fmt.Errorf("cache: line %d not a multiple of sector %d", c.LineBytes, c.SectorBytes)
+	case c.LineBytes/c.SectorBytes > 32:
+		return fmt.Errorf("cache: %d sectors per line exceed the 32-bit sector mask", c.LineBytes/c.SectorBytes)
 	case c.SizeBytes%(c.LineBytes*c.Ways) != 0:
 		return fmt.Errorf("cache: size %d not divisible into %d-way sets of %d-byte lines", c.SizeBytes, c.Ways, c.LineBytes)
 	}
 	return nil
 }
 
-// line is one resident cache line.
-type line struct {
-	tag uint64
-	// sectorValid marks which sectors hold data.
-	sectorValid uint32
-	// lastUse drives LRU within the set.
-	lastUse uint64
-}
-
 // Cache is one slice. It is not safe for concurrent use; the kernel
 // runtime serializes accesses per machine.
+//
+// Each set's ways sit in recency order, most recently used first, in
+// flat per-way arrays: way w of set s is index s*Ways+w. A way with a
+// zero valid mask is empty (Validate caps a line at 32 sectors, so a
+// resident way always has a bit set), and empty ways only ever trail
+// the set, so a hit or fill moves its way to the front and a full set
+// evicts its last way (the LRU line) with no timestamps and no victim
+// scan.
 type Cache struct {
 	cfg  Config
-	sets [][]line
-	// setMask and shifts precompute indexing.
+	tags []uint64
+	// valid marks which sectors of each way hold data.
+	valid []uint32
+	// setCount and lineShift precompute indexing.
 	setCount  int
 	lineShift uint
-	clock     uint64
 
 	// Stats accumulate until Reset.
 	Hits, Misses, SectorMisses, Evictions uint64
@@ -78,11 +80,9 @@ func New(cfg Config) (*Cache, error) {
 	setCount := cfg.SizeBytes / (cfg.LineBytes * cfg.Ways)
 	c := &Cache{
 		cfg:      cfg,
-		sets:     make([][]line, setCount),
+		tags:     make([]uint64, setCount*cfg.Ways),
+		valid:    make([]uint32, setCount*cfg.Ways),
 		setCount: setCount,
-	}
-	for i := range c.sets {
-		c.sets[i] = make([]line, 0, cfg.Ways)
 	}
 	for shift := cfg.LineBytes; shift > 1; shift >>= 1 {
 		c.lineShift++
@@ -93,70 +93,65 @@ func New(cfg Config) (*Cache, error) {
 // Config returns the geometry.
 func (c *Cache) Config() Config { return c.cfg }
 
-// sectorBit returns the valid-mask bit for an address's sector.
-func (c *Cache) sectorBit(addr uint64) uint32 {
+// locate splits addr into its set's way range, its tag and its sector's
+// valid-mask bit.
+func (c *Cache) locate(addr uint64) (tags []uint64, valid []uint32, tag uint64, bit uint32) {
+	lineAddr := addr >> c.lineShift
+	base := int(lineAddr%uint64(c.setCount)) * c.cfg.Ways
+	end := base + c.cfg.Ways
 	sector := (addr % uint64(c.cfg.LineBytes)) / uint64(c.cfg.SectorBytes)
-	return 1 << sector
+	return c.tags[base:end:end], c.valid[base:end:end], lineAddr / uint64(c.setCount), 1 << sector
 }
 
 // Access touches addr and reports whether the touched sector was
 // resident. A miss allocates (or revalidates a sector of) the line.
 func (c *Cache) Access(addr uint64) (hit bool) {
-	c.clock++
-	lineAddr := addr >> c.lineShift
-	set := int(lineAddr % uint64(c.setCount))
-	tag := lineAddr / uint64(c.setCount)
-	bit := c.sectorBit(addr)
-
-	lines := c.sets[set]
-	for i := range lines {
-		if lines[i].tag != tag {
+	tags, valid, tag, bit := c.locate(addr)
+	w := 0
+	for ; w < len(tags) && valid[w] != 0; w++ {
+		if tags[w] != tag {
 			continue
 		}
-		lines[i].lastUse = c.clock
-		if lines[i].sectorValid&bit != 0 {
+		mask := valid[w]
+		if mask&bit != 0 {
 			c.Hits++
-			return true
+			hit = true
+		} else {
+			// Line resident, sector not: a sector miss fills just the sector.
+			mask |= bit
+			c.SectorMisses++
+			c.Misses++
 		}
-		// Line resident, sector not: a sector miss fills just the sector.
-		lines[i].sectorValid |= bit
-		c.SectorMisses++
-		c.Misses++
-		return false
+		moveToFront(tags, valid, w, tag, mask)
+		return hit
 	}
 
-	// Full miss: allocate, evicting LRU if the set is full.
+	// Full miss: allocate into the first empty way, or evict the LRU
+	// (last) way of a full set.
 	c.Misses++
-	if len(lines) < c.cfg.Ways {
-		c.sets[set] = append(lines, line{tag: tag, sectorValid: bit, lastUse: c.clock})
-		return false
+	if w == len(tags) {
+		w--
+		c.Evictions++
 	}
-	// Deterministic victim selection: strictly-less keeps the lowest
-	// index when two lines tie on lastUse, so replaying the same access
-	// stream always evicts the same way (ties cannot arise through
-	// Access, whose clock is strictly monotonic, but the invariant must
-	// survive refactors that batch or snapshot timestamps).
-	victim := 0
-	for i := 1; i < len(lines); i++ {
-		if lines[i].lastUse < lines[victim].lastUse {
-			victim = i
-		}
-	}
-	lines[victim] = line{tag: tag, sectorValid: bit, lastUse: c.clock}
-	c.Evictions++
+	moveToFront(tags, valid, w, tag, bit)
 	return false
+}
+
+// moveToFront shifts ways [0, w) back by one and stores (tag, mask) in
+// way 0, overwriting way w.
+func moveToFront(tags []uint64, valid []uint32, w int, tag uint64, mask uint32) {
+	copy(tags[1:w+1], tags[:w])
+	copy(valid[1:w+1], valid[:w])
+	tags[0], valid[0] = tag, mask
 }
 
 // Contains reports residency of addr's sector without touching LRU or
 // stats.
 func (c *Cache) Contains(addr uint64) bool {
-	lineAddr := addr >> c.lineShift
-	set := int(lineAddr % uint64(c.setCount))
-	tag := lineAddr / uint64(c.setCount)
-	bit := c.sectorBit(addr)
-	for _, l := range c.sets[set] {
-		if l.tag == tag {
-			return l.sectorValid&bit != 0
+	tags, valid, tag, bit := c.locate(addr)
+	for w := 0; w < len(tags) && valid[w] != 0; w++ {
+		if tags[w] == tag {
+			return valid[w]&bit != 0
 		}
 	}
 	return false
@@ -164,10 +159,7 @@ func (c *Cache) Contains(addr uint64) bool {
 
 // Reset clears contents and statistics.
 func (c *Cache) Reset() {
-	for i := range c.sets {
-		c.sets[i] = c.sets[i][:0]
-	}
-	c.clock = 0
+	clear(c.valid)
 	c.Hits, c.Misses, c.SectorMisses, c.Evictions = 0, 0, 0, 0
 }
 

@@ -219,7 +219,7 @@ func (d *Device) L2HitLatencyMean(sm, slice int) units.Cycles {
 	slice = d.effectiveHitSlice(sm, slice)
 	gpc := d.GPCOf(sm)
 	mp := d.MPOfSlice(slice)
-	cal := d.cfg.Cal
+	cal := &d.cfg.Cal
 
 	lat := cal.BaseRTT + d.smOffset(sm) + d.sliceExtra(slice) + d.mpExtra(mp)
 	lat += cal.WireRTT.Times(d.plan.GPCDistanceToMP(gpc, d.CPCOf(sm), mp))

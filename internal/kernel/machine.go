@@ -203,8 +203,10 @@ func (w *Warp) LoadCG(addrs []uint64) int {
 	var buf [2 * WarpSize]uint64
 	sectors := coalesce(buf[:0], addrs, w.m.opts.SectorBytes)
 	n := len(sectors)
-	last := sectors[n-1]
-	slice := dev.ServingSlice(w.sm, last)
+	// The last sector's home slice is hashed once: it fixes the serving
+	// slice, the miss penalty's memory partition and its cache access.
+	home := dev.HomeSlice(sectors[n-1])
+	slice := dev.ServingSliceID(w.sm, home)
 	w.iter++
 	lat := dev.L2HitLatency(w.sm, slice, w.iter^w.m.launchCount<<32)
 	if w.m.l2 != nil {
@@ -212,14 +214,17 @@ func (w *Warp) LoadCG(addrs []uint64) int {
 		// transaction; the warp waits for the slowest, so any miss adds
 		// one DRAM trip (misses overlap in the memory system).
 		missed := false
-		for _, sector := range sectors {
+		for _, sector := range sectors[:n-1] {
 			s := dev.ServingSlice(w.sm, sector)
 			if !w.m.l2[s].Access(sector) {
 				missed = true
 			}
 		}
+		if !w.m.l2[slice].Access(sectors[n-1]) {
+			missed = true
+		}
 		if missed {
-			lat += dev.L2MissPenalty(w.sm, dev.HomeMP(last), w.iter)
+			lat += dev.L2MissPenalty(w.sm, dev.MPOfSlice(home), w.iter)
 		}
 	}
 	w.now += float64(lat) + w.m.opts.IssueGapCycles*float64(n-1)
@@ -239,15 +244,14 @@ func (w *Warp) StoreCG(addrs []uint64) int {
 	var buf [2 * WarpSize]uint64
 	sectors := coalesce(buf[:0], addrs, w.m.opts.SectorBytes)
 	n := len(sectors)
-	last := sectors[n-1]
-	slice := dev.ServingSlice(w.sm, last)
+	slice := dev.ServingSlice(w.sm, sectors[n-1])
 	w.iter++
 	lat := dev.L2HitLatency(w.sm, slice, w.iter^w.m.launchCount<<32)
 	if w.m.l2 != nil {
-		for _, sector := range sectors {
-			s := dev.ServingSlice(w.sm, sector)
-			w.m.l2[s].Access(sector)
+		for _, sector := range sectors[:n-1] {
+			w.m.l2[dev.ServingSlice(w.sm, sector)].Access(sector)
 		}
+		w.m.l2[slice].Access(sectors[n-1])
 	}
 	w.now += float64(lat) + w.m.opts.IssueGapCycles*float64(n-1)
 	return n

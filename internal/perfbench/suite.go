@@ -64,6 +64,16 @@ func Suite() []Benchmark {
 			},
 		},
 		{
+			Name: "ext4_quick",
+			Doc:  "end-to-end quick ext4 working-set sweep on V100 incl. fresh Context (the cache engine's key)",
+			// ~160 allocs/op; one allocation per cache set (the V100's
+			// 64 slices x 48 sets) would add 3072.
+			DefaultBudget: Budget{MaxNsRatio: DefaultMaxNsRatio, MaxAllocsDelta: 512},
+			Fn: func(b *testing.B) {
+				ExperimentLoop(b, "ext4", gpu.V100())
+			},
+		},
+		{
 			Name: "fig18_quick",
 			Doc:  "end-to-end quick fig18 AES attack on V100 incl. fresh Context (the most expensive quick key)",
 			// ~20 k allocs/op; one allocation per warp load (10 rounds x
@@ -71,6 +81,16 @@ func Suite() []Benchmark {
 			DefaultBudget: Budget{MaxNsRatio: DefaultMaxNsRatio, MaxAllocsDelta: 4096},
 			Fn: func(b *testing.B) {
 				ExperimentLoop(b, "fig18", gpu.V100())
+			},
+		},
+		{
+			Name: "fig9_quick",
+			Doc:  "end-to-end quick fig9 bandwidth sweep on A100 incl. fresh Context (the bandwidth engine's key)",
+			// ~45 k allocs/op; one allocation per AMVA iteration (~24 k
+			// iterations per op) would add more than the budget.
+			DefaultBudget: Budget{MaxNsRatio: DefaultMaxNsRatio, MaxAllocsDelta: 8192},
+			Fn: func(b *testing.B) {
+				ExperimentLoop(b, "fig9", gpu.A100())
 			},
 		},
 		{
