@@ -111,7 +111,10 @@ func (e *Engine) Solve(flows []Flow) (Result, error) {
 		}
 	}
 	m := e.build(flows)
-	x := solveAMVA(m)
+	x, err := solveAMVA(m, amvaMaxIter)
+	if err != nil {
+		return Result{}, err
+	}
 
 	lineBytes := float64(cfg.CacheLineBytes)
 	res := Result{
@@ -260,8 +263,14 @@ func (e *Engine) servingSlice(sm, slice int) int {
 	return e.dev.ServingSliceID(sm, slice)
 }
 
+// amvaMaxIter caps solveAMVA's fixed-point iterations. The slowest solve
+// any registered experiment makes converges in about 1640.
+const amvaMaxIter = 2000
+
 // solveAMVA runs multi-class Schweitzer approximate Mean Value Analysis to
-// a fixed point and returns per-class throughput in lines per second.
+// a fixed point and returns per-class throughput in lines per second. It
+// returns an error when the queue lengths still move by tol or more after
+// maxIter iterations.
 //
 // Queue lengths are kept per demand: q[f][i] is class f's mean customers
 // at its i-th demand's station. Each iteration rebuilds the station
@@ -270,7 +279,7 @@ func (e *Engine) servingSlice(sm, slice int) int {
 // terms, in the same order, as a column sum over a stations x classes
 // matrix whose other entries are exact zeros, so the result does not
 // depend on the storage.
-func solveAMVA(m *netModel) []float64 {
+func solveAMVA(m *netModel, maxIter int) ([]float64, error) {
 	nClasses := len(m.classes)
 	longest, total := 0, 0
 	for _, dms := range m.classes {
@@ -293,9 +302,8 @@ func solveAMVA(m *netModel) []float64 {
 	qTot := make([]float64, len(m.stations))
 	rs := make([]float64, longest)
 	const (
-		maxIter = 2000
-		tol     = 1e-10
-		damp    = 0.5
+		tol  = 1e-10
+		damp = 0.5
 	)
 	for iter := 0; iter < maxIter; iter++ {
 		clear(qTot)
@@ -332,10 +340,10 @@ func solveAMVA(m *netModel) []float64 {
 			}
 		}
 		if maxDelta < tol {
-			break
+			return x, nil
 		}
 	}
-	return x
+	return nil, fmt.Errorf("bandwidth: AMVA did not converge in %d iterations", maxIter)
 }
 
 // TopUtilized returns the n most utilized stations of a result, sorted

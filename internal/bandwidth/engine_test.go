@@ -845,7 +845,11 @@ func TestSparseAMVAMatchesDense(t *testing.T) {
 		e := engineFor(t, cfg)
 		for name, flows := range oracleFlowSets(e) {
 			m := e.build(flows)
-			got, want := solveAMVA(m), solveAMVADense(m)
+			got, err := solveAMVA(m, amvaMaxIter)
+			if err != nil {
+				t.Fatalf("%s %s: %v", cfg.Name, name, err)
+			}
+			want := solveAMVADense(m)
 			for f := range want {
 				if math.Float64bits(got[f]) != math.Float64bits(want[f]) {
 					t.Fatalf("%s %s: class %d throughput %v, dense %v", cfg.Name, name, f, got[f], want[f])
@@ -886,5 +890,19 @@ func TestBuildVisitsEachStationOncePerClass(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestAMVANonConvergenceIsError forces the iteration cap below what a
+// real solve needs and checks that solveAMVA reports it instead of
+// returning the unconverged throughputs.
+func TestAMVANonConvergenceIsError(t *testing.T) {
+	e := engineFor(t, gpu.V100())
+	m := e.build(oracleFlowSets(e)["fabric"])
+	if x, err := solveAMVA(m, 1); err == nil {
+		t.Fatalf("a 1-iteration cap converged to %v; want an error", x)
+	}
+	if _, err := solveAMVA(m, amvaMaxIter); err != nil {
+		t.Fatal(err)
 	}
 }

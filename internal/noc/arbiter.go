@@ -1,5 +1,7 @@
 package noc
 
+import "math/bits"
+
 // arbiter is the output arbitration shared by the mesh routers and the
 // crossbar's memory ports. Each output has its own round-robin pointer;
 // the caller indexes outputs however its topology numbers them.
@@ -13,34 +15,35 @@ func newArbiter(policy Arbiter, outputs int) arbiter {
 }
 
 // pick returns the index of the candidate granted output out, or -1
-// when heads holds no candidate. heads[i] is the packet input i offers
-// to out, nil when input i does not compete. Age-based grants the
-// oldest packet, breaking an exact age tie to the lowest packet ID (the
-// earliest injection), so the winner never depends on scan order.
-// Round-robin grants the first candidate after the input last served.
-// pick is pure: a pick can still lose to a refusing sink or exhausted
+// when mask is 0. Bit i of mask is set when input i competes for out,
+// and heads[i] is then the packet it offers; entries whose bit is clear
+// are never read. Age-based grants the oldest packet, breaking an exact
+// age tie to the lowest packet ID (the earliest injection), so the
+// winner never depends on scan order. Round-robin grants the first
+// candidate after the input last served, wrapping to the lowest. pick
+// is pure: a pick can still lose to a refusing sink or exhausted
 // downstream credit, so the pointer only moves in commit.
-func (a *arbiter) pick(out int, heads []*Packet) int {
+func (a *arbiter) pick(out int, mask uint64, heads []*Packet) int {
+	if mask == 0 {
+		return -1
+	}
 	if a.policy == AgeBased {
-		best := -1
-		for i, p := range heads {
-			if p == nil {
-				continue
-			}
-			if best < 0 || p.CreatedAt < heads[best].CreatedAt ||
-				(p.CreatedAt == heads[best].CreatedAt && p.ID < heads[best].ID) {
+		best := bits.TrailingZeros64(mask)
+		for m := mask & (mask - 1); m != 0; m &= m - 1 {
+			i := bits.TrailingZeros64(m)
+			p, b := heads[i], heads[best]
+			if p.CreatedAt < b.CreatedAt || (p.CreatedAt == b.CreatedAt && p.ID < b.ID) {
 				best = i
 			}
 		}
 		return best
 	}
-	for k := 1; k <= len(heads); k++ {
-		i := (a.rr[out] + k) % len(heads)
-		if heads[i] != nil {
-			return i
-		}
+	// A shift of 64 (the pointer on input 63) yields 0 and wraps.
+	start := a.rr[out] + 1
+	if after := mask >> start; after != 0 {
+		return start + bits.TrailingZeros64(after)
 	}
-	return -1
+	return bits.TrailingZeros64(mask)
 }
 
 // commit records that input in was served on output out. Rotating

@@ -83,7 +83,7 @@ func RunFairness(cfg FairnessConfig) (*FairnessResult, error) {
 				continue
 			}
 			dst := mcs[rng.Intn(len(mcs))]
-			if _, err := m.Inject(src, dst, cfg.PacketFlits, nil); err != nil {
+			if _, err := m.Inject(src, dst, cfg.PacketFlits); err != nil {
 				panic(err) // indices are validated above
 			}
 		}

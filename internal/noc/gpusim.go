@@ -226,7 +226,7 @@ func (g *gpuSim) issue() error {
 	for _, n := range g.compute {
 		for g.outstanding[n] < g.cfg.WindowPerCompute && g.reqNet.PendingInjection(n) < 4*g.reqFlits {
 			dst := g.mcs[g.rng.Intn(len(g.mcs))]
-			if _, err := g.reqNet.Inject(n, dst, g.reqFlits, nil); err != nil {
+			if _, err := g.reqNet.Inject(n, dst, g.reqFlits); err != nil {
 				return err
 			}
 			g.outstanding[n]++
@@ -253,7 +253,7 @@ func (g *gpuSim) serviceMCs(measuring bool) (busyNow int, injected int64, err er
 		if st.pendingReply != nil && cycle >= st.busyUntil {
 			src := st.pendingReply.Src
 			if g.repNet.PendingInjection(st.node) < 2*g.cfg.ReplyFlits {
-				if _, err := g.repNet.Inject(st.node, src, g.cfg.ReplyFlits, nil); err != nil {
+				if _, err := g.repNet.Inject(st.node, src, g.cfg.ReplyFlits); err != nil {
 					return 0, 0, err
 				}
 				injected++

@@ -108,7 +108,7 @@ func RunLoadLatency(cfg LoadLatencyConfig) ([]LoadPoint, error) {
 					continue
 				}
 				dst := mcs[rng.Intn(len(mcs))]
-				if _, err := m.Inject(src, dst, cfg.PacketFlits, nil); err != nil {
+				if _, err := m.Inject(src, dst, cfg.PacketFlits); err != nil {
 					return err
 				}
 			}

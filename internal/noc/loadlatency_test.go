@@ -66,7 +66,7 @@ func TestLoadLatencyWarmupBiasGone(t *testing.T) {
 				continue
 			}
 			dst := mcs[rng.Intn(len(mcs))]
-			if _, err := m.Inject(src, dst, cfg.PacketFlits, nil); err != nil {
+			if _, err := m.Inject(src, dst, cfg.PacketFlits); err != nil {
 				t.Fatal(err)
 			}
 		}

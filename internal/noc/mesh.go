@@ -63,15 +63,31 @@ func (c MeshConfig) Validate() error {
 	return nil
 }
 
-// Packet is a multi-flit message.
+// Packet is a multi-flit message. It holds no pointers, so the
+// garbage collector never scans packets.
 type Packet struct {
 	ID        uint64
 	Src, Dst  int
 	Flits     int
 	CreatedAt int64
-	// Payload carries experiment-specific context (e.g. the request a
-	// reply answers).
-	Payload any
+}
+
+// packetSlab hands out packets from chunked backing arrays, one
+// allocation per slabChunk packets instead of one per packet. A chunk is
+// never moved or reused, so every *Packet stays valid and distinct
+// (mcState.Accept compares packet identity).
+type packetSlab []Packet
+
+const slabChunk = 256
+
+func (s *packetSlab) next() *Packet {
+	if len(*s) == 0 {
+		//lint:ignore hotpathalloc one chunk per slabChunk injected packets replaces the per-packet allocation Inject made without the slab
+		*s = make([]Packet, slabChunk)
+	}
+	p := &(*s)[0]
+	*s = (*s)[1:]
+	return p
 }
 
 // flit is one flow-control unit of a packet in the network.
@@ -112,6 +128,9 @@ type router struct {
 	node int
 	// in holds each input port's flits, bounded at BufferFlits.
 	in [numPorts]ring[flit]
+	// down[out] is the neighbor's input ring that output out feeds; nil
+	// for the local port and at mesh edges.
+	down [numPorts]*ring[flit]
 	// outOwner is the input port currently holding each output via
 	// wormhole allocation, or -1.
 	outOwner [numPorts]int
@@ -121,11 +140,14 @@ type router struct {
 type Mesh struct {
 	cfg     MeshConfig
 	routers []*router
-	sinks   []Sink
+	// xy[node] is the node's (x, y) coordinate, so route divides nothing.
+	xy    [][2]int
+	sinks []Sink
 	// injectQ holds flits awaiting entry into each node's local input.
 	injectQ []ring[flit]
 	// arb arbitrates output node*numPorts+out among its input ports.
 	arb    arbiter
+	slab   packetSlab
 	cycle  int64
 	nextID uint64
 
@@ -185,7 +207,7 @@ func (m *Mesh) Observe(reg *obs.Registry) {
 	m.obs.linkFlits = make([]*obs.Counter, m.Nodes()*numPorts)
 	for node := 0; node < m.Nodes(); node++ {
 		for out := portNorth; out <= portWest; out++ {
-			if _, _, ok := m.neighbor(node, out); !ok {
+			if m.routers[node].down[out] == nil {
 				continue
 			}
 			m.obs.linkFlits[node*numPorts+out] = reg.Counter(
@@ -217,6 +239,7 @@ func NewMesh(cfg MeshConfig) (*Mesh, error) {
 	m := &Mesh{
 		cfg:             cfg,
 		routers:         make([]*router, n),
+		xy:              make([][2]int, n),
 		sinks:           make([]Sink, n),
 		injectQ:         make([]ring[flit], n),
 		arb:             newArbiter(cfg.Arbiter, n*numPorts),
@@ -233,6 +256,22 @@ func NewMesh(cfg MeshConfig) (*Mesh, error) {
 		}
 		m.routers[i] = r
 		m.sinks[i] = &countingSink{}
+		m.xy[i] = [2]int{i % cfg.Width, i / cfg.Width}
+	}
+	for _, r := range m.routers {
+		x, y := m.coord(r.node)
+		if y > 0 {
+			r.down[portNorth] = &m.routers[m.NodeAt(x, y-1)].in[portSouth]
+		}
+		if y < cfg.Height-1 {
+			r.down[portSouth] = &m.routers[m.NodeAt(x, y+1)].in[portNorth]
+		}
+		if x < cfg.Width-1 {
+			r.down[portEast] = &m.routers[m.NodeAt(x+1, y)].in[portWest]
+		}
+		if x > 0 {
+			r.down[portWest] = &m.routers[m.NodeAt(x-1, y)].in[portEast]
+		}
 	}
 	return m, nil
 }
@@ -264,7 +303,8 @@ func (m *Mesh) SetSink(node int, s Sink) {
 
 // coord maps a node index to mesh coordinates.
 func (m *Mesh) coord(node int) (x, y int) {
-	return node % m.cfg.Width, node / m.cfg.Width
+	c := m.xy[node]
+	return c[0], c[1]
 }
 
 // NodeAt maps coordinates to a node index.
@@ -289,38 +329,9 @@ func (m *Mesh) route(node, dst int) int {
 	}
 }
 
-// neighbor returns the node on the other side of an output port and the
-// input port the flit arrives on there.
-func (m *Mesh) neighbor(node, out int) (next int, inPort int, ok bool) {
-	x, y := m.coord(node)
-	switch out {
-	case portNorth:
-		if y == 0 {
-			return 0, 0, false
-		}
-		return m.NodeAt(x, y-1), portSouth, true
-	case portSouth:
-		if y == m.cfg.Height-1 {
-			return 0, 0, false
-		}
-		return m.NodeAt(x, y+1), portNorth, true
-	case portEast:
-		if x == m.cfg.Width-1 {
-			return 0, 0, false
-		}
-		return m.NodeAt(x+1, y), portWest, true
-	case portWest:
-		if x == 0 {
-			return 0, 0, false
-		}
-		return m.NodeAt(x-1, y), portEast, true
-	}
-	return 0, 0, false
-}
-
 // Inject queues a packet for injection at its source node. It returns the
 // packet for convenience.
-func (m *Mesh) Inject(src, dst, flits int, payload any) (*Packet, error) {
+func (m *Mesh) Inject(src, dst, flits int) (*Packet, error) {
 	n := m.Nodes()
 	if src < 0 || src >= n || dst < 0 || dst >= n {
 		return nil, fmt.Errorf("noc: inject %d->%d outside %d-node mesh", src, dst, n)
@@ -329,7 +340,8 @@ func (m *Mesh) Inject(src, dst, flits int, payload any) (*Packet, error) {
 		return nil, fmt.Errorf("noc: packet needs at least one flit")
 	}
 	m.nextID++
-	p := &Packet{ID: m.nextID, Src: src, Dst: dst, Flits: flits, CreatedAt: m.cycle, Payload: payload}
+	p := m.slab.next()
+	*p = Packet{ID: m.nextID, Src: src, Dst: dst, Flits: flits, CreatedAt: m.cycle}
 	for s := 0; s < flits; s++ {
 		m.injectQ[src].push(flit{pkt: p, head: s == 0, tail: s == flits-1})
 	}
@@ -347,25 +359,31 @@ func (m *Mesh) Step() {
 
 	// Phase 1: decide moves using pre-cycle state.
 	for _, r := range m.routers {
-		// heads[out][in] is the head flit's packet when input in holds a
-		// packet head routed to out: one route per input serves every
-		// output's arbitration.
-		var heads [numPorts][numPorts]*Packet
+		// heads[in] is input in's packet head, if it holds one, and bit
+		// in of want[out] is set when that head routes to out: one route
+		// per input serves every output's arbitration.
+		var heads [numPorts]*Packet
+		var want [numPorts]uint64
 		for in := range r.in {
 			if q := &r.in[in]; !q.empty() && q.peek().head {
 				pkt := q.peek().pkt
-				heads[m.route(r.node, pkt.Dst)][in] = pkt
+				heads[in] = pkt
+				want[m.route(r.node, pkt.Dst)] |= 1 << in
 			}
 		}
 		for out := 0; out < numPorts; out++ {
 			// An owned output only accepts the owner's next flit, in
-			// order; a free one goes to the arbitrated packet head.
+			// order; a free one goes to the arbitrated packet head, and
+			// one no head targets is skipped.
 			in := r.outOwner[out]
 			owned := in >= 0
 			if !owned {
-				in = m.arb.pick(r.node*numPorts+out, heads[out][:])
+				if want[out] == 0 {
+					continue
+				}
+				in = m.arb.pick(r.node*numPorts+out, want[out], heads[:])
 			}
-			if in < 0 || r.in[in].empty() {
+			if r.in[in].empty() {
 				continue
 			}
 			var to *ring[flit] // nil means ejection
@@ -376,11 +394,9 @@ func (m *Mesh) Step() {
 					continue
 				}
 			} else {
-				next, inPort, ok := m.neighbor(r.node, out)
-				if !ok {
+				if to = r.down[out]; to == nil {
 					continue
 				}
-				to = &m.routers[next].in[inPort]
 				if to.full() {
 					m.obs.stallCredit.Inc()
 					continue

@@ -62,38 +62,124 @@ func TestXYRouting(t *testing.T) {
 func TestNeighborEdges(t *testing.T) {
 	m := newTestMesh(t, RoundRobin)
 	// Corner (0,0): no north or west neighbor.
-	if _, _, ok := m.neighbor(0, portNorth); ok {
+	if m.routers[0].down[portNorth] != nil {
 		t.Error("node 0 has no north neighbor")
 	}
-	if _, _, ok := m.neighbor(0, portWest); ok {
+	if m.routers[0].down[portWest] != nil {
 		t.Error("node 0 has no west neighbor")
 	}
-	next, in, ok := m.neighbor(0, portEast)
-	if !ok || next != 1 || in != portWest {
-		t.Errorf("east neighbor of 0 = (%d, %d, %v)", next, in, ok)
+	if got := m.routers[0].down[portEast]; got != &m.routers[1].in[portWest] {
+		t.Error("east output of node 0 must feed node 1's west input")
 	}
-	next, in, ok = m.neighbor(0, portSouth)
-	if !ok || next != 4 || in != portNorth {
-		t.Errorf("south neighbor of 0 = (%d, %d, %v)", next, in, ok)
+	if got := m.routers[0].down[portSouth]; got != &m.routers[4].in[portNorth] {
+		t.Error("south output of node 0 must feed node 4's north input")
+	}
+}
+
+// refCoord and refNeighbor are the arithmetic coordinate and neighbor
+// maps the mesh's per-node tables replaced, kept as their oracle.
+func refCoord(width, node int) (x, y int) { return node % width, node / width }
+
+func refNeighbor(cfg MeshConfig, node, out int) (next, inPort int, ok bool) {
+	x, y := refCoord(cfg.Width, node)
+	switch out {
+	case portNorth:
+		if y == 0 {
+			return 0, 0, false
+		}
+		return (y-1)*cfg.Width + x, portSouth, true
+	case portSouth:
+		if y == cfg.Height-1 {
+			return 0, 0, false
+		}
+		return (y+1)*cfg.Width + x, portNorth, true
+	case portEast:
+		if x == cfg.Width-1 {
+			return 0, 0, false
+		}
+		return y*cfg.Width + x + 1, portWest, true
+	case portWest:
+		if x == 0 {
+			return 0, 0, false
+		}
+		return y*cfg.Width + x - 1, portEast, true
+	}
+	return 0, 0, false
+}
+
+// TestNodeTablesMatchArithmetic pins NewMesh's coordinate and
+// downstream-ring tables to the arithmetic maps on every mesh size
+// nocfuzz generates (2-4 x 1-4), two larger squares, and single-row and
+// single-column meshes, and checks route against XY order on every
+// (node, dst) pair.
+func TestNodeTablesMatchArithmetic(t *testing.T) {
+	var sizes [][2]int
+	for w := 2; w <= 4; w++ {
+		for h := 1; h <= 4; h++ {
+			sizes = append(sizes, [2]int{w, h})
+		}
+	}
+	sizes = append(sizes, [2]int{6, 6}, [2]int{8, 8}, [2]int{1, 7}, [2]int{7, 1}, [2]int{1, 1})
+	for _, wh := range sizes {
+		cfg := MeshConfig{Width: wh[0], Height: wh[1], BufferFlits: 2}
+		m, err := NewMesh(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for node := 0; node < m.Nodes(); node++ {
+			x, y := m.coord(node)
+			if rx, ry := refCoord(cfg.Width, node); x != rx || y != ry {
+				t.Fatalf("%dx%d node %d: coord (%d,%d), arithmetic (%d,%d)", wh[0], wh[1], node, x, y, rx, ry)
+			}
+			if got := m.routers[node].down[portLocal]; got != nil {
+				t.Fatalf("%dx%d node %d: local port has a downstream ring", wh[0], wh[1], node)
+			}
+			for out := portNorth; out <= portWest; out++ {
+				var want *ring[flit]
+				if next, in, ok := refNeighbor(cfg, node, out); ok {
+					want = &m.routers[next].in[in]
+				}
+				if got := m.routers[node].down[out]; got != want {
+					t.Fatalf("%dx%d node %d %s: downstream ring differs from arithmetic neighbor", wh[0], wh[1], node, portNames[out])
+				}
+			}
+			for dst := 0; dst < m.Nodes(); dst++ {
+				dx, dy := refCoord(cfg.Width, dst)
+				want := portLocal
+				switch {
+				case dx > x:
+					want = portEast
+				case dx < x:
+					want = portWest
+				case dy > y:
+					want = portSouth
+				case dy < y:
+					want = portNorth
+				}
+				if got := m.route(node, dst); got != want {
+					t.Fatalf("%dx%d route(%d, %d) = %d, want %d", wh[0], wh[1], node, dst, got, want)
+				}
+			}
+		}
 	}
 }
 
 func TestInjectValidation(t *testing.T) {
 	m := newTestMesh(t, RoundRobin)
-	if _, err := m.Inject(-1, 0, 1, nil); err == nil {
+	if _, err := m.Inject(-1, 0, 1); err == nil {
 		t.Error("bad src should fail")
 	}
-	if _, err := m.Inject(0, 99, 1, nil); err == nil {
+	if _, err := m.Inject(0, 99, 1); err == nil {
 		t.Error("bad dst should fail")
 	}
-	if _, err := m.Inject(0, 1, 0, nil); err == nil {
+	if _, err := m.Inject(0, 1, 0); err == nil {
 		t.Error("zero flits should fail")
 	}
 }
 
 func TestSinglePacketDelivery(t *testing.T) {
 	m := newTestMesh(t, RoundRobin)
-	if _, err := m.Inject(0, 15, 3, nil); err != nil {
+	if _, err := m.Inject(0, 15, 3); err != nil {
 		t.Fatal(err)
 	}
 	m.Run(100)
@@ -111,7 +197,7 @@ func TestSinglePacketDelivery(t *testing.T) {
 func TestDeliveryLatencyMatchesHops(t *testing.T) {
 	// A single unimpeded flit advances one hop per cycle after injection.
 	m := newTestMesh(t, RoundRobin)
-	if _, err := m.Inject(0, 3, 1, nil); err != nil {
+	if _, err := m.Inject(0, 3, 1); err != nil {
 		t.Fatal(err)
 	}
 	cycles := 0
@@ -131,7 +217,7 @@ func TestDeliveryLatencyMatchesHops(t *testing.T) {
 
 func TestLocalDelivery(t *testing.T) {
 	m := newTestMesh(t, RoundRobin)
-	if _, err := m.Inject(6, 6, 2, nil); err != nil {
+	if _, err := m.Inject(6, 6, 2); err != nil {
 		t.Fatal(err)
 	}
 	m.Run(20)
@@ -149,10 +235,10 @@ func TestWormholeNoInterleaving(t *testing.T) {
 		order = append(order, p.ID)
 		return true
 	}))
-	if _, err := m.Inject(12, 15, 4, nil); err != nil {
+	if _, err := m.Inject(12, 15, 4); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Inject(3, 15, 4, nil); err != nil {
+	if _, err := m.Inject(3, 15, 4); err != nil {
 		t.Fatal(err)
 	}
 	m.Run(200)
@@ -173,7 +259,7 @@ func TestWormholeNoInterleaving(t *testing.T) {
 func TestBackpressureOnRefusingSink(t *testing.T) {
 	m := newTestMesh(t, RoundRobin)
 	m.SetSink(1, sinkFunc(func(*Packet, bool, int64) bool { return false }))
-	if _, err := m.Inject(0, 1, 1, nil); err != nil {
+	if _, err := m.Inject(0, 1, 1); err != nil {
 		t.Fatal(err)
 	}
 	m.Run(50)
@@ -204,7 +290,7 @@ func TestMeshPropertyConservation(t *testing.T) {
 		for i := 0; i < 30; i++ {
 			src, dst := rng.Intn(n), rng.Intn(n)
 			flits := 1 + rng.Intn(5)
-			if _, err := m.Inject(src, dst, flits, nil); err != nil {
+			if _, err := m.Inject(src, dst, flits); err != nil {
 				return false
 			}
 			injected++
@@ -248,7 +334,7 @@ func TestMeshPropertyNoDeadlock(t *testing.T) {
 		for c := 0; c < 300; c++ {
 			for n := 0; n < m.Nodes(); n++ {
 				if rng.Float64() < 0.4 && m.PendingInjection(n) < 8 {
-					if _, err := m.Inject(n, rng.Intn(m.Nodes()), 1+rng.Intn(4), nil); err != nil {
+					if _, err := m.Inject(n, rng.Intn(m.Nodes()), 1+rng.Intn(4)); err != nil {
 						return false
 					}
 				}
@@ -283,13 +369,13 @@ func TestMeshPropertyInOrderDelivery(t *testing.T) {
 		// Background traffic plus the observed stream.
 		var sent []uint64
 		for i := 0; i < 20; i++ {
-			p, err := m.Inject(src, dst, 1+rng.Intn(3), nil)
+			p, err := m.Inject(src, dst, 1+rng.Intn(3))
 			if err != nil {
 				return false
 			}
 			sent = append(sent, p.ID)
 			bgSrc := (src + 1 + rng.Intn(15)) % 16 // background never shares the observed source
-			if _, err := m.Inject(bgSrc, rng.Intn(16), 1+rng.Intn(3), nil); err != nil {
+			if _, err := m.Inject(bgSrc, rng.Intn(16), 1+rng.Intn(3)); err != nil {
 				return false
 			}
 			if rng.Intn(2) == 0 {
@@ -332,11 +418,11 @@ func TestAgeBasedEqualAgeTieBreaksToLowestID(t *testing.T) {
 		}
 		return true
 	}))
-	a, err := m.Inject(0, 1, 1, nil) // ID 1, west input of node 1
+	a, err := m.Inject(0, 1, 1) // ID 1, west input of node 1
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := m.Inject(2, 1, 1, nil) // ID 2, east input of node 1
+	b, err := m.Inject(2, 1, 1) // ID 2, east input of node 1
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,10 +471,10 @@ func TestRoundRobinPointerHoldsOnRefusedGrant(t *testing.T) {
 			}
 			return true
 		}))
-		if _, err := m.Inject(0, 1, 1, nil); err != nil {
+		if _, err := m.Inject(0, 1, 1); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := m.Inject(2, 1, 1, nil); err != nil {
+		if _, err := m.Inject(2, 1, 1); err != nil {
 			t.Fatal(err)
 		}
 		m.Run(40)
@@ -437,7 +523,7 @@ func TestCreditBalanceUnderSaturatedBackpressure(t *testing.T) {
 				continue
 			}
 			flits := 1 + (src+c)%3
-			if _, err := m.Inject(src, hot, flits, nil); err != nil {
+			if _, err := m.Inject(src, hot, flits); err != nil {
 				t.Fatal(err)
 			}
 			injectedFlits += int64(flits)
@@ -485,7 +571,7 @@ func TestStepSteadyStateDoesNotAllocate(t *testing.T) {
 	n := m.Nodes()
 	for src := 0; src < n; src++ {
 		for k := 0; k < 150; k++ {
-			if _, err := m.Inject(src, (src*7+k*3+1)%n, 4, nil); err != nil {
+			if _, err := m.Inject(src, (src*7+k*3+1)%n, 4); err != nil {
 				t.Fatal(err)
 			}
 		}

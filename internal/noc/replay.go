@@ -91,7 +91,7 @@ func ReplayTrace(cfg ReplayConfig, steps [][]uint64) ([]ReplayStepStats, error) 
 			}
 			portCounts[port]++
 			src := compute[i%len(compute)]
-			if _, err := m.Inject(src, mcs[port], 1, nil); err != nil {
+			if _, err := m.Inject(src, mcs[port], 1); err != nil {
 				return nil, err
 			}
 		}

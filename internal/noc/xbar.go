@@ -32,11 +32,17 @@ type XbarConfig struct {
 	Arbiter Arbiter
 }
 
+// maxClusters is the widest crossbar: each memory port arbitrates over
+// a 64-bit mask with one bit per cluster hub.
+const maxClusters = 64
+
 // Validate checks the configuration.
 func (c XbarConfig) Validate() error {
 	switch {
 	case c.Clusters <= 0 || c.NodesPerCluster <= 0:
 		return fmt.Errorf("noc: xbar needs positive cluster geometry")
+	case c.Clusters > maxClusters:
+		return fmt.Errorf("noc: xbar has %d clusters, at most %d supported", c.Clusters, maxClusters)
 	case c.MemPorts <= 0:
 		return fmt.Errorf("noc: xbar needs memory ports")
 	case c.HubCapacity <= 0 || c.PortCapacity <= 0:
@@ -63,6 +69,7 @@ type Xbar struct {
 	// its per-port candidate scratch, one entry per cluster.
 	arb    arbiter
 	heads  []*Packet
+	slab   packetSlab
 	cycle  int64
 	nextID uint64
 
@@ -181,7 +188,8 @@ func (x *Xbar) Inject(node, port, flits int) (*Packet, error) {
 		return nil, fmt.Errorf("noc: packet needs at least one flit")
 	}
 	x.nextID++
-	p := &Packet{ID: x.nextID, Src: node, Dst: port, Flits: flits, CreatedAt: x.cycle}
+	p := x.slab.next()
+	*p = Packet{ID: x.nextID, Src: node, Dst: port, Flits: flits, CreatedAt: x.cycle}
 	for s := 0; s < flits; s++ {
 		x.injectQ[node].push(flit{pkt: p, head: s == 0, tail: s == flits-1})
 	}
@@ -194,16 +202,22 @@ func (x *Xbar) Step() {
 	// Phase 1: each memory port accepts up to PortCapacity flits,
 	// arbitrating among the cluster hubs' VOQ heads.
 	for port := 0; port < x.cfg.MemPorts; port++ {
+		// Bit c of live is set while x.heads[c] holds a packet.
+		var live uint64
 		for c := range x.heads {
-			x.heads[c] = x.voqHead(c, port)
+			if x.heads[c] = x.voqHead(c, port); x.heads[c] != nil {
+				live |= 1 << c
+			}
 		}
 		for grant := 0; grant < x.cfg.PortCapacity; grant++ {
-			hub := x.arb.pick(port, x.heads)
+			hub := x.arb.pick(port, live, x.heads)
 			if hub < 0 {
 				break
 			}
 			f := x.voq[hub][port].pop()
-			x.heads[hub] = x.voqHead(hub, port)
+			if x.heads[hub] = x.voqHead(hub, port); x.heads[hub] == nil {
+				live &^= 1 << hub
+			}
 			x.arb.commit(port, hub)
 			x.AcceptedFlits[port]++
 			x.obs.voqFlits--

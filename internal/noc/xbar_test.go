@@ -11,6 +11,11 @@ func TestXbarConfigValidate(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	widest := good
+	widest.Clusters = maxClusters
+	if err := widest.Validate(); err != nil {
+		t.Fatalf("%d clusters must validate: %v", maxClusters, err)
+	}
 	muts := []func(*XbarConfig){
 		func(c *XbarConfig) { c.Clusters = 0 },
 		func(c *XbarConfig) { c.NodesPerCluster = -1 },
@@ -19,6 +24,8 @@ func TestXbarConfigValidate(t *testing.T) {
 		func(c *XbarConfig) { c.PortCapacity = 0 },
 		func(c *XbarConfig) { c.VOQDepth = 0 },
 		func(c *XbarConfig) { c.Arbiter = Arbiter(5) },
+		// Memory ports arbitrate over a 64-bit cluster mask.
+		func(c *XbarConfig) { c.Clusters = maxClusters + 1 },
 	}
 	for i, mut := range muts {
 		cfg := good

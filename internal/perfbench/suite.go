@@ -84,6 +84,16 @@ func Suite() []Benchmark {
 			},
 		},
 		{
+			Name: "fig21_quick",
+			Doc:  "end-to-end quick fig21 request/reply mesh simulation on A100 incl. fresh Context (the NoC simulators' key)",
+			// ~1.6 k allocs/op; one allocation per injected packet, as
+			// before the packet slab, would add ~62 k.
+			DefaultBudget: Budget{MaxNsRatio: DefaultMaxNsRatio, MaxAllocsDelta: 4096},
+			Fn: func(b *testing.B) {
+				ExperimentLoop(b, "fig21", gpu.A100())
+			},
+		},
+		{
 			Name: "fig9_quick",
 			Doc:  "end-to-end quick fig9 bandwidth sweep on A100 incl. fresh Context (the bandwidth engine's key)",
 			// ~45 k allocs/op; one allocation per AMVA iteration (~24 k
@@ -151,7 +161,7 @@ func Suite() []Benchmark {
 					if dst >= src {
 						dst++
 					}
-					if _, err := m.Inject(src, dst, 4, nil); err != nil {
+					if _, err := m.Inject(src, dst, 4); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -197,7 +197,7 @@ func runMeshCase(c Case) (*Report, error) {
 	for {
 		for next < len(c.Injections) && int64(c.Injections[next].Cycle) <= m.Cycle() {
 			inj := c.Injections[next]
-			p, err := m.Inject(inj.Src, inj.Dst, inj.Flits, nil)
+			p, err := m.Inject(inj.Src, inj.Dst, inj.Flits)
 			if err != nil {
 				return nil, err
 			}

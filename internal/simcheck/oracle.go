@@ -40,7 +40,7 @@ func ZeroLoadLatency(cfg noc.MeshConfig, flitSizes []int) ([]Violation, error) {
 	for _, flits := range flitSizes {
 		for src := 0; src < m.Nodes(); src++ {
 			for dst := 0; dst < m.Nodes(); dst++ {
-				p, err := m.Inject(src, dst, flits, nil)
+				p, err := m.Inject(src, dst, flits)
 				if err != nil {
 					return nil, err
 				}
@@ -113,7 +113,7 @@ func ArbiterLowLoadEquivalence(cfg noc.MeshConfig, seed int64, packets int) ([]V
 	latAge := make([]int64, packets)
 	run := func(m *noc.Mesh, a *MeshAuditor, lats []int64) error {
 		for i, s := range schedule {
-			p, err := m.Inject(s.src, s.dst, s.flits, nil)
+			p, err := m.Inject(s.src, s.dst, s.flits)
 			if err != nil {
 				return err
 			}
