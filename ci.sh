@@ -80,6 +80,48 @@ if go run -race ./cmd/nocfuzz -break-invariant >/dev/null 2>&1; then
 	exit 1
 fi
 
+echo "==> native fuzz targets (short -fuzztime)"
+# go test runs only the seed corpora; this stage mutates past them for a
+# few seconds per target, one go test -fuzz per target because -fuzz
+# takes exactly one. -fuzzminimizetime bounds how long a worker shrinks
+# each new input: shrinking inputs grown from a large seed (the ext5
+# trace FuzzParseTrace starts from) would otherwise eat the budget.
+fuzz_target() {
+	go test -run '^$' -fuzz "^$1\$" -fuzztime 10s -fuzzminimizetime 1s "$2"
+}
+fuzz_target FuzzEncryptBlock ./internal/aes
+fuzz_target FuzzCacheAccess ./internal/cache
+fuzz_target FuzzParseTrace ./internal/simcheck
+
+echo "==> native fuzz seeded-failure smoke"
+# Prove the stage bites: a transient package whose fuzz target fails on
+# its own seed must make fuzz_target exit non-zero.
+fuzzdir="internal/fuzzsmoke_$$"
+mkdir "$fuzzdir"
+trap 'rm -rf "$fuzzdir"' EXIT
+cat > "$fuzzdir/smoke_test.go" <<'EOF'
+// Package fuzzsmoke is a transient CI fixture proving the native fuzz
+// stage fails when a target fails.
+package fuzzsmoke
+
+import "testing"
+
+func FuzzSeededFailure(f *testing.F) {
+	f.Add([]byte("seeded failure"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if string(data) == "seeded failure" {
+			t.Fatal("the seed fails by construction")
+		}
+	})
+}
+EOF
+if fuzz_target FuzzSeededFailure "./$fuzzdir" >/dev/null 2>&1; then
+	echo "go test -fuzz passed a target that fails on its seed; the fuzz stage is dead" >&2
+	exit 1
+fi
+rm -rf "$fuzzdir"
+trap - EXIT
+
 echo "==> nocbench -check (perf ratchet vs bench.baseline.json)"
 # The curated benchmark suite must stay inside each entry's noise
 # budget relative to the committed baseline. -quick keeps the stage

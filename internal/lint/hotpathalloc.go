@@ -24,7 +24,7 @@ import (
 // Two idioms are exempt:
 //
 //   - Scratch reset: appends to a slice the same function resets with
-//     `x = x[:0]` are amortized-zero (the Mesh.Step move/push scratch).
+//     `x = x[:0]` are amortized-zero (the Mesh.Step move scratch).
 //   - Validation exit: constructs inside an if/case body whose last
 //     statement is a return, in a function whose final result is an
 //     error, are input-validation exits (fmt.Errorf and friends), not

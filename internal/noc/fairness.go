@@ -70,39 +70,42 @@ func RunFairness(cfg FairnessConfig) (*FairnessResult, error) {
 	if cfg.InjectRate <= 0 {
 		return nil, fmt.Errorf("noc: fairness injection rate %v invalid", cfg.InjectRate)
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	// Bernoulli sources at the configured offered load, with a bounded
-	// source queue: a stalled source stops generating, like a core whose
-	// MSHRs are full.
-	topUp := func() {
-		for _, src := range compute {
-			if rng.Float64() >= cfg.InjectRate {
-				continue
-			}
-			if m.PendingInjection(src) > 16*cfg.PacketFlits {
-				continue
-			}
-			dst := mcs[rng.Intn(len(mcs))]
-			if _, err := m.Inject(src, dst, cfg.PacketFlits); err != nil {
-				panic(err) // indices are validated above
-			}
-		}
-	}
-
-	for c := 0; c < cfg.Warmup; c++ {
-		topUp()
-		m.Step()
-	}
-	base := make([]int64, m.Nodes())
-	copy(base, m.AcceptedPackets)
-	for c := 0; c < cfg.Cycles; c++ {
-		topUp()
-		m.Step()
-	}
-
+	base := offerLoad(m, compute, mcs, cfg.PacketFlits, cfg.InjectRate, cfg.Warmup, cfg.Cycles, cfg.Seed, m.AcceptedPackets)
 	res := &FairnessResult{ComputeNodes: compute, MCs: mcs}
 	res.fold(m.AcceptedPackets, base, cfg.Cycles)
 	return res, nil
+}
+
+// network is the surface offerLoad drives, shared by Mesh and Xbar.
+type network interface {
+	PendingInjection(node int) int
+	Inject(src, dst, flits int) (Packet, error)
+	Step()
+}
+
+// offerLoad runs warmup+cycles cycles of Bernoulli sources: each cycle,
+// each of srcs offers a flits-flit packet with probability rate to a
+// seeded-random entry of dsts. A source whose queue holds more than 16
+// packets' worth of flits stops generating, like a core whose MSHRs are
+// full. It returns a copy of accepted taken when warm-up ends.
+func offerLoad(net network, srcs, dsts []int, flits int, rate float64, warmup, cycles int, seed int64, accepted []int64) []int64 {
+	rng := rand.New(rand.NewSource(seed))
+	var base []int64
+	for c := 0; c < warmup+cycles; c++ {
+		if c == warmup {
+			base = append([]int64(nil), accepted...)
+		}
+		for _, src := range srcs {
+			if rng.Float64() >= rate || net.PendingInjection(src) > 16*flits {
+				continue
+			}
+			if _, err := net.Inject(src, dsts[rng.Intn(len(dsts))], flits); err != nil {
+				panic(err) // callers validate every node index
+			}
+		}
+		net.Step()
+	}
+	return base
 }
 
 // placeMCs returns the memory-controller nodes, mcs or the bottom row

@@ -80,21 +80,25 @@ type GPUSimResult struct {
 // mcState bridges a request-mesh sink to a reply-mesh source.
 type mcState struct {
 	node int
-	// queue holds admitted requests, bounded at MCQueue.
-	queue ring[*Packet]
-	// admitted is the packet whose head flit was granted queue headroom
-	// and whose remaining flits are still draining into the sink.
-	admitted *Packet
+	// queue holds admitted requests, bounded at MCQueue, as the node
+	// each one's reply returns to.
+	queue ring[int]
+	// admitted is the ID of the packet whose head flit was granted queue
+	// headroom and whose remaining flits are still draining into the
+	// sink; IDs start at 1, so 0 means none.
+	admitted uint64
 	// blocked marks an MC currently stalled on reply-side backpressure,
 	// so the tracer records transitions rather than every stalled cycle.
 	blocked bool
 	// busyUntil is the cycle the in-flight DRAM access completes.
 	busyUntil int64
-	// pendingReply holds a serviced request whose reply could not yet be
-	// injected (reply-side backpressure stalls the channel).
-	pendingReply *Packet
-	busyCycles   int64
-	served       int64
+	// replyTo is the destination of a serviced request's reply that
+	// could not yet be injected (reply-side backpressure stalls the
+	// channel); it is valid while hasReply is set.
+	replyTo    int
+	hasReply   bool
+	busyCycles int64
+	served     int64
 }
 
 // Accept admits or refuses one flit of a request packet. The admission
@@ -104,17 +108,17 @@ type mcState struct {
 // were refused. Headroom checked at the head still holds at the tail -
 // only Accept grows the queue, the port is owned head-to-tail so no
 // other packet can interleave, and servicing only frees slots.
-func (mc *mcState) Accept(p *Packet, lastFlit bool, _ int64) bool {
-	if p != mc.admitted {
+func (mc *mcState) Accept(p Packet, lastFlit bool, _ int64) bool {
+	if p.ID != mc.admitted {
 		// Head flit: admit only with queue headroom.
 		if mc.queue.full() {
 			return false
 		}
-		mc.admitted = p
+		mc.admitted = p.ID
 	}
 	if lastFlit {
-		mc.queue.push(p)
-		mc.admitted = nil
+		mc.queue.push(p.Src)
+		mc.admitted = 0
 	}
 	return true
 }
@@ -181,7 +185,7 @@ func newGPUSim(cfg GPUSimConfig) (*gpuSim, error) {
 	}
 	g.mcStates = make([]*mcState, reqNet.Nodes())
 	for _, n := range g.mcs {
-		st := &mcState{node: n, queue: newRing[*Packet](cfg.MCQueue)}
+		st := &mcState{node: n, queue: newRing[int](cfg.MCQueue)}
 		g.mcStates[n] = st
 		reqNet.SetSink(n, st)
 	}
@@ -189,7 +193,7 @@ func newGPUSim(cfg GPUSimConfig) (*gpuSim, error) {
 	// Reply completion decrements the source's outstanding window.
 	for _, n := range g.compute {
 		node := n
-		repNet.SetSink(node, sinkFunc(func(p *Packet, lastFlit bool, _ int64) bool {
+		repNet.SetSink(node, sinkFunc(func(_ Packet, lastFlit bool, _ int64) bool {
 			if lastFlit {
 				g.outstanding[node]--
 			}
@@ -250,14 +254,13 @@ func (g *gpuSim) serviceMCs(measuring bool) (busyNow int, injected int64, err er
 		g.mcQueueDepth.Observe(int64(st.queue.len()))
 		// Try to flush a reply whose DRAM access completed but whose
 		// injection is blocked by the reply-network interface.
-		if st.pendingReply != nil && cycle >= st.busyUntil {
-			src := st.pendingReply.Src
+		if st.hasReply && cycle >= st.busyUntil {
 			if g.repNet.PendingInjection(st.node) < 2*g.cfg.ReplyFlits {
-				if _, err := g.repNet.Inject(st.node, src, g.cfg.ReplyFlits); err != nil {
+				if _, err := g.repNet.Inject(st.node, st.replyTo, g.cfg.ReplyFlits); err != nil {
 					return 0, 0, err
 				}
 				injected++
-				st.pendingReply = nil
+				st.hasReply = false
 				st.served++
 				g.mcServed.Inc()
 				if st.blocked {
@@ -276,10 +279,10 @@ func (g *gpuSim) serviceMCs(measuring bool) (busyNow int, injected int64, err er
 			}
 		}
 		busy := cycle < st.busyUntil
-		if !busy && st.pendingReply == nil && !st.queue.empty() {
+		if !busy && !st.hasReply && !st.queue.empty() {
 			// Start servicing the next request.
 			st.busyUntil = cycle + int64(g.cfg.MCServiceCycles)
-			st.pendingReply = st.queue.pop()
+			st.replyTo, st.hasReply = st.queue.pop(), true
 			busy = true
 		}
 		if busy {
@@ -352,6 +355,6 @@ func RunGPUSim(cfg GPUSimConfig) (*GPUSimResult, error) {
 }
 
 // sinkFunc adapts a function to the Sink interface.
-type sinkFunc func(p *Packet, lastFlit bool, cycle int64) bool
+type sinkFunc func(p Packet, lastFlit bool, cycle int64) bool
 
-func (f sinkFunc) Accept(p *Packet, lastFlit bool, cycle int64) bool { return f(p, lastFlit, cycle) }
+func (f sinkFunc) Accept(p Packet, lastFlit bool, cycle int64) bool { return f(p, lastFlit, cycle) }

@@ -8,8 +8,8 @@ import "testing"
 // serviceMCs runs per cycle, starting from a full queue so every
 // measured push lands on a wrapped slot.
 func TestMCQueueSteadyStateDoesNotAllocate(t *testing.T) {
-	st := &mcState{queue: newRing[*Packet](16)}
-	p := &Packet{ID: 1, Flits: 1}
+	st := &mcState{queue: newRing[int](16)}
+	p := Packet{ID: 1, Src: 3, Flits: 1}
 	for !st.queue.full() {
 		if !st.Accept(p, true, 0) {
 			t.Fatal("enqueue refused below capacity")
@@ -20,7 +20,7 @@ func TestMCQueueSteadyStateDoesNotAllocate(t *testing.T) {
 		if !st.Accept(p, true, 0) {
 			t.Fatal("steady-state enqueue refused")
 		}
-		if st.queue.pop() != p {
+		if st.queue.pop() != p.Src {
 			t.Fatal("popped wrong request")
 		}
 	})
@@ -34,8 +34,8 @@ func TestMCQueueSteadyStateDoesNotAllocate(t *testing.T) {
 // queue was full - a multi-flit request would be half-consumed, wedging
 // the wormhole with the tail refused forever.
 func TestMCAcceptRefusesAtHeadFlit(t *testing.T) {
-	st := &mcState{queue: newRing[*Packet](1)}
-	a := &Packet{ID: 1, Flits: 2}
+	st := &mcState{queue: newRing[int](1)}
+	a := Packet{ID: 1, Flits: 2}
 	if !st.Accept(a, false, 0) {
 		t.Fatal("head flit refused with queue headroom")
 	}
@@ -47,7 +47,7 @@ func TestMCAcceptRefusesAtHeadFlit(t *testing.T) {
 	}
 	// Queue is now full: the next packet must be refused at its HEAD,
 	// before any flit is consumed (the old code accepted it here).
-	b := &Packet{ID: 2, Flits: 2}
+	b := Packet{ID: 2, Flits: 2}
 	if st.Accept(b, false, 0) {
 		t.Fatal("head flit admitted with no queue headroom; tail would wedge")
 	}

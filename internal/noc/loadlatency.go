@@ -26,7 +26,7 @@ type latencySink struct {
 	latencySum  int64
 }
 
-func (s *latencySink) Accept(p *Packet, lastFlit bool, cycle int64) bool {
+func (s *latencySink) Accept(p Packet, lastFlit bool, cycle int64) bool {
 	if lastFlit && p.CreatedAt >= s.measureFrom {
 		s.packets++
 		s.latencySum += cycle - p.CreatedAt

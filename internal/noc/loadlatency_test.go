@@ -13,7 +13,7 @@ type recordingSink struct {
 	delivered []int64
 }
 
-func (s *recordingSink) Accept(p *Packet, lastFlit bool, cycle int64) bool {
+func (s *recordingSink) Accept(p Packet, lastFlit bool, cycle int64) bool {
 	if lastFlit {
 		s.created = append(s.created, p.CreatedAt)
 		s.delivered = append(s.delivered, cycle)

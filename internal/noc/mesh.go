@@ -64,7 +64,9 @@ func (c MeshConfig) Validate() error {
 }
 
 // Packet is a multi-flit message. It holds no pointers, so the
-// garbage collector never scans packets.
+// garbage collector never scans packets. Inject returns it and sinks
+// receive it by value: the network's copy lives in a recycled table
+// slot, so a kept *Packet would silently change under its holder.
 type Packet struct {
 	ID        uint64
 	Src, Dst  int
@@ -72,27 +74,36 @@ type Packet struct {
 	CreatedAt int64
 }
 
-// packetSlab hands out packets from chunked backing arrays, one
-// allocation per slabChunk packets instead of one per packet. A chunk is
-// never moved or reused, so every *Packet stays valid and distinct
-// (mcState.Accept compares packet identity).
-type packetSlab []Packet
-
-const slabChunk = 256
-
-func (s *packetSlab) next() *Packet {
-	if len(*s) == 0 {
-		//lint:ignore hotpathalloc one chunk per slabChunk injected packets replaces the per-packet allocation Inject made without the slab
-		*s = make([]Packet, slabChunk)
-	}
-	p := &(*s)[0]
-	*s = (*s)[1:]
-	return p
+// packetTable holds the packets in flight in one network. Inject takes
+// a slot from the free list, or appends one when every slot holds a
+// live packet, and delivering the tail flit releases it; the table
+// therefore never grows past the peak number of packets in flight.
+// A *Packet into pkts goes stale when its slot is reused or the table
+// grows, so none is kept past the Step that took it.
+type packetTable struct {
+	pkts []Packet
+	free ring[int32]
 }
 
-// flit is one flow-control unit of a packet in the network.
+func (t *packetTable) add(p Packet) int32 {
+	if !t.free.empty() {
+		slot := t.free.pop()
+		t.pkts[slot] = p
+		return slot
+	}
+	//lint:ignore hotpathalloc the table grows only to the peak number of packets in flight, then recycles slots (TestStepSteadyStateDoesNotAllocate, TestPacketTableBoundedByPeakInFlight)
+	t.pkts = append(t.pkts, p)
+	return int32(len(t.pkts) - 1)
+}
+
+func (t *packetTable) release(slot int32) { t.free.push(slot) }
+
+// flit is one flow-control unit of a packet in the network: its
+// packet's table slot and destination, so routing never loads the
+// packet, and no pointer for the collector to scan.
 type flit struct {
-	pkt        *Packet
+	slot       int32
+	dst        int32
 	head, tail bool // first and last flit of the packet
 }
 
@@ -109,15 +120,16 @@ const (
 // Sink consumes flits ejected at a node. Accept returns false to refuse
 // delivery this cycle (modelling a busy endpoint); the flit then stays in
 // the router and backpressure builds, which is exactly the congestion
-// mechanism of Sec. VI-A.
+// mechanism of Sec. VI-A. The packet is a copy: its table slot is
+// recycled once the tail flit is delivered.
 type Sink interface {
-	Accept(f *Packet, lastFlit bool, cycle int64) bool
+	Accept(p Packet, lastFlit bool, cycle int64) bool
 }
 
 // countingSink accepts everything and counts packets; the default.
 type countingSink struct{ packets int64 }
 
-func (s *countingSink) Accept(_ *Packet, lastFlit bool, _ int64) bool {
+func (s *countingSink) Accept(_ Packet, lastFlit bool, _ int64) bool {
 	if lastFlit {
 		s.packets++
 	}
@@ -147,7 +159,7 @@ type Mesh struct {
 	injectQ []ring[flit]
 	// arb arbitrates output node*numPorts+out among its input ports.
 	arb    arbiter
-	slab   packetSlab
+	pkts   packetTable
 	cycle  int64
 	nextID uint64
 
@@ -156,9 +168,8 @@ type Mesh struct {
 	// AcceptedFlits counts flits delivered per destination node.
 	AcceptedFlits []int64
 
-	// move/push scratch buffers reused each cycle.
-	moves  []move
-	pushes []pendingPush
+	// moves is scratch reused each cycle.
+	moves []move
 
 	// obs is the optional instrument set; see Observe. All instruments
 	// are nil-safe no-ops while unobserved, so the hooks below cost a
@@ -221,13 +232,6 @@ type move struct {
 	to   *ring[flit] // nil means ejection
 	r    *router
 	out  int
-}
-
-// pendingPush defers a flit's arrival until all pops of the cycle have
-// freed buffer space.
-type pendingPush struct {
-	to *ring[flit]
-	f  flit
 }
 
 // NewMesh builds a mesh simulator.
@@ -329,21 +333,21 @@ func (m *Mesh) route(node, dst int) int {
 	}
 }
 
-// Inject queues a packet for injection at its source node. It returns the
-// packet for convenience.
-func (m *Mesh) Inject(src, dst, flits int) (*Packet, error) {
+// Inject queues a packet for injection at its source node. It returns a
+// copy of the packet for convenience.
+func (m *Mesh) Inject(src, dst, flits int) (Packet, error) {
 	n := m.Nodes()
 	if src < 0 || src >= n || dst < 0 || dst >= n {
-		return nil, fmt.Errorf("noc: inject %d->%d outside %d-node mesh", src, dst, n)
+		return Packet{}, fmt.Errorf("noc: inject %d->%d outside %d-node mesh", src, dst, n)
 	}
 	if flits <= 0 {
-		return nil, fmt.Errorf("noc: packet needs at least one flit")
+		return Packet{}, fmt.Errorf("noc: packet needs at least one flit")
 	}
 	m.nextID++
-	p := m.slab.next()
-	*p = Packet{ID: m.nextID, Src: src, Dst: dst, Flits: flits, CreatedAt: m.cycle}
+	p := Packet{ID: m.nextID, Src: src, Dst: dst, Flits: flits, CreatedAt: m.cycle}
+	slot := m.pkts.add(p)
 	for s := 0; s < flits; s++ {
-		m.injectQ[src].push(flit{pkt: p, head: s == 0, tail: s == flits-1})
+		m.injectQ[src].push(flit{slot: slot, dst: int32(dst), head: s == 0, tail: s == flits-1})
 	}
 	return p, nil
 }
@@ -361,15 +365,24 @@ func (m *Mesh) Step() {
 	for _, r := range m.routers {
 		// heads[in] is input in's packet head, if it holds one, and bit
 		// in of want[out] is set when that head routes to out: one route
-		// per input serves every output's arbitration.
+		// per input serves every output's arbitration. A router with
+		// five empty inputs has nothing to move.
 		var heads [numPorts]*Packet
 		var want [numPorts]uint64
+		occupied := false
 		for in := range r.in {
-			if q := &r.in[in]; !q.empty() && q.peek().head {
-				pkt := q.peek().pkt
-				heads[in] = pkt
-				want[m.route(r.node, pkt.Dst)] |= 1 << in
+			q := &r.in[in]
+			if q.empty() {
+				continue
 			}
+			occupied = true
+			if f := q.peek(); f.head {
+				heads[in] = &m.pkts.pkts[f.slot]
+				want[m.route(r.node, int(f.dst))] |= 1 << in
+			}
+		}
+		if !occupied {
+			continue
 		}
 		for out := 0; out < numPorts; out++ {
 			// An owned output only accepts the owner's next flit, in
@@ -389,7 +402,7 @@ func (m *Mesh) Step() {
 			var to *ring[flit] // nil means ejection
 			if out == portLocal {
 				f := r.in[in].peek()
-				if !m.sinks[r.node].Accept(f.pkt, f.tail, m.cycle) {
+				if !m.sinks[r.node].Accept(m.pkts.pkts[f.slot], f.tail, m.cycle) {
 					m.obs.stallSink.Inc()
 					continue
 				}
@@ -412,8 +425,10 @@ func (m *Mesh) Step() {
 		}
 	}
 
-	// Phase 2: apply moves (pops before pushes keep capacity sound).
-	m.pushes = m.pushes[:0]
+	// Phase 2: apply moves. Each input ring has one upstream link, which
+	// moves at most one flit a cycle into a ring phase 1 saw not full, so
+	// pushing right after the pop can neither overflow the ring nor
+	// change what a later move pops.
 	for _, mv := range m.moves {
 		f := mv.from.pop()
 		if mv.to == nil {
@@ -421,13 +436,15 @@ func (m *Mesh) Step() {
 			m.obs.ejectFlits.Inc()
 			m.obs.buffered--
 			if f.tail {
-				m.AcceptedPackets[f.pkt.Src]++
+				p := &m.pkts.pkts[f.slot]
+				m.AcceptedPackets[p.Src]++
 				m.obs.ejectPkts.Inc()
 				m.obs.tracer.Span("noc", "pkt",
-					f.pkt.CreatedAt, m.cycle-f.pkt.CreatedAt, int64(f.pkt.Src), int64(f.pkt.ID))
+					p.CreatedAt, m.cycle-p.CreatedAt, int64(p.Src), int64(p.ID))
+				m.pkts.release(f.slot)
 			}
 		} else {
-			m.pushes = append(m.pushes, pendingPush{to: mv.to, f: f})
+			mv.to.push(f)
 			if m.obs.linkFlits != nil {
 				m.obs.linkFlits[mv.r.node*numPorts+mv.out].Inc()
 			}
@@ -435,9 +452,6 @@ func (m *Mesh) Step() {
 		if f.tail {
 			mv.r.outOwner[mv.out] = -1
 		}
-	}
-	for _, p := range m.pushes {
-		p.to.push(p.f)
 	}
 
 	// Phase 3: source-queue injection into the local input port.

@@ -231,7 +231,7 @@ func TestWormholeNoInterleaving(t *testing.T) {
 	// arrive with their flits contiguous per packet on the final link.
 	m := newTestMesh(t, RoundRobin)
 	var order []uint64
-	m.SetSink(15, sinkFunc(func(p *Packet, lastFlit bool, _ int64) bool {
+	m.SetSink(15, sinkFunc(func(p Packet, lastFlit bool, _ int64) bool {
 		order = append(order, p.ID)
 		return true
 	}))
@@ -258,7 +258,7 @@ func TestWormholeNoInterleaving(t *testing.T) {
 
 func TestBackpressureOnRefusingSink(t *testing.T) {
 	m := newTestMesh(t, RoundRobin)
-	m.SetSink(1, sinkFunc(func(*Packet, bool, int64) bool { return false }))
+	m.SetSink(1, sinkFunc(func(Packet, bool, int64) bool { return false }))
 	if _, err := m.Inject(0, 1, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +360,7 @@ func TestMeshPropertyInOrderDelivery(t *testing.T) {
 		}
 		src, dst := rng.Intn(16), rng.Intn(16)
 		var delivered []uint64
-		m.SetSink(dst, sinkFunc(func(p *Packet, lastFlit bool, _ int64) bool {
+		m.SetSink(dst, sinkFunc(func(p Packet, lastFlit bool, _ int64) bool {
 			if lastFlit && p.Src == src {
 				delivered = append(delivered, p.ID)
 			}
@@ -412,7 +412,7 @@ func TestAgeBasedEqualAgeTieBreaksToLowestID(t *testing.T) {
 		t.Fatal(err)
 	}
 	var order []uint64
-	m.SetSink(1, sinkFunc(func(p *Packet, lastFlit bool, _ int64) bool {
+	m.SetSink(1, sinkFunc(func(p Packet, lastFlit bool, _ int64) bool {
 		if lastFlit {
 			order = append(order, p.ID)
 		}
@@ -459,7 +459,7 @@ func TestRoundRobinPointerHoldsOnRefusedGrant(t *testing.T) {
 		}
 		var first uint64
 		delivered := 0
-		m.SetSink(1, sinkFunc(func(p *Packet, lastFlit bool, cycle int64) bool {
+		m.SetSink(1, sinkFunc(func(p Packet, lastFlit bool, cycle int64) bool {
 			if cycle < wait {
 				return false
 			}
@@ -508,7 +508,7 @@ func TestCreditBalanceUnderSaturatedBackpressure(t *testing.T) {
 	hot := 5
 	open := false
 	refused := 0
-	m.SetSink(hot, sinkFunc(func(p *Packet, lastFlit bool, cycle int64) bool {
+	m.SetSink(hot, sinkFunc(func(p Packet, lastFlit bool, cycle int64) bool {
 		if !open && cycle%4 != 0 {
 			refused++
 			return false
@@ -576,12 +576,38 @@ func TestStepSteadyStateDoesNotAllocate(t *testing.T) {
 			}
 		}
 	}
-	m.Run(100) // warm up: grow the move/push scratch buffers
+	m.Run(100) // warm up: grow the move scratch buffer
 	avg := testing.AllocsPerRun(200, func() { m.Step() })
 	if avg != 0 {
 		t.Errorf("steady-state Step allocates %.1f times per cycle, want 0", avg)
 	}
 	if m.Drained() {
 		t.Fatal("mesh drained mid-measurement; the test no longer exercises steady state")
+	}
+
+	// Inject plus Step: a delivered tail returns its packet-table slot
+	// and the next Inject reuses it, so once the table and its free list
+	// have reached the peak in flight, a steady stream allocates nothing.
+	stream := func() {
+		for src := 0; src < n; src++ {
+			if m.PendingInjection(src) < 8 {
+				if _, err := m.Inject(src, (src*7+int(m.Cycle())*3+1)%n, 4); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		m.Step()
+	}
+	for c := 0; c < 2000; c++ {
+		stream()
+	}
+	// One measured run of 1000 cycles counts every allocation; a
+	// per-cycle average would round a once-per-chunk allocation to 0.
+	if total := testing.AllocsPerRun(1, func() {
+		for c := 0; c < 1000; c++ {
+			stream()
+		}
+	}); total != 0 {
+		t.Errorf("steady-state Inject+Step allocates %.0f times in 1000 cycles, want 0", total)
 	}
 }

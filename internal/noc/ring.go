@@ -4,9 +4,10 @@ package noc
 // model in this package. Bounded queues (router inputs, crossbar VOQs,
 // MC request queues) are built at their bound by newRing and never
 // grow: their callers check full before pushing. The source queues are
-// throttled by their callers rather than bounded, so a push onto a full
-// ring doubles it through grow. pop zeroes the slot it frees, so a
-// drained queue keeps no *Packet reachable.
+// throttled by their callers rather than bounded, and a packet table's
+// free list is bounded only by its table, so a push onto a full ring
+// doubles it through grow. pop zeroes the slot it frees, so a drained
+// ring of pointers keeps nothing reachable.
 type ring[T any] struct {
 	buf  []T
 	head int // index of the oldest element
@@ -50,7 +51,7 @@ func (r *ring[T]) pop() T {
 
 // grow doubles the buffer, unwrapping the queue to start at index 0.
 func (r *ring[T]) grow() {
-	//lint:ignore hotpathalloc only the caller-throttled source queues ever fill, and doubling amortizes their growth to zero in steady state (TestStepSteadyStateDoesNotAllocate, TestXbarStepSteadyStateDoesNotAllocate)
+	//lint:ignore hotpathalloc only the caller-throttled source queues and the packet tables' free lists ever fill, and doubling amortizes their growth to zero in steady state (TestStepSteadyStateDoesNotAllocate, TestXbarStepSteadyStateDoesNotAllocate)
 	buf := make([]T, max(2*len(r.buf), 4))
 	copy(buf, r.buf[r.head:])
 	copy(buf[len(r.buf)-r.head:], r.buf[:r.head])

@@ -2,7 +2,6 @@ package noc
 
 import (
 	"fmt"
-	"math/rand"
 
 	"gpunoc/internal/obs"
 )
@@ -65,11 +64,9 @@ type Xbar struct {
 	voq [][]ring[flit]
 	// rrNode[cluster] is the hub's round-robin pointer over its nodes.
 	rrNode []int
-	// arb arbitrates each memory port among the cluster hubs; heads is
-	// its per-port candidate scratch, one entry per cluster.
+	// arb arbitrates each memory port among the cluster hubs.
 	arb    arbiter
-	heads  []*Packet
-	slab   packetSlab
+	pkts   packetTable
 	cycle  int64
 	nextID uint64
 
@@ -134,7 +131,6 @@ func NewXbar(cfg XbarConfig) (*Xbar, error) {
 		voq:             make([][]ring[flit], cfg.Clusters),
 		rrNode:          make([]int, cfg.Clusters),
 		arb:             newArbiter(cfg.Arbiter, cfg.MemPorts),
-		heads:           make([]*Packet, cfg.Clusters),
 		AcceptedPackets: make([]int64, n),
 		AcceptedFlits:   make([]int64, cfg.MemPorts),
 	}
@@ -176,22 +172,23 @@ func (x *Xbar) Cycle() int64 { return x.cycle }
 // PendingInjection returns the node's source-queue occupancy in flits.
 func (x *Xbar) PendingInjection(node int) int { return x.injectQ[node].len() }
 
-// Inject queues a packet from node to memory port.
-func (x *Xbar) Inject(node, port, flits int) (*Packet, error) {
+// Inject queues a packet from node to memory port. It returns a copy of
+// the packet.
+func (x *Xbar) Inject(node, port, flits int) (Packet, error) {
 	if node < 0 || node >= x.Nodes() {
-		return nil, fmt.Errorf("noc: xbar node %d out of range", node)
+		return Packet{}, fmt.Errorf("noc: xbar node %d out of range", node)
 	}
 	if port < 0 || port >= x.cfg.MemPorts {
-		return nil, fmt.Errorf("noc: xbar port %d out of range", port)
+		return Packet{}, fmt.Errorf("noc: xbar port %d out of range", port)
 	}
 	if flits <= 0 {
-		return nil, fmt.Errorf("noc: packet needs at least one flit")
+		return Packet{}, fmt.Errorf("noc: packet needs at least one flit")
 	}
 	x.nextID++
-	p := x.slab.next()
-	*p = Packet{ID: x.nextID, Src: node, Dst: port, Flits: flits, CreatedAt: x.cycle}
+	p := Packet{ID: x.nextID, Src: node, Dst: port, Flits: flits, CreatedAt: x.cycle}
+	slot := x.pkts.add(p)
 	for s := 0; s < flits; s++ {
-		x.injectQ[node].push(flit{pkt: p, head: s == 0, tail: s == flits-1})
+		x.injectQ[node].push(flit{slot: slot, dst: int32(port), head: s == 0, tail: s == flits-1})
 	}
 	return p, nil
 }
@@ -201,21 +198,22 @@ func (x *Xbar) Inject(node, port, flits int) (*Packet, error) {
 func (x *Xbar) Step() {
 	// Phase 1: each memory port accepts up to PortCapacity flits,
 	// arbitrating among the cluster hubs' VOQ heads.
+	var heads [maxClusters]*Packet
 	for port := 0; port < x.cfg.MemPorts; port++ {
-		// Bit c of live is set while x.heads[c] holds a packet.
+		// Bit c of live is set while heads[c] holds a packet.
 		var live uint64
-		for c := range x.heads {
-			if x.heads[c] = x.voqHead(c, port); x.heads[c] != nil {
+		for c := 0; c < x.cfg.Clusters; c++ {
+			if heads[c] = x.voqHead(c, port); heads[c] != nil {
 				live |= 1 << c
 			}
 		}
 		for grant := 0; grant < x.cfg.PortCapacity; grant++ {
-			hub := x.arb.pick(port, live, x.heads)
+			hub := x.arb.pick(port, live, heads[:])
 			if hub < 0 {
 				break
 			}
 			f := x.voq[hub][port].pop()
-			if x.heads[hub] = x.voqHead(hub, port); x.heads[hub] == nil {
+			if heads[hub] = x.voqHead(hub, port); heads[hub] == nil {
 				live &^= 1 << hub
 			}
 			x.arb.commit(port, hub)
@@ -225,9 +223,11 @@ func (x *Xbar) Step() {
 				x.obs.portGrants[port].Inc()
 			}
 			if f.tail {
-				x.AcceptedPackets[f.pkt.Src]++
+				p := &x.pkts.pkts[f.slot]
+				x.AcceptedPackets[p.Src]++
 				x.obs.tracer.Span("xbar", "pkt",
-					f.pkt.CreatedAt, x.cycle-f.pkt.CreatedAt, int64(f.pkt.Src), int64(f.pkt.ID))
+					p.CreatedAt, x.cycle-p.CreatedAt, int64(p.Src), int64(p.ID))
+				x.pkts.release(f.slot)
 			}
 		}
 	}
@@ -243,7 +243,7 @@ func (x *Xbar) Step() {
 				if q.empty() {
 					continue
 				}
-				voq := &x.voq[c][q.peek().pkt.Dst]
+				voq := &x.voq[c][q.peek().dst]
 				if voq.full() {
 					x.obs.stallVOQ.Inc()
 					continue
@@ -270,7 +270,7 @@ func (x *Xbar) Step() {
 // nil when the VOQ is empty.
 func (x *Xbar) voqHead(cluster, port int) *Packet {
 	if q := &x.voq[cluster][port]; !q.empty() {
-		return q.peek().pkt
+		return &x.pkts.pkts[q.peek().slot]
 	}
 	return nil
 }
@@ -340,37 +340,16 @@ func RunXbarFairness(cfg XbarFairnessConfig) (*FairnessResult, error) {
 		return nil, err
 	}
 	x.Observe(cfg.Obs)
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	topUp := func() {
-		for node := 0; node < x.Nodes(); node++ {
-			if rng.Float64() >= cfg.InjectRate {
-				continue
-			}
-			if x.PendingInjection(node) > 16*cfg.PacketFlits {
-				continue
-			}
-			if _, err := x.Inject(node, rng.Intn(cfg.Xbar.MemPorts), cfg.PacketFlits); err != nil {
-				panic(err) // ranges validated above
-			}
-		}
+	nodes := make([]int, x.Nodes())
+	for node := range nodes {
+		nodes[node] = node
 	}
-	for c := 0; c < cfg.Warmup; c++ {
-		topUp()
-		x.Step()
+	ports := make([]int, cfg.Xbar.MemPorts)
+	for p := range ports {
+		ports[p] = p
 	}
-	base := make([]int64, x.Nodes())
-	copy(base, x.AcceptedPackets)
-	for c := 0; c < cfg.Cycles; c++ {
-		topUp()
-		x.Step()
-	}
-	res := &FairnessResult{}
-	for node := 0; node < x.Nodes(); node++ {
-		res.ComputeNodes = append(res.ComputeNodes, node)
-	}
-	for p := 0; p < cfg.Xbar.MemPorts; p++ {
-		res.MCs = append(res.MCs, p)
-	}
+	base := offerLoad(x, nodes, ports, cfg.PacketFlits, cfg.InjectRate, cfg.Warmup, cfg.Cycles, cfg.Seed, x.AcceptedPackets)
+	res := &FairnessResult{ComputeNodes: nodes, MCs: ports}
 	res.fold(x.AcceptedPackets, base, cfg.Cycles)
 	return res, nil
 }

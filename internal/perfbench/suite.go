@@ -43,7 +43,7 @@ func ExperimentLoop(b *testing.B, id string, cfg gpu.Config) {
 // report a delivery figure of merit without retaining payloads.
 type droppingSink struct{ packets int64 }
 
-func (s *droppingSink) Accept(_ *noc.Packet, lastFlit bool, _ int64) bool {
+func (s *droppingSink) Accept(_ noc.Packet, lastFlit bool, _ int64) bool {
 	if lastFlit {
 		s.packets++
 	}
@@ -86,8 +86,10 @@ func Suite() []Benchmark {
 		{
 			Name: "fig21_quick",
 			Doc:  "end-to-end quick fig21 request/reply mesh simulation on A100 incl. fresh Context (the NoC simulators' key)",
-			// ~1.6 k allocs/op; one allocation per injected packet, as
-			// before the packet slab, would add ~62 k.
+			// ~1.4 k allocs/op. The packet tables recycle delivered
+			// packets' slots, so they allocate only while growing to the
+			// peak in flight; one allocation per injected packet would
+			// add ~62 k.
 			DefaultBudget: Budget{MaxNsRatio: DefaultMaxNsRatio, MaxAllocsDelta: 4096},
 			Fn: func(b *testing.B) {
 				ExperimentLoop(b, "fig21", gpu.A100())

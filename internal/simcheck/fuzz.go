@@ -150,7 +150,7 @@ type refuseSink struct {
 	pct  int
 }
 
-func (s *refuseSink) Accept(_ *noc.Packet, _ bool, cycle int64) bool {
+func (s *refuseSink) Accept(_ noc.Packet, _ bool, cycle int64) bool {
 	h := s.seed ^ uint64(cycle)*0x9e3779b97f4a7c15 ^ uint64(s.node)*0xbf58476d1ce4e5b9
 	h ^= h >> 29
 	h *= 0x94d049bb133111eb

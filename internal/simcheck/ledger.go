@@ -36,7 +36,7 @@ func newLedger() ledger {
 
 // record opens an entry for a freshly injected packet and returns
 // false if the packet ID is already on the books (an ID reuse).
-func (l *ledger) record(p *noc.Packet, minLat int64) bool {
+func (l *ledger) record(p noc.Packet, minLat int64) bool {
 	if _, dup := l.index[p.ID]; dup {
 		return false
 	}

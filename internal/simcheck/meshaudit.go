@@ -132,7 +132,7 @@ func (a *MeshAuditor) SetSabotage(mode string) error {
 
 // RecordInject opens the ledger entry for a packet returned by
 // Mesh.Inject. Call it immediately after every successful Inject.
-func (a *MeshAuditor) RecordInject(p *noc.Packet) {
+func (a *MeshAuditor) RecordInject(p noc.Packet) {
 	if p.ID <= a.lastID {
 		a.violatef("monotone-id", a.m.Cycle(),
 			"packet ID %d injected after ID %d; IDs must strictly increase", p.ID, a.lastID)
@@ -154,7 +154,7 @@ func (a *MeshAuditor) RecordInject(p *noc.Packet) {
 // exactly its Manhattan hop count of links, spends one cycle entering
 // the network, and ejects one flit per cycle, so the tail cannot
 // arrive before CreatedAt + hops + Flits.
-func (a *MeshAuditor) minLatency(p *noc.Packet) int64 {
+func (a *MeshAuditor) minLatency(p noc.Packet) int64 {
 	w := a.m.Config().Width
 	sx, sy := p.Src%w, p.Src/w
 	dx, dy := p.Dst%w, p.Dst/w
@@ -183,7 +183,7 @@ type auditSink struct {
 // Accept defers to the inner sink's admission decision, then books the
 // delivery when (and only when) it was accepted. A refused flit stays
 // in the router, so the ledger must not move.
-func (s *auditSink) Accept(p *noc.Packet, lastFlit bool, cycle int64) bool {
+func (s *auditSink) Accept(p noc.Packet, lastFlit bool, cycle int64) bool {
 	if s.inner != nil && !s.inner.Accept(p, lastFlit, cycle) {
 		return false
 	}
@@ -196,7 +196,7 @@ func (s *auditSink) Accept(p *noc.Packet, lastFlit bool, cycle int64) bool {
 
 // noteDelivery books one accepted flit. Hot-reachable via Accept: no
 // allocation, no map iteration, no formatting.
-func (a *MeshAuditor) noteDelivery(node int, p *noc.Packet, lastFlit bool, cycle int64) {
+func (a *MeshAuditor) noteDelivery(node int, p noc.Packet, lastFlit bool, cycle int64) {
 	e := a.led.lookup(p.ID)
 	if e == nil {
 		a.noteAnomaly(anomUnknownPacket, p.ID, node, cycle, 0, 0)

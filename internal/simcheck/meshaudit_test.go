@@ -136,7 +136,7 @@ func TestOccupancyViolationDetected(t *testing.T) {
 func TestWrongDestinationDetected(t *testing.T) {
 	m := smallMesh(t, noc.MeshConfig{Width: 2, Height: 2, BufferFlits: 2, Arbiter: noc.RoundRobin})
 	a := NewMeshAuditor(m)
-	p := &noc.Packet{ID: 1, Src: 0, Dst: 3, Flits: 1, CreatedAt: 0}
+	p := noc.Packet{ID: 1, Src: 0, Dst: 3, Flits: 1, CreatedAt: 0}
 	a.RecordInject(p)
 	a.noteDelivery(2, p, true, 5) // ejects at node 2, not 3
 	a.CheckFinal()
@@ -149,7 +149,7 @@ func TestWrongDestinationDetected(t *testing.T) {
 func TestDuplicateTailDetected(t *testing.T) {
 	m := smallMesh(t, noc.MeshConfig{Width: 2, Height: 2, BufferFlits: 2, Arbiter: noc.RoundRobin})
 	a := NewMeshAuditor(m)
-	p := &noc.Packet{ID: 1, Src: 0, Dst: 1, Flits: 1, CreatedAt: 0}
+	p := noc.Packet{ID: 1, Src: 0, Dst: 1, Flits: 1, CreatedAt: 0}
 	a.RecordInject(p)
 	a.noteDelivery(1, p, true, 2)
 	a.noteDelivery(1, p, true, 3)
@@ -163,8 +163,8 @@ func TestDuplicateTailDetected(t *testing.T) {
 func TestReusedPacketIDDetected(t *testing.T) {
 	m := smallMesh(t, noc.MeshConfig{Width: 2, Height: 2, BufferFlits: 2, Arbiter: noc.RoundRobin})
 	a := NewMeshAuditor(m)
-	a.RecordInject(&noc.Packet{ID: 7, Src: 0, Dst: 1, Flits: 1})
-	a.RecordInject(&noc.Packet{ID: 7, Src: 2, Dst: 3, Flits: 1})
+	a.RecordInject(noc.Packet{ID: 7, Src: 0, Dst: 1, Flits: 1})
+	a.RecordInject(noc.Packet{ID: 7, Src: 2, Dst: 3, Flits: 1})
 	if !hasInvariant(a.Violations(), "duplication") {
 		t.Fatalf("reused packet ID not flagged:\n%s", a.Summary())
 	}
@@ -175,10 +175,10 @@ func TestReusedPacketIDDetected(t *testing.T) {
 func TestFramingViolationsDetected(t *testing.T) {
 	m := smallMesh(t, noc.MeshConfig{Width: 2, Height: 2, BufferFlits: 2, Arbiter: noc.RoundRobin})
 	a := NewMeshAuditor(m)
-	early := &noc.Packet{ID: 1, Src: 0, Dst: 1, Flits: 3, CreatedAt: 0}
+	early := noc.Packet{ID: 1, Src: 0, Dst: 1, Flits: 3, CreatedAt: 0}
 	a.RecordInject(early)
 	a.noteDelivery(1, early, true, 4) // tail after only 1 of 3 flits
-	late := &noc.Packet{ID: 2, Src: 0, Dst: 2, Flits: 1, CreatedAt: 0}
+	late := noc.Packet{ID: 2, Src: 0, Dst: 2, Flits: 1, CreatedAt: 0}
 	a.RecordInject(late)
 	a.noteDelivery(2, late, false, 4) // 1st of 1 flits without tail
 	a.CheckFinal()
@@ -191,8 +191,8 @@ func TestFramingViolationsDetected(t *testing.T) {
 func TestWormholeInterleaveDetected(t *testing.T) {
 	m := smallMesh(t, noc.MeshConfig{Width: 2, Height: 2, BufferFlits: 2, Arbiter: noc.RoundRobin})
 	a := NewMeshAuditor(m)
-	pa := &noc.Packet{ID: 1, Src: 0, Dst: 3, Flits: 2, CreatedAt: 0}
-	pb := &noc.Packet{ID: 2, Src: 1, Dst: 3, Flits: 2, CreatedAt: 0}
+	pa := noc.Packet{ID: 1, Src: 0, Dst: 3, Flits: 2, CreatedAt: 0}
+	pb := noc.Packet{ID: 2, Src: 1, Dst: 3, Flits: 2, CreatedAt: 0}
 	a.RecordInject(pa)
 	a.RecordInject(pb)
 	a.noteDelivery(3, pa, false, 4)
@@ -208,7 +208,7 @@ func TestWormholeInterleaveDetected(t *testing.T) {
 func TestLatencyBoundViolationDetected(t *testing.T) {
 	m := smallMesh(t, noc.MeshConfig{Width: 3, Height: 3, BufferFlits: 2, Arbiter: noc.RoundRobin})
 	a := NewMeshAuditor(m)
-	p := &noc.Packet{ID: 1, Src: 0, Dst: 8, Flits: 2, CreatedAt: 10}
+	p := noc.Packet{ID: 1, Src: 0, Dst: 8, Flits: 2, CreatedAt: 10}
 	a.RecordInject(p)
 	a.noteDelivery(8, p, false, 12)
 	a.noteDelivery(8, p, true, 13) // lat 3 < hops(4) + flits(2)
@@ -222,8 +222,8 @@ func TestLatencyBoundViolationDetected(t *testing.T) {
 func TestMonotoneIDViolationDetected(t *testing.T) {
 	m := smallMesh(t, noc.MeshConfig{Width: 2, Height: 2, BufferFlits: 2, Arbiter: noc.RoundRobin})
 	a := NewMeshAuditor(m)
-	a.RecordInject(&noc.Packet{ID: 5, Src: 0, Dst: 1, Flits: 1})
-	a.RecordInject(&noc.Packet{ID: 3, Src: 1, Dst: 2, Flits: 1})
+	a.RecordInject(noc.Packet{ID: 5, Src: 0, Dst: 1, Flits: 1})
+	a.RecordInject(noc.Packet{ID: 3, Src: 1, Dst: 2, Flits: 1})
 	if !hasInvariant(a.Violations(), "monotone-id") {
 		t.Fatalf("non-monotone IDs not flagged:\n%s", a.Summary())
 	}
@@ -236,7 +236,7 @@ func TestDrainedButLedgerOpenDetected(t *testing.T) {
 	a := NewMeshAuditor(m)
 	// Ledgered but never actually injected into the mesh: the mesh
 	// drains trivially while the ledger waits forever.
-	a.RecordInject(&noc.Packet{ID: 1, Src: 0, Dst: 1, Flits: 2, CreatedAt: 0})
+	a.RecordInject(noc.Packet{ID: 1, Src: 0, Dst: 1, Flits: 2, CreatedAt: 0})
 	a.CheckFinal()
 	if !hasInvariant(a.Violations(), "drained-ledger") {
 		t.Fatalf("drained-with-open-ledger not flagged:\n%s", a.Summary())

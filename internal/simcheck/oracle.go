@@ -217,13 +217,13 @@ func TraceBytes(steps [][]uint64) []byte {
 }
 
 // ParseTrace inverts TraceBytes. A trailing newline is optional;
-// blank lines are empty timesteps.
+// blank lines are empty timesteps, and only empty input is an empty
+// trace ("\n" is one empty timestep, as TraceBytes writes it).
 func ParseTrace(data []byte) ([][]uint64, error) {
-	text := strings.TrimSuffix(string(data), "\n")
-	if text == "" {
+	if len(data) == 0 {
 		return nil, nil
 	}
-	lines := strings.Split(text, "\n")
+	lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
 	steps := make([][]uint64, len(lines))
 	for i, line := range lines {
 		fields := strings.Fields(line)

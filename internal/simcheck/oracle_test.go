@@ -2,9 +2,11 @@ package simcheck
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"gpunoc/internal/noc"
+	"gpunoc/internal/workload"
 )
 
 // The mesh must match the analytical zero-load model EXACTLY for every
@@ -110,4 +112,47 @@ func TestParseTraceErrors(t *testing.T) {
 	if err != nil || len(steps) != 0 {
 		t.Fatalf("empty trace: steps=%v err=%v", steps, err)
 	}
+}
+
+// ext5Steps is the quick ext5 experiment's replay trace: the first four
+// BFS timesteps with 200 to 4000 transactions.
+func ext5Steps(t testing.TB) [][]uint64 {
+	bfs, err := workload.NewBFS(6000, 6, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var steps [][]uint64
+	for s := 0; s < bfs.Steps() && len(steps) < 4; s++ {
+		if addrs := bfs.Step(s); len(addrs) >= 200 && len(addrs) <= 4000 {
+			steps = append(steps, addrs)
+		}
+	}
+	return steps
+}
+
+// FuzzParseTrace requires every input to either fail to parse or parse
+// to steps that TraceBytes writes back as a trace parsing to the same
+// steps (up to nil-vs-empty of a step).
+func FuzzParseTrace(f *testing.F) {
+	f.Add(TraceBytes(ext5Steps(f)))
+	f.Add([]byte("100 zzz\n"))
+	f.Add([]byte(nil))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		steps, err := ParseTrace(data)
+		if err != nil {
+			return
+		}
+		again, err := ParseTrace(TraceBytes(steps))
+		if err != nil {
+			t.Fatalf("TraceBytes of %q's steps does not parse: %v", data, err)
+		}
+		if len(again) != len(steps) {
+			t.Fatalf("%q: %d steps round-trip to %d", data, len(steps), len(again))
+		}
+		for i := range steps {
+			if !slices.Equal(steps[i], again[i]) {
+				t.Fatalf("%q: step %d %v round-trips to %v", data, i, steps[i], again[i])
+			}
+		}
+	})
 }

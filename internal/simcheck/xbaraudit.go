@@ -29,7 +29,7 @@ func NewXbarAuditor(x *noc.Xbar) *XbarAuditor {
 
 // RecordInject opens the ledger entry for a packet returned by
 // Xbar.Inject. Call it immediately after every successful Inject.
-func (a *XbarAuditor) RecordInject(p *noc.Packet) {
+func (a *XbarAuditor) RecordInject(p noc.Packet) {
 	if p.ID <= a.lastID {
 		a.violatef("monotone-id", a.x.Cycle(),
 			"packet ID %d injected after ID %d; IDs must strictly increase", p.ID, a.lastID)

@@ -70,7 +70,7 @@ func TestXbarOccupancyViolationDetected(t *testing.T) {
 func TestXbarConservationViolationDetected(t *testing.T) {
 	x := smallXbar(t)
 	a := NewXbarAuditor(x)
-	a.RecordInject(&noc.Packet{ID: 1, Src: 0, Dst: 0, Flits: 3}) // ledger-only
+	a.RecordInject(noc.Packet{ID: 1, Src: 0, Dst: 0, Flits: 3}) // ledger-only
 	x.Step()
 	a.CheckCycle()
 	if !hasInvariant(a.Violations(), "conservation") {
@@ -82,7 +82,7 @@ func TestXbarConservationViolationDetected(t *testing.T) {
 func TestXbarDrainedLedgerViolationsDetected(t *testing.T) {
 	// Direction 1: ledger open, crossbar drained.
 	a := NewXbarAuditor(smallXbar(t))
-	a.RecordInject(&noc.Packet{ID: 1, Src: 0, Dst: 1, Flits: 2})
+	a.RecordInject(noc.Packet{ID: 1, Src: 0, Dst: 1, Flits: 2})
 	a.CheckFinal()
 	if !hasInvariant(a.Violations(), "drained-ledger") {
 		t.Fatalf("drained-with-open-ledger not flagged:\n%s", a.Summary())
@@ -122,8 +122,8 @@ func TestXbarAggregateMismatchDetected(t *testing.T) {
 
 func TestXbarMonotoneIDViolationDetected(t *testing.T) {
 	a := NewXbarAuditor(smallXbar(t))
-	a.RecordInject(&noc.Packet{ID: 9, Src: 0, Dst: 0, Flits: 1})
-	a.RecordInject(&noc.Packet{ID: 4, Src: 1, Dst: 1, Flits: 1})
+	a.RecordInject(noc.Packet{ID: 9, Src: 0, Dst: 0, Flits: 1})
+	a.RecordInject(noc.Packet{ID: 4, Src: 1, Dst: 1, Flits: 1})
 	if !hasInvariant(a.Violations(), "monotone-id") {
 		t.Fatalf("non-monotone IDs not flagged:\n%s", a.Summary())
 	}
