@@ -27,7 +27,7 @@ import (
 
 // BenchmarkExperiments cold-fills, in quick mode, every (gpu, experiment)
 // key that `nocchar -all` runs, as sub-benchmark <GPU>/<id>. A key whose
-// run returns an error is reported as a skip carrying that error.
+// run returns an error fails.
 func BenchmarkExperiments(b *testing.B) {
 	for _, cfg := range gpu.AllConfigs() {
 		b.Run(string(cfg.Name), func(b *testing.B) {

@@ -48,6 +48,8 @@ trap - EXIT
 echo "==> go test -race -shuffle=on"
 # -shuffle randomizes test (and subtest-group) execution order every
 # run, so inter-test state dependencies fail in CI instead of lurking.
+# This runs every fuzz target's seed corpus too, among them
+# FuzzNoCCase's 64 seeded NoC cases under the simcheck invariant audit.
 go test -race -shuffle=on ./...
 
 echo "==> root benchmarks once, examples run"
@@ -63,23 +65,6 @@ for ex in examples/*; do
 	fi
 done
 
-echo "==> nocfuzz invariant sweep (race)"
-# The differential oracles (zero-load latency, arbiter low-load
-# equivalence, replay determinism) plus 64 seeded fuzz cases must clear
-# the full invariant audit — flit conservation, occupancy bounds, no
-# duplication, wormhole framing, latency >= Manhattan bound, monotone
-# IDs, Drained()<=>ledger-empty — with the race detector watching.
-go run -race ./cmd/nocfuzz -seeds 64 -budget 30s
-
-echo "==> nocfuzz seeded-sabotage smoke"
-# Prove the harness bites: -break-invariant audits a healthy mesh
-# through a sabotaged tap (a double-counted tail flit) and must exit
-# non-zero with conservation findings, or the invariant gate is dead.
-if go run -race ./cmd/nocfuzz -break-invariant >/dev/null 2>&1; then
-	echo "nocfuzz -break-invariant passed with sabotaged accounting; the invariant gate is dead" >&2
-	exit 1
-fi
-
 echo "==> native fuzz targets (short -fuzztime)"
 # go test runs only the seed corpora; this stage mutates past them for a
 # few seconds per target, one go test -fuzz per target because -fuzz
@@ -92,6 +77,7 @@ fuzz_target() {
 fuzz_target FuzzEncryptBlock ./internal/aes
 fuzz_target FuzzCacheAccess ./internal/cache
 fuzz_target FuzzParseTrace ./internal/simcheck
+fuzz_target FuzzNoCCase ./internal/simcheck
 
 echo "==> native fuzz seeded-failure smoke"
 # Prove the stage bites: a transient package whose fuzz target fails on

@@ -164,17 +164,13 @@ func TestServeMatrixByteIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, runErr := core.RunResult(ctx, e)
-			status, cache, body := get(t, url)
-			if runErr != nil {
-				// A pair the experiment itself refuses at runtime (e.g.
-				// fig19 on V100) prints an error in the CLI too; the
-				// server must surface it, not fabricate a body.
-				if status != http.StatusInternalServerError {
-					t.Errorf("%s/%s: status %d for a run-refused pair, want 500", cfg.Name, e.ID, status)
-				}
-				continue
+			// The registry lists only pairs that run, so a refusal is a
+			// registry defect.
+			res, err := core.RunResult(ctx, e)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", cfg.Name, e.ID, err)
 			}
+			status, cache, body := get(t, url)
 			if status != http.StatusOK {
 				t.Fatalf("GET %s: status %d: %s", url, status, body)
 			}

@@ -93,13 +93,8 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 			if !e.SupportsGPU(gen) {
 				continue
 			}
-			// fig19 needs partitions; its registry entry is
-			// generation-neutral but errors helpfully on V100.
 			arts, err := e.Run(ctx)
 			if err != nil {
-				if e.ID == "fig19" && gen == gpu.GenV100 {
-					continue
-				}
 				t.Errorf("%s on %s: %v", e.ID, gen, err)
 				continue
 			}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"gpunoc/internal/gpu"
 	"gpunoc/internal/kernel"
 	"gpunoc/internal/rsa"
 	"gpunoc/internal/sidechannel"
@@ -33,6 +34,7 @@ func init() {
 		ID:    "fig19",
 		Title: "Fig 19: RSA ones-count recovery under static vs random scheduling",
 		Paper: "Static: clean line, accurate inference; random: noisy, inference fails",
+		GPUs:  []gpu.Generation{gpu.GenA100, gpu.GenH100},
 		Run:   runFig19,
 	})
 }
@@ -186,6 +188,8 @@ func runFig18(ctx *Context) ([]Artifact, error) {
 
 func runFig19(ctx *Context) ([]Artifact, error) {
 	dev := ctx.Device
+	// The registry keeps V100 away; this guards a direct Run on a
+	// custom spec without partitions.
 	if dev.Config().Partitions < 2 {
 		return nil, fmt.Errorf("core: fig19 models the partitioned-GPU RSA kernel; run on A100 or H100")
 	}

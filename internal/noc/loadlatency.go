@@ -5,7 +5,6 @@ import (
 	"gpunoc/internal/units"
 
 	"fmt"
-	"math/rand"
 )
 
 // This file adds the classic NoC characterization sweep - average packet
@@ -98,31 +97,10 @@ func RunLoadLatency(cfg LoadLatencyConfig) ([]LoadPoint, error) {
 			sinks[i] = &latencySink{measureFrom: int64(cfg.Warmup)}
 			m.SetSink(n, sinks[i])
 		}
-		rng := rand.New(rand.NewSource(cfg.Seed))
-		step := func() error {
-			for _, src := range compute {
-				if rng.Float64() >= rate {
-					continue
-				}
-				if m.PendingInjection(src) > 16*cfg.PacketFlits {
-					continue
-				}
-				dst := mcs[rng.Intn(len(mcs))]
-				if _, err := m.Inject(src, dst, cfg.PacketFlits); err != nil {
-					return err
-				}
-			}
-			m.Step()
-			return nil
-		}
 		// The sinks themselves ignore warm-up-created packets (see
 		// latencySink), so no baseline subtraction is needed: everything
 		// they record belongs to the measurement interval.
-		for c := 0; c < cfg.Warmup+cfg.Cycles; c++ {
-			if err := step(); err != nil {
-				return nil, err
-			}
-		}
+		offerLoad(m, compute, mcs, cfg.PacketFlits, rate, cfg.Warmup, cfg.Cycles, cfg.Seed, nil)
 		var pkts, lat int64
 		for _, s := range sinks {
 			pkts += s.packets

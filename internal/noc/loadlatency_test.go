@@ -25,35 +25,50 @@ func (s *recordingSink) Accept(p Packet, lastFlit bool, cycle int64) bool {
 // injected DURING warm-up and delivered during measurement; near
 // saturation those carry warm-up queueing and bias the mean upward.
 // Replay the sweep's exact injection sequence with a recording sink,
-// recompute both counting rules, and check RunLoadLatency now matches
-// the unbiased rule - at the highest swept rate, where the bias was
-// worst.
+// recompute both counting rules, and check RunLoadLatency matches the
+// unbiased rule at every default rate. At the highest rate, where the
+// bias was worst, the two rules must disagree, or the check could not
+// tell them apart.
 func TestLoadLatencyWarmupBiasGone(t *testing.T) {
 	cfg := DefaultLoadLatencyConfig(RoundRobin, 11)
-	rate := cfg.Rates[len(cfg.Rates)-1]
-	cfg.Rates = []float64{rate}
+	points, err := RunLoadLatency(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, rate := range cfg.Rates {
+		unbiased, old := replayLoadLatency(t, cfg, rate)
+		if got := float64(points[i].AvgLatency); math.Abs(got-unbiased) > 1e-9 {
+			t.Errorf("rate %.2f: AvgLatency = %.4f, want unbiased %.4f (old biased rule gives %.4f)", rate, got, unbiased, old)
+		}
+		if i == len(cfg.Rates)-1 && old <= unbiased {
+			t.Fatalf("rate %.2f: old counting rule (%.2f) not above unbiased (%.2f); test lost its teeth", rate, old, unbiased)
+		}
+	}
+}
 
-	// Replica of RunLoadLatency's loop: same topology, same seed, same
-	// rng consumption order; the sink always accepts in both, so the
-	// mesh dynamics are identical.
+// replayLoadLatency is an independent replica of one RunLoadLatency
+// point: same topology, same seed, same rng consumption order, and a
+// sink that always accepts, so the mesh dynamics are identical. It
+// returns the mean latency under the unbiased rule (packets created
+// during measurement) and under the old one (packets delivered during
+// measurement).
+func replayLoadLatency(t *testing.T, cfg LoadLatencyConfig, rate float64) (unbiased, old float64) {
+	t.Helper()
 	m, err := NewMesh(cfg.Mesh)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var mcs []int
-	for x := 0; x < cfg.Mesh.Width; x++ {
-		mcs = append(mcs, m.NodeAt(x, cfg.Mesh.Height-1))
-	}
+	// MCs on the bottom row, compute nodes everywhere else.
 	rec := &recordingSink{}
-	isMC := map[int]bool{}
-	for _, n := range mcs {
-		m.SetSink(n, rec)
-		isMC[n] = true
-	}
-	var compute []int
-	for n := 0; n < m.Nodes(); n++ {
-		if !isMC[n] {
-			compute = append(compute, n)
+	var mcs, compute []int
+	for y := 0; y < cfg.Mesh.Height; y++ {
+		for x := 0; x < cfg.Mesh.Width; x++ {
+			if n := m.NodeAt(x, y); y < cfg.Mesh.Height-1 {
+				compute = append(compute, n)
+			} else {
+				mcs = append(mcs, n)
+				m.SetSink(n, rec)
+			}
 		}
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -78,34 +93,16 @@ func TestLoadLatencyWarmupBiasGone(t *testing.T) {
 	for i := range rec.created {
 		lat := rec.delivered[i] - rec.created[i]
 		if rec.created[i] >= warm {
-			// The fixed rule: only measurement-created packets.
 			unbPkts++
 			unbLat += lat
 		}
 		if rec.delivered[i] >= warm {
-			// The old rule: everything delivered during measurement,
-			// including warm-up-created packets.
 			oldPkts++
 			oldLat += lat
 		}
 	}
 	if unbPkts == 0 || oldPkts == 0 {
-		t.Fatal("replica recorded no deliveries")
+		t.Fatalf("rate %.2f: replica recorded no deliveries", rate)
 	}
-	unbiased := float64(unbLat) / float64(unbPkts)
-	old := float64(oldLat) / float64(oldPkts)
-	// Sanity: the two rules genuinely disagree at saturation, so the
-	// assertion below distinguishes old from new behaviour.
-	if old <= unbiased {
-		t.Fatalf("old counting rule (%.2f) not above unbiased (%.2f); test lost its teeth", old, unbiased)
-	}
-
-	points, err := RunLoadLatency(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := float64(points[0].AvgLatency)
-	if math.Abs(got-unbiased) > 1e-9 {
-		t.Errorf("AvgLatency = %.4f, want unbiased %.4f (old biased rule gives %.4f)", got, unbiased, old)
-	}
+	return float64(unbLat) / float64(unbPkts), float64(oldLat) / float64(oldPkts)
 }

@@ -109,9 +109,9 @@ func refNeighbor(cfg MeshConfig, node, out int) (next, inPort int, ok bool) {
 
 // TestNodeTablesMatchArithmetic pins NewMesh's coordinate and
 // downstream-ring tables to the arithmetic maps on every mesh size
-// nocfuzz generates (2-4 x 1-4), two larger squares, and single-row and
-// single-column meshes, and checks route against XY order on every
-// (node, dst) pair.
+// simcheck.GenCase generates (2-4 x 1-4), two larger squares, and
+// single-row and single-column meshes, and checks route against XY
+// order on every (node, dst) pair.
 func TestNodeTablesMatchArithmetic(t *testing.T) {
 	var sizes [][2]int
 	for w := 2; w <= 4; w++ {

@@ -25,30 +25,41 @@ func TestGenCaseDeterministic(t *testing.T) {
 	}
 }
 
-// A slice of the CI sweep runs inside the unit suite so `go test`
-// alone exercises the fuzz path.
-func TestFuzzSweepSmoke(t *testing.T) {
-	for seed := int64(1); seed <= 8; seed++ {
-		rep, err := RunCase(GenCase(seed))
+// FuzzNoCCase audits GenCase(seed): go test runs seeds 1-64, and -fuzz
+// mutates past them. A case fails on an error, a violation or a network
+// that never drains, with a reproducer for the shrunk case.
+func FuzzNoCCase(f *testing.F) {
+	for seed := int64(1); seed <= 64; seed++ {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		c := GenCase(seed)
+		rep, err := RunCase(c)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if !rep.Ok() {
-			t.Fatalf("seed %d violated invariants:\n%v", seed, rep.Violations)
+		if rep.Ok() && rep.Drained {
+			return
 		}
-		if !rep.Drained {
-			t.Fatalf("seed %d failed to drain", seed)
-		}
-	}
+		shrunk := Shrink(c)
+		t.Fatalf("seed %d (%s, %d injections): drained=%v, violations:\n%v\nshrunk to %d injection(s); reproducer:\n\n%s",
+			seed, c.Kind, len(c.Injections), rep.Drained, rep.Violations, len(shrunk.Injections), Reproducer(shrunk))
+	})
 }
 
-// Both sabotage modes must be caught — this is what -break-invariant
-// stakes CI on.
-func TestSabotageModesDetected(t *testing.T) {
-	base := GenCase(1)
-	for base.Kind != "mesh" {
-		base = GenCase(base.Seed + 1)
+// firstCase returns the first GenCase of kind at or after seed.
+func firstCase(kind string, seed int64) Case {
+	c := GenCase(seed)
+	for c.Kind != kind {
+		c = GenCase(c.Seed + 1)
 	}
+	return c
+}
+
+// Both sabotage modes must be caught, or a clean FuzzNoCCase run would
+// prove nothing about the auditor.
+func TestSabotageModesDetected(t *testing.T) {
+	base := firstCase("mesh", 1)
 	for _, mode := range []string{SabotageDoubleTail, SabotageDropRecord} {
 		c := base
 		c.Sabotage = mode
@@ -94,10 +105,7 @@ func TestShrinkMinimizesFailingCase(t *testing.T) {
 // The reproducer must be a recognizable, complete snippet for the
 // exact case.
 func TestReproducerRendersCase(t *testing.T) {
-	c := GenCase(3)
-	for c.Kind != "mesh" {
-		c = GenCase(c.Seed + 1)
-	}
+	c := firstCase("mesh", 3)
 	c.RefusePct = 17
 	src := Reproducer(c)
 	for _, want := range []string{
@@ -108,10 +116,7 @@ func TestReproducerRendersCase(t *testing.T) {
 			t.Errorf("reproducer missing %q:\n%s", want, src)
 		}
 	}
-	x := GenCase(1)
-	for x.Kind != "xbar" {
-		x = GenCase(x.Seed + 1)
-	}
+	x := firstCase("xbar", 1)
 	if !strings.Contains(Reproducer(x), "noc.XbarConfig{") {
 		t.Error("xbar reproducer missing its config")
 	}
@@ -121,10 +126,7 @@ func TestRunCaseRejectsMalformedCases(t *testing.T) {
 	if _, err := RunCase(Case{Kind: "ring"}); err == nil {
 		t.Error("unknown kind accepted")
 	}
-	x := GenCase(1)
-	for x.Kind != "xbar" {
-		x = GenCase(x.Seed + 1)
-	}
+	x := firstCase("xbar", 1)
 	x.Sabotage = SabotageDoubleTail
 	if _, err := RunCase(x); err == nil {
 		t.Error("xbar sabotage accepted despite having no delivery tap")

@@ -61,7 +61,7 @@ type anomalyRecord struct {
 }
 
 // Sabotage modes deliberately corrupt the auditor's own bookkeeping so
-// a run provably trips the harness (cmd/nocfuzz -break-invariant; the
+// a run provably trips the harness (TestSabotageModesDetected; the
 // simulator itself is never touched).
 const (
 	// SabotageNone audits honestly.

@@ -16,8 +16,9 @@ func TestZeroLoadLatencyOracle(t *testing.T) {
 	for _, cfg := range []noc.MeshConfig{
 		{Width: 3, Height: 3, BufferFlits: 2, Arbiter: noc.RoundRobin},
 		{Width: 4, Height: 2, BufferFlits: 2, Arbiter: noc.AgeBased},
+		{Width: 4, Height: 4, BufferFlits: 2, Arbiter: noc.RoundRobin},
 	} {
-		v, err := ZeroLoadLatency(cfg, []int{1, 2, 5})
+		v, err := ZeroLoadLatency(cfg, []int{1, 2, 3, 5})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -31,12 +32,14 @@ func TestZeroLoadLatencyOracle(t *testing.T) {
 // so round-robin and age-based must be byte-for-byte equivalent.
 func TestArbiterLowLoadEquivalenceOracle(t *testing.T) {
 	cfg := noc.MeshConfig{Width: 4, Height: 4, BufferFlits: 2, Arbiter: noc.RoundRobin}
-	v, err := ArbiterLowLoadEquivalence(cfg, 3, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(v) != 0 {
-		t.Fatalf("arbiters diverge on uncontended traffic: %v", v[0])
+	for _, tc := range []struct{ seed, packets int }{{3, 64}, {11, 48}} {
+		v, err := ArbiterLowLoadEquivalence(cfg, int64(tc.seed), tc.packets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(v) != 0 {
+			t.Fatalf("seed %d: arbiters diverge on uncontended traffic: %v", tc.seed, v[0])
+		}
 	}
 }
 
@@ -59,13 +62,17 @@ func TestReplayDeterminismOracle(t *testing.T) {
 		Mesh:   noc.MeshConfig{Width: 4, Height: 4, BufferFlits: 4, Arbiter: noc.RoundRobin},
 		PortOf: noc.HashedPortMapping(4),
 	}
-	steps := [][]uint64{{0x0, 0x80, 0x4000, 0x4080}, {}, {0x10000}}
-	v, err := ReplayDeterminism(cfg, steps, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(v) != 0 {
-		t.Fatalf("replay nondeterministic: %v", v[0])
+	for _, steps := range [][][]uint64{
+		{{0x0, 0x80, 0x4000, 0x4080}, {}, {0x10000}},
+		{{0x1000, 0x2080, 0x40100}, {}, {0x8000, 0x8080}},
+	} {
+		v, err := ReplayDeterminism(cfg, steps, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(v) != 0 {
+			t.Fatalf("replay of %#x nondeterministic: %v", steps, v[0])
+		}
 	}
 }
 

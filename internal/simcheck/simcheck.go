@@ -1,9 +1,9 @@
 // Package simcheck is the correctness harness for the NoC simulators:
 // a reusable invariant auditor for Mesh and Xbar runs, differential
 // oracles that cross-check the simulators against closed-form answers
-// and against each other, and a deterministic fuzzer (driven by
-// cmd/nocfuzz) that hunts for conservation bugs across randomized
-// configurations and traffic patterns.
+// and against each other, and a deterministic case generator (driven by
+// the FuzzNoCCase fuzz target) that hunts for conservation bugs across
+// randomized configurations and traffic patterns.
 //
 // The invariant catalogue (every entry has a unit test that would
 // catch its violation; see DESIGN.md "simcheck"):
@@ -35,8 +35,8 @@
 // Xbar.VisitVOQs, the Sink interface) and never perturb simulation
 // state, so an audited run takes the exact same decisions as an
 // unaudited one. The one deliberate exception is Sabotage, which
-// plants a bookkeeping error on purpose so CI can prove the harness
-// still detects violations (cmd/nocfuzz -break-invariant).
+// plants a bookkeeping error on purpose so a test can prove the harness
+// still detects violations (TestSabotageModesDetected).
 package simcheck
 
 import "fmt"
