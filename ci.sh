@@ -52,12 +52,8 @@ echo "==> go test -race -shuffle=on"
 # FuzzNoCCase's 64 seeded NoC cases under the simcheck invariant audit.
 go test -race -shuffle=on ./...
 
-echo "==> root benchmarks once, examples run"
-# go vet compiles benchmarks but never runs them, and nothing else runs
-# the examples: every root benchmark (each (gpu, experiment) key, the
-# ablations, the facade) runs one iteration, then every examples/* main
-# must exit 0.
-go test -run '^$' -bench . -benchtime 1x .
+echo "==> examples run"
+# Nothing else runs the examples: every examples/* main must exit 0.
 for ex in examples/*; do
 	if ! go run "./$ex" >/dev/null; then
 		echo "example $ex failed" >&2
@@ -108,21 +104,41 @@ fi
 rm -rf "$fuzzdir"
 trap - EXIT
 
-echo "==> nocbench -check (perf ratchet vs bench.baseline.json)"
-# The curated benchmark suite must stay inside each entry's noise
-# budget relative to the committed baseline. -quick keeps the stage
-# cheap; the budgets are generous (default 2.5x) because shared runners
-# are noisy, but stale baseline entries and new unbaselined benchmarks
-# fail exactly like noclint's ratchet.
-go run ./cmd/nocbench -check -quick -baseline bench.baseline.json
-
-echo "==> nocbench seeded-regression smoke"
-# Prove the perf gate bites: a seeded 3x slowdown on mesh_step (via the
-# -slow-by self-test hook) must make -check exit non-zero.
-if go run ./cmd/nocbench -check -quick -bench mesh_step -slow-by mesh_step=3 -baseline bench.baseline.json >/dev/null 2>&1; then
-	echo "nocbench -check passed with a seeded 3x regression; the perf gate is dead" >&2
+echo "==> root benchmarks + nocbench ratchet (vs bench.baseline.json)"
+# go vet compiles benchmarks but never runs them. One go test run
+# records every root benchmark (each (gpu, experiment) key, the hot
+# paths, the ablations, the facade) three times, and a benchmark that
+# fails fails the stage. nocbench then checks the entries
+# bench.baseline.json names: a gated benchmark missing from the
+# recording, over its ns/op ratio (2.5x; shared runners are noisy) or
+# over its allocs/op delta fails, exactly like noclint's ratchet.
+benchdir=$(mktemp -d)
+trap 'rm -rf "$benchdir"' EXIT
+if ! go test -run '^$' -bench . -benchmem -count 3 -benchtime 100ms . >"$benchdir/bench.txt" 2>&1; then
+	cat "$benchdir/bench.txt" >&2
+	echo "root benchmarks failed" >&2
 	exit 1
 fi
+go build -o "$benchdir/nocbench" ./cmd/nocbench
+"$benchdir/nocbench" -baseline bench.baseline.json "$benchdir/bench.txt"
+
+echo "==> nocbench seeded-regression smoke"
+# Prove the perf gate bites: the same recording with BenchmarkMeshStep's
+# ns/op multiplied by 3 must make nocbench exit non-zero. It is checked
+# against a scratch baseline re-recorded from that same recording, so
+# the seeded ratio is exactly 3x: against the committed baseline, a run
+# that measured the mesh faster than 2.5/3 of its accepted ns/op would
+# stay inside the budget even at 3x.
+cp bench.baseline.json "$benchdir/baseline.json"
+"$benchdir/nocbench" -baseline "$benchdir/baseline.json" -write-baseline "$benchdir/bench.txt" >/dev/null
+awk '$1 ~ /^BenchmarkMeshStep(-[0-9]+)?$/ { for (i = 3; i < NF; i++) if ($(i + 1) == "ns/op") $i *= 3 } { print }' \
+	"$benchdir/bench.txt" >"$benchdir/slow.txt"
+if "$benchdir/nocbench" -baseline "$benchdir/baseline.json" "$benchdir/slow.txt" >/dev/null 2>&1; then
+	echo "nocbench passed a recording with a seeded 3x BenchmarkMeshStep regression; the perf gate is dead" >&2
+	exit 1
+fi
+rm -rf "$benchdir"
+trap - EXIT
 
 echo "==> nocchar -all parallel determinism smoke (race)"
 # The parallel runner must make pool size invisible: stdout of a full

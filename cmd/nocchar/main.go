@@ -22,6 +22,10 @@
 // event trace as Chrome trace-event JSON (load it in chrome://tracing or
 // Perfetto). Both files are byte-identical across runs at a fixed seed
 // and across -parallel values, and neither flag changes stdout.
+//
+// When an experiment's run fails, -exp and -all print its error to
+// stderr, print every other experiment and write the -metrics/-trace
+// files, then exit 1.
 package main
 
 import (
@@ -158,11 +162,6 @@ func main() {
 	// stderr to keep it that way. The same core.RunResult path backs the
 	// nocserve cache, whose responses are therefore byte-identical to
 	// this stdout (the renderers are shared, not reimplemented).
-	type outcome struct {
-		res *core.Result
-		err error
-		dur time.Duration
-	}
 	t0 := time.Now()
 	results, err := parallel.Map(*workers, len(exps), func(i int) (outcome, error) {
 		start := time.Since(t0)
@@ -180,40 +179,62 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	failed := printOutcomes(os.Stdout, os.Stderr, cfg.Name, exps, results, *jsonOut, *csv, *outDir)
+	if err := writeObsFiles(reg, *metricsOut, *traceOut); err != nil {
+		fatal(err)
+	}
+	if failed > 0 {
+		fatal(fmt.Errorf("%d experiment(s) failed", failed))
+	}
+}
+
+// outcome is one experiment's run: its result or error, and wall time.
+type outcome struct {
+	res *core.Result
+	err error
+	dur time.Duration
+}
+
+// printOutcomes writes each experiment's header and rendering to stdout
+// in the order of exps, its wall time and any run error to stderr, and
+// with outDir set its artifacts as CSV files there. A failed run prints
+// its header and error and the rest still print; the return value is
+// how many failed.
+func printOutcomes(stdout, stderr io.Writer, gen gpu.Generation, exps []*core.Experiment, outs []outcome, jsonOut, csv bool, outDir string) int {
+	failed := 0
 	for i, e := range exps {
-		fmt.Printf("=== %s: %s [%s]\n", e.ID, e.Title, cfg.Name)
-		fmt.Printf("    paper: %s\n\n", e.Paper)
-		res, runErr := results[i].res, results[i].err
-		fmt.Fprintf(os.Stderr, "nocchar: %s wall time %s\n", e.ID, results[i].dur.Round(time.Millisecond))
+		mustWrite(fmt.Fprintf(stdout, "=== %s: %s [%s]\n", e.ID, e.Title, gen))
+		mustWrite(fmt.Fprintf(stdout, "    paper: %s\n\n", e.Paper))
+		res, runErr := outs[i].res, outs[i].err
+		_, _ = fmt.Fprintf(stderr, "nocchar: %s wall time %s\n", e.ID, outs[i].dur.Round(time.Millisecond))
 		if runErr != nil {
-			fmt.Fprintf(os.Stderr, "    error: %v\n\n", runErr)
+			_, _ = fmt.Fprintf(stderr, "    error: %v\n\n", runErr)
+			failed++
 			continue
 		}
 		switch {
-		case *jsonOut:
+		case jsonOut:
 			data, err := res.JSONBytes()
 			if err != nil {
 				fatal(err)
 			}
-			mustWrite(os.Stdout.Write(data))
+			mustWrite(stdout.Write(data))
 			continue
-		case *csv:
-			mustWrite(os.Stdout.Write(res.CSVBytes()))
+		case csv:
+			mustWrite(stdout.Write(res.CSVBytes()))
 		default:
-			mustWrite(os.Stdout.Write(res.TextBytes()))
+			mustWrite(stdout.Write(res.TextBytes()))
 		}
-		if *outDir != "" {
+		if outDir != "" {
 			for i, a := range res.Artifacts {
-				name := fmt.Sprintf("%s_%s_%d.csv", e.ID, strings.ToLower(string(cfg.Name)), i)
-				if err := os.WriteFile(filepath.Join(*outDir, name), []byte(a.CSV()), 0o644); err != nil {
+				name := fmt.Sprintf("%s_%s_%d.csv", e.ID, strings.ToLower(string(gen)), i)
+				if err := os.WriteFile(filepath.Join(outDir, name), []byte(a.CSV()), 0o644); err != nil {
 					fatal(err)
 				}
 			}
 		}
 	}
-	if err := writeObsFiles(reg, *metricsOut, *traceOut); err != nil {
-		fatal(err)
-	}
+	return failed
 }
 
 // runChecks evaluates the paper's observations, or with observations

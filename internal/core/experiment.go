@@ -85,7 +85,7 @@ type Experiment struct {
 	// Paper summarizes what the paper reports, for EXPERIMENTS.md-style
 	// comparisons.
 	Paper string
-	// GPUs lists applicable generations; empty means generation-neutral.
+	// GPUs lists applicable generations; empty means every generation.
 	GPUs []gpu.Generation
 	// Run executes the experiment.
 	Run func(ctx *Context) ([]Artifact, error)

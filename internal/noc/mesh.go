@@ -174,8 +174,8 @@ type Mesh struct {
 	// obs is the optional instrument set; see Observe. All instruments
 	// are nil-safe no-ops while unobserved, so the hooks below cost a
 	// nil check and zero allocations in the disabled default (guarded
-	// by TestStepSteadyStateDoesNotAllocate and nocbench's mesh_step
-	// gate).
+	// by TestStepSteadyStateDoesNotAllocate and nocbench's
+	// BenchmarkMeshStep gate).
 	obs meshObs
 }
 

@@ -78,8 +78,8 @@ type Xbar struct {
 	// obs is the optional instrument set; see Observe. All instruments
 	// are nil-safe no-ops while unobserved, so the hooks in Step cost a
 	// nil check and zero allocations in the disabled default (guarded
-	// by TestXbarStepSteadyStateDoesNotAllocate and nocbench's xbar_step
-	// gate).
+	// by TestXbarStepSteadyStateDoesNotAllocate and nocbench's
+	// BenchmarkXbarStep gate).
 	obs xbarObs
 }
 

@@ -104,7 +104,7 @@ type Histogram struct {
 // the count is by construction the sum of the bucket counts, so Count
 // derives it at emission time instead of Observe paying a third atomic
 // add on every observation. The zero-allocation contract is guarded by
-// TestObserveDoesNotAllocate and the hist_observe perfbench entry.
+// TestObserveDoesNotAllocate and nocbench's BenchmarkHistObserve gate.
 func (h *Histogram) Observe(v int64) {
 	if h == nil {
 		return
