@@ -61,6 +61,13 @@ for ex in examples/*; do
 	fi
 done
 
+echo "==> e2ebench module: vet + tests"
+# e2ebench/ is its own Go module, built against this tree through
+# `replace gpunoc => ../`, so the root `./...` stages above never reach
+# it: a flag or API the benchmark uses could be removed here and break
+# it unnoticed. Its tests spawn nocserve on fixed ports 21480 and up.
+(cd e2ebench && go vet ./... && go test -count=1 .)
+
 echo "==> native fuzz targets (short -fuzztime)"
 # go test runs only the seed corpora; this stage mutates past them for a
 # few seconds per target, one go test -fuzz per target because -fuzz

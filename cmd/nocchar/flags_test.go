@@ -12,7 +12,7 @@ func TestValidateFlags(t *testing.T) {
 	cases := []struct {
 		name           string
 		csv, json, all bool
-		exp            string
+		exp, report    string
 		wantErr        bool
 	}{
 		{name: "defaults", exp: ""},
@@ -25,12 +25,17 @@ func TestValidateFlags(t *testing.T) {
 		{name: "csv and json", csv: true, json: true, wantErr: true},
 		{name: "all and exp", all: true, exp: "fig1", wantErr: true},
 		{name: "everything wrong", csv: true, json: true, all: true, exp: "fig1", wantErr: true},
+		{name: "report alone", report: "r.md"},
+		{name: "report with all", all: true, report: "r.md"},
+		{name: "report and exp", exp: "fig1", report: "r.md", wantErr: true},
+		{name: "report and csv", csv: true, report: "r.md", wantErr: true},
+		{name: "report and json", json: true, report: "r.md", wantErr: true},
 	}
 	for _, c := range cases {
-		err := validateFlags(c.csv, c.json, c.all, c.exp)
+		err := validateFlags(c.csv, c.json, c.all, c.exp, c.report)
 		if (err != nil) != c.wantErr {
-			t.Errorf("%s: validateFlags(csv=%v, json=%v, all=%v, exp=%q) = %v, wantErr=%v",
-				c.name, c.csv, c.json, c.all, c.exp, err, c.wantErr)
+			t.Errorf("%s: validateFlags(csv=%v, json=%v, all=%v, exp=%q, report=%q) = %v, wantErr=%v",
+				c.name, c.csv, c.json, c.all, c.exp, c.report, err, c.wantErr)
 		}
 	}
 }
@@ -49,6 +54,7 @@ func TestCLIFlagConflicts(t *testing.T) {
 	for _, args := range [][]string{
 		{"-gpu", "v100", "-exp", "fig1", "-csv", "-json"},
 		{"-gpu", "v100", "-exp", "fig1", "-all"},
+		{"-gpu", "v100", "-report", filepath.Join(t.TempDir(), "r.md"), "-exp", "fig1"},
 	} {
 		cmd := exec.Command(bin, args...)
 		var stdout, stderr bytes.Buffer

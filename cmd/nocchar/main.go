@@ -23,6 +23,10 @@
 // Perfetto). Both files are byte-identical across runs at a fixed seed
 // and across -parallel values, and neither flag changes stdout.
 //
+// -report FILE writes every experiment the GPU (or, with -all, every
+// GPU) supports as one Markdown report, so it refuses -exp, -csv and
+// -json instead of silently ignoring them.
+//
 // When an experiment's run fails, -exp and -all print its error to
 // stderr, print every other experiment and write the -metrics/-trace
 // files, then exit 1.
@@ -33,7 +37,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"time"
@@ -51,7 +54,6 @@ func main() {
 		runAll       = flag.Bool("all", false, "run every experiment supported by the GPU")
 		list         = flag.Bool("list", false, "list experiments and exit")
 		csv          = flag.Bool("csv", false, "emit CSV instead of text renderings")
-		outDir       = flag.String("out", "", "also write each artifact as CSV into this directory")
 		quick        = flag.Bool("quick", false, "reduce sample counts for a fast pass")
 		observations = flag.Bool("observations", false, "check the paper's 12 observations")
 		implications = flag.Bool("implications", false, "check the paper's 6 implications")
@@ -63,7 +65,7 @@ func main() {
 	)
 	flag.Parse()
 
-	if err := validateFlags(*csv, *jsonOut, *runAll, *expID); err != nil {
+	if err := validateFlags(*csv, *jsonOut, *runAll, *expID, *report); err != nil {
 		fatal(err)
 	}
 
@@ -151,11 +153,6 @@ func main() {
 		fatal(fmt.Errorf("pass -exp <id>, -all, -list, or -observations"))
 	}
 
-	if *outDir != "" {
-		if err := os.MkdirAll(*outDir, 0o755); err != nil {
-			fatal(err)
-		}
-	}
 	// Fan the experiments out across the pool; results land in
 	// index-addressed slots and are printed below in registry order, so
 	// stdout is byte-identical to a sequential run. Wall times go to
@@ -179,7 +176,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	failed := printOutcomes(os.Stdout, os.Stderr, cfg.Name, exps, results, *jsonOut, *csv, *outDir)
+	failed := printOutcomes(os.Stdout, os.Stderr, cfg.Name, exps, results, *jsonOut, *csv)
 	if err := writeObsFiles(reg, *metricsOut, *traceOut); err != nil {
 		fatal(err)
 	}
@@ -196,11 +193,10 @@ type outcome struct {
 }
 
 // printOutcomes writes each experiment's header and rendering to stdout
-// in the order of exps, its wall time and any run error to stderr, and
-// with outDir set its artifacts as CSV files there. A failed run prints
-// its header and error and the rest still print; the return value is
-// how many failed.
-func printOutcomes(stdout, stderr io.Writer, gen gpu.Generation, exps []*core.Experiment, outs []outcome, jsonOut, csv bool, outDir string) int {
+// in the order of exps, and its wall time and any run error to stderr.
+// A failed run prints its header and error and the rest still print;
+// the return value is how many failed.
+func printOutcomes(stdout, stderr io.Writer, gen gpu.Generation, exps []*core.Experiment, outs []outcome, jsonOut, csv bool) int {
 	failed := 0
 	for i, e := range exps {
 		mustWrite(fmt.Fprintf(stdout, "=== %s: %s [%s]\n", e.ID, e.Title, gen))
@@ -219,19 +215,10 @@ func printOutcomes(stdout, stderr io.Writer, gen gpu.Generation, exps []*core.Ex
 				fatal(err)
 			}
 			mustWrite(stdout.Write(data))
-			continue
 		case csv:
 			mustWrite(stdout.Write(res.CSVBytes()))
 		default:
 			mustWrite(stdout.Write(res.TextBytes()))
-		}
-		if outDir != "" {
-			for i, a := range res.Artifacts {
-				name := fmt.Sprintf("%s_%s_%d.csv", e.ID, strings.ToLower(string(gen)), i)
-				if err := os.WriteFile(filepath.Join(outDir, name), []byte(a.CSV()), 0o644); err != nil {
-					fatal(err)
-				}
-			}
 		}
 	}
 	return failed
@@ -239,22 +226,18 @@ func printOutcomes(stdout, stderr io.Writer, gen gpu.Generation, exps []*core.Ex
 
 // runChecks evaluates the paper's observations, or with observations
 // false its implications, as one kind of check.
-func runChecks(observations bool) (string, []core.ObservationResult, error) {
+func runChecks(observations bool) (string, []core.CheckResult, error) {
 	if observations {
 		checks, err := core.CheckObservations()
 		return "Observation", checks, err
 	}
-	imps, err := core.CheckImplications()
-	checks := make([]core.ObservationResult, len(imps))
-	for i, im := range imps {
-		checks[i] = core.ObservationResult(im)
-	}
+	checks, err := core.CheckImplications()
 	return "Implication", checks, err
 }
 
 // printChecks writes a [PASS]/[FAIL] line and an indented detail line
 // per check and returns how many failed.
-func printChecks(w io.Writer, kind string, checks []core.ObservationResult) int {
+func printChecks(w io.Writer, kind string, checks []core.CheckResult) int {
 	failed := 0
 	for _, c := range checks {
 		status := "PASS"

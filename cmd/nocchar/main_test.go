@@ -11,7 +11,7 @@ import (
 )
 
 func TestPrintChecks(t *testing.T) {
-	checks := []core.ObservationResult{
+	checks := []core.CheckResult{
 		{ID: 1, Text: "first", Pass: true, Detail: "spread 1.00x"},
 		{ID: 2, Text: "second", Pass: false, Detail: "ratio 0.50"},
 		{ID: 3, Text: "third", Pass: false, Detail: ""},
@@ -46,7 +46,7 @@ func TestPrintOutcomes(t *testing.T) {
 		{res: &core.Result{}},
 	}
 	var stdout, stderr bytes.Buffer
-	failed := printOutcomes(&stdout, &stderr, gpu.GenV100, exps, outs, false, false, "")
+	failed := printOutcomes(&stdout, &stderr, gpu.GenV100, exps, outs, false, false)
 	if failed != 1 {
 		t.Errorf("printOutcomes failed count = %d, want 1", failed)
 	}
@@ -62,7 +62,7 @@ func TestPrintOutcomes(t *testing.T) {
 	}
 
 	stdout.Reset()
-	if failed := printOutcomes(&stdout, &stderr, gpu.GenV100, exps[:1], outs[:1], false, false, ""); failed != 0 {
+	if failed := printOutcomes(&stdout, &stderr, gpu.GenV100, exps[:1], outs[:1], false, false); failed != 0 {
 		t.Errorf("printOutcomes over a successful run = %d failed, want 0", failed)
 	}
 }

@@ -5,13 +5,11 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"gpunoc/internal/obs"
 	"gpunoc/internal/resultstore"
 )
 
@@ -249,41 +247,5 @@ func TestIngressConfigPreservesBytes(t *testing.T) {
 	guarded := fetch(serverConfig{requestTimeout: time.Minute, maxInflight: 4, queueDepth: 16})
 	if !bytes.Equal(plain, guarded) {
 		t.Error("ingress config changed the served bytes")
-	}
-}
-
-// TestNegativeWindowServedAsError: a key whose compute fails inside the
-// negative window is refused without re-simulating; the X-Cache-less
-// 500 carries the original error both times but only one simulation
-// ran.
-func TestNegativeWindowServedAsError(t *testing.T) {
-	var calls atomic.Int64
-	reg := obs.New()
-	t0 := time.Now()
-	store, err := resultstore.New(resultstore.Options{
-		Compute: func(_ context.Context, key resultstore.Key) (*resultstore.Entry, error) {
-			calls.Add(1)
-			return nil, fmt.Errorf("simulation exploded")
-		},
-		NegativeTTL: time.Hour,
-		Obs:         reg.Scope("resultstore"),
-		Clock:       func() time.Duration { return time.Since(t0) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(newServer(store, reg, serverConfig{}).handler())
-	t.Cleanup(ts.Close)
-	for i := 0; i < 3; i++ {
-		status, _, body := get(t, ts.URL+"/v1/v100/fig1?quick=1")
-		if status != http.StatusInternalServerError {
-			t.Fatalf("attempt %d: status %d, want 500", i, status)
-		}
-		if !bytes.Contains(body, []byte("simulation exploded")) {
-			t.Errorf("attempt %d: body %q lost the original error", i, bytes.TrimSpace(body))
-		}
-	}
-	if n := calls.Load(); n != 1 {
-		t.Errorf("%d simulations inside the negative window, want 1", n)
 	}
 }

@@ -7,7 +7,6 @@
 //
 //	nocserve -addr 127.0.0.1:8080
 //	nocserve -addr :8080 -cache-bytes 268435456 -spill /var/cache/nocserve
-//	nocserve -prewarm quick -parallel 8
 //
 // Endpoints:
 //
@@ -34,17 +33,10 @@
 //	-max-inflight N      concurrently admitted result requests
 //	-queue-depth N       requests allowed to wait for a slot; overflow
 //	                     is shed with 429 + Retry-After: 1
-//	-negative-ttl D      window during which retries of a key whose
-//	                     simulation just failed are refused with the
-//	                     original error instead of re-simulating
 //	-read-timeout D      net/http ReadTimeout (full request read)
 //	-idle-timeout D      net/http IdleTimeout (keep-alive connections)
 //
-// -prewarm quick|full simulates the whole supported (gpu, experiment)
-// matrix in the background at startup on the internal/parallel pool, so
-// first requests hit a warm cache; it stops at the next pair boundary
-// on SIGINT/SIGTERM and logs how many pairs were warmed, failed, and
-// skipped. -drain bounds how long shutdown waits for in-flight requests
+// -drain bounds how long shutdown waits for in-flight requests
 // and fills after SIGINT/SIGTERM; /healthz answers 503 from the moment
 // drain begins so balancers stop routing before the listener closes.
 //
@@ -78,10 +70,7 @@ import (
 	"time"
 
 	"gpunoc/internal/cluster"
-	"gpunoc/internal/core"
-	"gpunoc/internal/gpu"
 	"gpunoc/internal/obs"
-	"gpunoc/internal/parallel"
 	"gpunoc/internal/resultstore"
 )
 
@@ -91,29 +80,24 @@ func main() {
 		cacheBytes  = flag.Int64("cache-bytes", 256<<20, "in-memory result-cache budget in bytes; <= 0 means unbounded")
 		spillDir    = flag.String("spill", "", "directory for the disk spill; empty disables it")
 		spillMax    = flag.Int64("spill-max-bytes", 0, "disk-spill byte budget; oldest spill files are pruned past it (evicted_spill on /metricz); <= 0 means unbounded")
-		prewarm     = flag.String("prewarm", "", "pre-simulate the supported (gpu, exp) matrix in the background: quick, full, or empty to disable")
-		workers     = flag.Int("parallel", 0, "worker-pool size for each simulation's sweeps and the prewarm fan-out; 0 means GOMAXPROCS")
+		workers     = flag.Int("parallel", 0, "worker-pool size for each simulation's sweeps; 0 means GOMAXPROCS")
 		drain       = flag.Duration("drain", 30*time.Second, "graceful-shutdown deadline for in-flight requests and fills")
 		reqTimeout  = flag.Duration("request-timeout", 0, "per-request wall-time budget (504 on expiry; the fill keeps running); 0 disables")
 		maxInflight = flag.Int("max-inflight", 0, "concurrently admitted result requests; 0 means unlimited")
 		queueDepth  = flag.Int("queue-depth", 0, "requests allowed to wait for an admission slot; overflow gets 429")
-		negativeTTL = flag.Duration("negative-ttl", 0, "window during which retries of a just-failed key are refused without re-simulating; 0 disables")
 		readTimeout = flag.Duration("read-timeout", 30*time.Second, "http.Server ReadTimeout (full request read); 0 disables")
 		idleTimeout = flag.Duration("idle-timeout", 2*time.Minute, "http.Server IdleTimeout for keep-alive connections; 0 disables")
 		peers       = flag.String("peers", "", "comma-separated base URLs of every cluster member, this node included; empty runs single-node")
 		self        = flag.String("self", "", "this node's base URL exactly as listed in -peers; required with -peers")
 	)
 	flag.Parse()
-	if *prewarm != "" && *prewarm != "quick" && *prewarm != "full" {
-		fatal(fmt.Errorf("-prewarm must be quick, full, or empty (got %q)", *prewarm))
-	}
 	if (*peers == "") != (*self == "") {
 		fatal(errors.New("-peers and -self must be set together"))
 	}
 
 	// The signal context is the store's Base: cancelling it (SIGINT,
 	// SIGTERM) aborts in-flight simulations at their next sweep-row
-	// checkpoint and stops the prewarm at its next pair boundary.
+	// checkpoint.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -125,7 +109,6 @@ func main() {
 		MaxBytes:      *cacheBytes,
 		SpillDir:      *spillDir,
 		SpillMaxBytes: *spillMax,
-		NegativeTTL:   *negativeTTL,
 		Obs:           reg.Scope("resultstore"),
 		Clock:         func() time.Duration { return time.Since(t0) },
 	})
@@ -175,10 +158,6 @@ func main() {
 	// goes to stderr so scripts can scrape it; stdout stays silent.
 	fmt.Fprintf(os.Stderr, "nocserve: listening on %s\n", ln.Addr())
 
-	if *prewarm != "" {
-		go prewarmMatrix(ctx, store, *prewarm == "quick", *workers)
-	}
-
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.Serve(ln) }()
 
@@ -212,57 +191,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "nocserve: drain deadline reached with fills still unwinding")
 	}
 	fmt.Fprintln(os.Stderr, "nocserve: drained")
-}
-
-// prewarmMatrix simulates every supported (gpu, exp) pair once on the
-// deterministic parallel pool, populating the cache (and spill) before
-// traffic arrives. Requests racing a prewarm of the same key coalesce
-// onto it rather than simulating twice. One pair's failure no longer
-// aborts the sweep or vanishes silently: every pair is attempted, each
-// failure is logged, and the summary line counts warmed vs failed vs
-// skipped. Cancelling ctx (shutdown) skips the pairs not yet dispatched.
-func prewarmMatrix(ctx context.Context, store *resultstore.Store, quick bool, workers int) {
-	type pair struct {
-		gpu gpu.Generation
-		exp string
-	}
-	var pairs []pair
-	for _, cfg := range gpu.AllConfigs() {
-		for _, e := range core.All() {
-			if e.SupportsGPU(cfg.Name) {
-				pairs = append(pairs, pair{gpu: cfg.Name, exp: e.ID})
-			}
-		}
-	}
-	errNotDispatched := errors.New("not dispatched")
-	status := make([]error, len(pairs))
-	for i := range status {
-		status[i] = errNotDispatched
-	}
-	// The per-pair fn never returns an error: a failed pair must not
-	// stop the runner from dispatching the remaining pairs. Outcomes
-	// land in index-addressed slots and are tallied after.
-	_ = parallel.ForEachContext(ctx, workers, len(pairs), func(i int) error {
-		key := resultstore.Key{GPU: pairs[i].gpu, Exp: pairs[i].exp, Quick: quick}
-		_, _, err := store.GetContext(ctx, key)
-		status[i] = err
-		return nil
-	})
-	var warmed, failed, skipped int
-	for i, err := range status {
-		switch {
-		case err == nil:
-			warmed++
-		case errors.Is(err, errNotDispatched), errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-			skipped++
-		default:
-			failed++
-			key := resultstore.Key{GPU: pairs[i].gpu, Exp: pairs[i].exp, Quick: quick}
-			fmt.Fprintf(os.Stderr, "nocserve: prewarm %s: %v\n", key, err)
-		}
-	}
-	fmt.Fprintf(os.Stderr, "nocserve: prewarm done: %d warmed, %d failed, %d skipped of %d pairs (quick=%v)\n",
-		warmed, failed, skipped, len(pairs), quick)
 }
 
 func fatal(err error) {

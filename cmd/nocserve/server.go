@@ -120,8 +120,8 @@ func newServer(store *resultstore.Store, reg *obs.Registry, cfg serverConfig) *s
 		timedOut:      h.Counter("timed_out"),
 		canceled:      h.Counter("canceled"),
 		drainingGauge: h.Gauge("draining"),
-		latencyMS:     h.Histogram("latency_ms", []int64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000, 30000}),
-		queueWaitMS:   h.Histogram("queue_wait_ms", []int64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000, 30000}),
+		latencyMS:     h.Histogram("latency_ms", obs.LatencyBoundsMS()),
+		queueWaitMS:   h.Histogram("queue_wait_ms", obs.LatencyBoundsMS()),
 	}
 }
 

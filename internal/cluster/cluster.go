@@ -152,8 +152,6 @@ type Options struct {
 	// RetryAfter is how long a peer marked unhealthy stays skipped
 	// before forwards probe it again; <= 0 means 30s.
 	RetryAfter time.Duration
-	// MaxBodyBytes caps a forwarded response body; <= 0 means 256 MiB.
-	MaxBodyBytes int64
 	// Clock returns elapsed monotonic time from an origin of the
 	// caller's choosing (health windows, forward latency). Required.
 	Clock func() time.Duration
@@ -216,14 +214,7 @@ func New(o Options) (*Cluster, error) {
 		MisRouted:     o.Obs.Counter("mis_routed"),
 		FallbackLocal: o.Obs.Counter("fallback_local"),
 		ForwardErrs:   o.Obs.Counter("forward_err"),
-		ForwardMS:     o.Obs.Histogram("forward_ms", forwardLatencyBounds()),
+		ForwardMS:     o.Obs.Histogram("forward_ms", obs.LatencyBoundsMS()),
 	}
 	return c, nil
-}
-
-// forwardLatencyBounds buckets forward wall time in milliseconds: warm
-// owner hits land in the low buckets, forwarded cold simulations in the
-// top ones.
-func forwardLatencyBounds() []int64 {
-	return []int64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000, 30000}
 }

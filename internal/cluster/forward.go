@@ -15,6 +15,10 @@ import (
 // can mis-route but never loop.
 const ForwardedHeader = "X-Noc-Forwarded"
 
+// maxForwardBody caps a forwarded response body, so a misbehaving peer
+// cannot make this node buffer without bound.
+const maxForwardBody = 256 << 20
+
 // Response is a completed forward: the owner's answer, body fully read.
 type Response struct {
 	Status int
@@ -29,7 +33,6 @@ type forwarder struct {
 	retries int
 	backoff time.Duration
 	sleep   func(time.Duration)
-	maxBody int64
 }
 
 // newForwarder builds the forwarder from the cluster options.
@@ -42,10 +45,6 @@ func newForwarder(o Options) *forwarder {
 	if retries < 0 {
 		retries = 0
 	}
-	maxBody := o.MaxBodyBytes
-	if maxBody <= 0 {
-		maxBody = 256 << 20
-	}
 	sleep := o.Sleep
 	if sleep == nil {
 		sleep = func(time.Duration) {}
@@ -56,7 +55,6 @@ func newForwarder(o Options) *forwarder {
 		retries: retries,
 		backoff: o.Backoff,
 		sleep:   sleep,
-		maxBody: maxBody,
 	}
 }
 
@@ -121,13 +119,13 @@ func (f *forwarder) attempt(ctx context.Context, owner, requestURI string) (*Res
 	if err != nil {
 		return nil, fmt.Errorf("cluster: forward to %s: %w", owner, err)
 	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, f.maxBody+1))
+	body, err := io.ReadAll(io.LimitReader(resp.Body, maxForwardBody+1))
 	_ = resp.Body.Close()
 	if err != nil {
 		return nil, fmt.Errorf("cluster: forward to %s: reading body: %w", owner, err)
 	}
-	if int64(len(body)) > f.maxBody {
-		return nil, fmt.Errorf("cluster: forward to %s: body exceeds %d byte cap", owner, f.maxBody)
+	if len(body) > maxForwardBody {
+		return nil, fmt.Errorf("cluster: forward to %s: body exceeds %d byte cap", owner, maxForwardBody)
 	}
 	if resp.StatusCode == http.StatusBadGateway || resp.StatusCode == http.StatusServiceUnavailable {
 		return nil, fmt.Errorf("cluster: forward to %s: owner answered %d", owner, resp.StatusCode)

@@ -13,22 +13,13 @@ import (
 	"gpunoc/internal/stats"
 )
 
-// ImplicationResult is one of the paper's numbered implications evaluated
-// against the model.
-type ImplicationResult struct {
-	ID     int
-	Text   string
-	Pass   bool
-	Detail string
-}
-
 // CheckImplications evaluates the paper's Implications #1-#6. Like
 // CheckObservations it is an end-to-end consistency check, but for the
 // paper's *consequences* rather than its raw measurements.
-func CheckImplications() ([]ImplicationResult, error) {
-	var out []ImplicationResult
+func CheckImplications() ([]CheckResult, error) {
+	var out []CheckResult
 	add := func(id int, text string, pass bool, detail string) {
-		out = append(out, ImplicationResult{ID: id, Text: text, Pass: pass, Detail: detail})
+		out = append(out, CheckResult{ID: id, Text: text, Pass: pass, Detail: detail})
 	}
 
 	v100, err := NewContext(gpu.V100(), true)

@@ -9,9 +9,9 @@ import (
 	"gpunoc/internal/workload"
 )
 
-// ObservationResult is one of the paper's numbered observations evaluated
-// against the model.
-type ObservationResult struct {
+// CheckResult is one of the paper's numbered observations or
+// implications evaluated against the model.
+type CheckResult struct {
 	ID     int
 	Text   string
 	Pass   bool
@@ -23,7 +23,7 @@ type ObservationResult struct {
 // observation is specific to them). It is the repository's end-to-end
 // consistency check: if the model drifts away from the paper's findings,
 // these fail.
-func CheckObservations() ([]ObservationResult, error) {
+func CheckObservations() ([]CheckResult, error) {
 	v100, err := NewContext(gpu.V100(), true)
 	if err != nil {
 		return nil, err
@@ -37,9 +37,9 @@ func CheckObservations() ([]ObservationResult, error) {
 		return nil, err
 	}
 
-	var out []ObservationResult
+	var out []CheckResult
 	add := func(id int, text string, pass bool, detail string) {
-		out = append(out, ObservationResult{ID: id, Text: text, Pass: pass, Detail: detail})
+		out = append(out, CheckResult{ID: id, Text: text, Pass: pass, Detail: detail})
 	}
 
 	// #1: non-uniform latency.

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -35,12 +34,6 @@ type ReportOptions struct {
 	// is byte-identical for every worker count. A nil Obs leaves the
 	// report bytes exactly as before.
 	Obs *obs.Registry
-	// Cancel, when non-nil, aborts report generation early: undispatched
-	// (experiment, generation) jobs are skipped at the runner's claim
-	// boundaries, running experiments stop at their next sweep-row
-	// checkpoint, and WriteReportOptions returns the context's error
-	// instead of a partial report. A nil Cancel changes nothing.
-	Cancel context.Context
 }
 
 // WriteReportOptions runs every experiment applicable to the given
@@ -66,7 +59,6 @@ func WriteReportOptions(w io.Writer, cfgs []gpu.Config, opts ReportOptions) erro
 			return err
 		}
 		ctx.Workers = opts.Workers
-		ctx.Cancel = opts.Cancel
 		ctxs[cfg.Name] = ctx
 	}
 
@@ -90,7 +82,7 @@ func WriteReportOptions(w io.Writer, cfgs []gpu.Config, opts ReportOptions) erro
 		err  error
 		dur  time.Duration
 	}
-	results, err := parallel.MapContext(opts.Cancel, opts.Workers, len(jobs), func(i int) (outcome, error) {
+	results, err := parallel.Map(opts.Workers, len(jobs), func(i int) (outcome, error) {
 		j := jobs[i]
 		var start time.Duration
 		if opts.Stopwatch != nil {
@@ -108,10 +100,6 @@ func WriteReportOptions(w io.Writer, cfgs []gpu.Config, opts ReportOptions) erro
 		o := outcome{err: err}
 		if err == nil {
 			o.arts = res.Artifacts
-		} else if ctx.Interrupted() != nil {
-			// An experiment abandoned at a sweep-row checkpoint is a
-			// cancelled report, not a "not applicable" section.
-			return o, err
 		}
 		if opts.Stopwatch != nil {
 			o.dur = opts.Stopwatch() - start

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"gpunoc/internal/gpu"
-	"gpunoc/internal/obs"
 )
 
 // Result is the structured outcome of one experiment run on one GPU
@@ -21,9 +20,6 @@ type Result struct {
 	Exp *Experiment
 	// Artifacts are the experiment's outputs in emission order.
 	Artifacts []Artifact
-	// Obs is the metrics scope the run observed into; nil when
-	// collection was disabled. SummaryRows condenses it.
-	Obs *obs.Registry
 }
 
 // RunResult executes e under ctx and wraps the artifacts in a Result.
@@ -42,7 +38,7 @@ func RunResult(ctx *Context, e *Experiment) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Result{GPU: name, Exp: e, Artifacts: arts, Obs: ctx.Obs}, nil
+	return &Result{GPU: name, Exp: e, Artifacts: arts}, nil
 }
 
 // JSONBytes renders the artifacts as the MarshalArtifacts document plus
@@ -89,10 +85,4 @@ func (r *Result) MarkdownBytes() []byte {
 		fmt.Fprintf(&b, "```\n%s```\n\n", ensureTrailingNewline(a.Render()))
 	}
 	return []byte(b.String())
-}
-
-// SummaryRows condenses the run's metrics scope; nil when the run was
-// unobserved.
-func (r *Result) SummaryRows() []obs.SummaryRow {
-	return r.Obs.SummaryRows()
 }

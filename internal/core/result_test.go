@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"gpunoc/internal/gpu"
-	"gpunoc/internal/obs"
 )
 
 // TestRunResultRendersCLIBytes pins the Result renderers to the exact
@@ -111,45 +110,5 @@ func TestRunResultDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(render(), render()) {
 		t.Error("identical (gpu, exp, quick) tuples rendered different bytes")
-	}
-}
-
-// TestRunResultSummaryRows: an observed run exposes its scope's summary;
-// an unobserved run exposes none.
-func TestRunResultSummaryRows(t *testing.T) {
-	ctx, err := NewContext(gpu.V100(), true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := Lookup("fig21")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := RunResult(ctx, e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rows := res.SummaryRows(); rows != nil {
-		t.Errorf("unobserved run has %d summary rows, want none", len(rows))
-	}
-
-	reg := obs.New()
-	ctx2, err := NewContext(gpu.V100(), true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx2.Obs = reg.Scope("fig21")
-	res2, err := RunResult(ctx2, e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := res2.SummaryRows()
-	if len(rows) == 0 {
-		t.Fatal("observed fig21 run produced no summary rows")
-	}
-	for _, r := range rows {
-		if !strings.HasPrefix(r.Name, "fig21/") {
-			t.Errorf("summary row %q outside the run's scope", r.Name)
-		}
 	}
 }

@@ -168,10 +168,7 @@ func V100() Config {
 		L2SizeMiB:      6,
 		CoreClockMHz:   1380,
 		CacheLineBytes: 128,
-		Floorplan: floorplan.Spec{
-			Name: "V100", Partitions: 1, GPCs: 6, GPCRows: 2, MPs: 8,
-			ColPitch: 2, MPPitch: 1.5,
-		},
+		Floorplan:      floorplan.V100Spec(),
 		Cal: Calibration{
 			BaseRTT:         158,
 			WireRTT:         7,
@@ -204,10 +201,7 @@ func A100() Config {
 		L2SizeMiB:      40,
 		CoreClockMHz:   1410,
 		CacheLineBytes: 128,
-		Floorplan: floorplan.Spec{
-			Name: "A100", Partitions: 2, GPCs: 8, GPCRows: 1, MPs: 10,
-			ColPitch: 2, MPPitch: 2.4, PartitionGap: 4,
-		},
+		Floorplan:      floorplan.A100Spec(),
 		Cal: Calibration{
 			BaseRTT:         158,
 			WireRTT:         7,
@@ -242,10 +236,7 @@ func H100() Config {
 		CoreClockMHz:   1590,
 		CacheLineBytes: 128,
 		LocalL2Caching: true,
-		Floorplan: floorplan.Spec{
-			Name: "H100", Partitions: 2, GPCs: 8, GPCRows: 1, CPCsPerGPC: 3, MPs: 10,
-			ColPitch: 2, MPPitch: 2.4, PartitionGap: 4,
-		},
+		Floorplan:      floorplan.H100Spec(),
 		Cal: Calibration{
 			BaseRTT:          162,
 			WireRTT:          7,

@@ -60,7 +60,7 @@ func runDeterminism(p *Package) []Diagnostic {
 		if g, ok := n.(*ast.GoStmt); ok {
 			if internal && !inCmd && !inParallel {
 				diags = append(diags, p.diag(g.Pos(), "determinism",
-					"go statement spawns a raw goroutine inside the model; shard through parallel.Map/ForEach so results stay index-addressed and scheduling-independent"))
+					"go statement spawns a raw goroutine inside the model; shard through parallel.Map so results stay index-addressed and scheduling-independent"))
 			}
 			return true
 		}

@@ -63,7 +63,7 @@ func reachDeterminismDiags(n *cgNode, root string) []Diagnostic {
 		case *ast.GoStmt:
 			if !goCovered {
 				diags = append(diags, p.diag(x.Pos(), "determinism",
-					"go statement spawns a raw goroutine on a simulation path (reachable from %s); results become scheduling-dependent — shard through parallel.Map/ForEach", root))
+					"go statement spawns a raw goroutine on a simulation path (reachable from %s); results become scheduling-dependent — shard through parallel.Map", root))
 			}
 		case *ast.RangeStmt:
 			if perPkgMapRule {

@@ -10,6 +10,7 @@ package noc
 
 import (
 	"fmt"
+	"slices"
 
 	"gpunoc/internal/obs"
 )
@@ -90,6 +91,12 @@ func (t *packetTable) add(p Packet) int32 {
 		slot := t.free.pop()
 		t.pkts[slot] = p
 		return slot
+	}
+	// Double when full: ReplayTrace fills the table a whole timestep at
+	// a time, and append's 1.25x growth for large slices would
+	// reallocate it many times on the way up.
+	if len(t.pkts) == cap(t.pkts) {
+		t.pkts = slices.Grow(t.pkts, len(t.pkts))
 	}
 	//lint:ignore hotpathalloc the table grows only to the peak number of packets in flight, then recycles slots (TestStepSteadyStateDoesNotAllocate, TestPacketTableBoundedByPeakInFlight)
 	t.pkts = append(t.pkts, p)

@@ -21,10 +21,12 @@ type ReplayConfig struct {
 	// PortOf maps a transaction's byte address to an index into MCs.
 	// This is where an address hash (or the lack of one) plugs in.
 	PortOf func(addr uint64) int
-	// MaxCyclesPerStep aborts a step that fails to drain (safety for
-	// pathological mappings); 0 means 4096 cycles per transaction.
-	MaxCyclesPerStep int
 }
+
+// replayCyclesPerTxn bounds how long one step may take to drain, per
+// transaction injected: a step past the bound is aborted (safety for
+// pathological mappings) and reported as not drained.
+const replayCyclesPerTxn = 4096
 
 // ReplayStepStats reports one timestep of the replay.
 type ReplayStepStats struct {
@@ -38,7 +40,7 @@ type ReplayStepStats struct {
 	// PortCV is the coefficient of variation of per-MC transaction counts
 	// (0 = perfectly balanced, the regime Observation #12 reports).
 	PortCV float64
-	// Drained is false if the step hit MaxCyclesPerStep.
+	// Drained is false if the step hit the replayCyclesPerTxn bound.
 	Drained bool
 }
 
@@ -95,10 +97,7 @@ func ReplayTrace(cfg ReplayConfig, steps [][]uint64) ([]ReplayStepStats, error) 
 				return nil, err
 			}
 		}
-		limit := cfg.MaxCyclesPerStep
-		if limit == 0 {
-			limit = 4096 * len(addrs)
-		}
+		limit := replayCyclesPerTxn * len(addrs)
 		for cycles := 0; !m.Drained(); cycles++ {
 			if cycles >= limit {
 				st.Drained = false

@@ -172,6 +172,13 @@ func DepthBounds() []int64 {
 	return []int64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
 }
 
+// LatencyBoundsMS is the default bucket layout for wall-time histograms
+// in milliseconds: sub-millisecond cache hits land in the low buckets,
+// full-fidelity simulations in the top ones.
+func LatencyBoundsMS() []int64 {
+	return []int64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000, 30000}
+}
+
 // registryRoot holds the shared instrument tables behind every Scope
 // view. The mutex guards only instrument registration (construction
 // time, never the Step hot path); increments afterwards are atomic.

@@ -207,7 +207,7 @@ func TestObserveBucketEquivalence(t *testing.T) {
 		DepthBounds(),
 		{0},
 		{5, 10},
-		{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000, 30000},
+		LatencyBoundsMS(),
 		nil, // overflow-only histogram
 	}
 	linear := func(bounds []int64, v int64) int {

@@ -17,8 +17,7 @@
 //  3. Cancellation is cooperative. After the first failure no NEW
 //     indices are dispatched; tasks already in flight run to completion
 //     (tasks share nothing, so there is nothing to interrupt safely).
-//     MapContext/ForEachContext add an external cancel with the same
-//     shape: a context checked only at task-claim boundaries, so the
+//     MapContext adds an external cancel with the same shape: a context checked only at task-claim boundaries, so the
 //     task bodies — the simulators' Step loops — never see a context
 //     and stay alloc-free and byte-identical when the context never
 //     fires.
@@ -146,19 +145,4 @@ func ctxErr(ctx context.Context) error {
 		return nil
 	}
 	return ctx.Err()
-}
-
-// ForEach runs fn(i) for every i in [0, n) on at most workers goroutines
-// with Map's dispatch, cancellation, and error-selection semantics, for
-// tasks that write into caller-owned index-addressed storage.
-func ForEach(workers, n int, fn func(i int) error) error {
-	return ForEachContext(nil, workers, n, fn)
-}
-
-// ForEachContext is ForEach with MapContext's external cancel.
-func ForEachContext(ctx context.Context, workers, n int, fn func(i int) error) error {
-	_, err := MapContext(ctx, workers, n, func(i int) (struct{}, error) {
-		return struct{}{}, fn(i)
-	})
-	return err
 }

@@ -96,34 +96,6 @@ func TestMapCancelsOnFirstError(t *testing.T) {
 	}
 }
 
-func TestForEachWritesIndexAddressedSlots(t *testing.T) {
-	out := make([]int, 50)
-	if err := ForEach(8, len(out), func(i int) error {
-		out[i] = i + 1
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range out {
-		if v != i+1 {
-			t.Fatalf("slot %d = %d, want %d", i, v, i+1)
-		}
-	}
-}
-
-func TestForEachPropagatesError(t *testing.T) {
-	sentinel := errors.New("boom")
-	err := ForEach(3, 10, func(i int) error {
-		if i == 2 {
-			return sentinel
-		}
-		return nil
-	})
-	if !errors.Is(err, sentinel) {
-		t.Errorf("err = %v, want %v", err, sentinel)
-	}
-}
-
 func TestDefaultWorkersPositive(t *testing.T) {
 	if DefaultWorkers() < 1 {
 		t.Fatalf("DefaultWorkers() = %d", DefaultWorkers())
@@ -204,16 +176,16 @@ func TestMapContextLowestIndexErrorBeatsCancel(t *testing.T) {
 	}
 }
 
-// TestForEachContextSkipsUndispatched: with a pre-cancelled context no
-// task runs at all, on both the sequential and pooled paths.
-func TestForEachContextSkipsUndispatched(t *testing.T) {
+// TestMapContextSkipsUndispatched: with a pre-cancelled context no task
+// runs at all, on both the sequential and pooled paths.
+func TestMapContextSkipsUndispatched(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, workers := range []int{1, 4} {
 		var ran atomic.Int64
-		err := ForEachContext(ctx, workers, 100, func(i int) error {
+		_, err := MapContext(ctx, workers, 100, func(i int) (int, error) {
 			ran.Add(1)
-			return nil
+			return i, nil
 		})
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("workers=%d: err = %v, want context.Canceled", workers, err)

@@ -23,11 +23,6 @@
 //     shutdown context), handed to Options.Compute so a draining process
 //     aborts in-flight simulations at their next sweep-row checkpoint
 //     instead of simulating into the void.
-//   - Negative-result window: a failed fill is remembered for
-//     Options.NegativeTTL of injected-clock time, and retries inside the
-//     window are refused with the original error instead of re-running
-//     the failed simulation — a hot-looping client replaying an erroring
-//     experiment cannot use the store as a CPU amplifier.
 //   - LRU with byte accounting: entries are bounded by a byte budget,
 //     not a count, because artifact payloads span two orders of
 //     magnitude. Eviction picks the least-recently-used entry and breaks
@@ -47,8 +42,8 @@
 //
 // The store never reads the wall clock itself (noclint's determinism
 // analyzer forbids it inside the model); callers inject a monotonic
-// clock for the compute-latency histogram and the negative-result
-// window, exactly like core.ReportOptions.Stopwatch.
+// clock for the compute-latency histogram, exactly like
+// core.ReportOptions.Stopwatch.
 package resultstore
 
 import (
@@ -134,9 +129,6 @@ const (
 	OutcomeCoalesced
 	// OutcomeSpill: served from the disk spill without simulating.
 	OutcomeSpill
-	// OutcomeNegative: the key failed recently and the negative-result
-	// window refused the retry without simulating (error path only).
-	OutcomeNegative
 )
 
 // String implements fmt.Stringer; the values double as X-Cache headers.
@@ -150,8 +142,6 @@ func (o Outcome) String() string {
 		return "coalesced"
 	case OutcomeSpill:
 		return "spill"
-	case OutcomeNegative:
-		return "negative"
 	}
 	return fmt.Sprintf("outcome(%d)", int(o))
 }
@@ -184,21 +174,13 @@ type Options struct {
 	// into the accounting in (mtime, name) order, oldest first, and a
 	// budget tighter than the inherited population prunes immediately.
 	SpillMaxBytes int64
-	// NegativeTTL, when > 0, remembers a failed fill for that much
-	// injected-clock time and refuses retries of the key inside the
-	// window with the original error (OutcomeNegative) instead of
-	// re-running the failed simulation. Requires Clock. Fills aborted by
-	// Base cancellation are not remembered — a draining server must not
-	// poison keys for its successor.
-	NegativeTTL time.Duration
 	// Obs receives the store's instruments (hit/miss/coalesced/...
 	// counters, byte and entry gauges, compute-latency histogram); nil
 	// disables collection at zero cost.
 	Obs *obs.Registry
 	// Clock, when non-nil, returns elapsed time from an origin of the
-	// caller's choosing and enables the compute-latency histogram and
-	// the negative-result window. The store never reads the wall clock
-	// itself.
+	// caller's choosing and enables the compute-latency histogram. The
+	// store never reads the wall clock itself.
 	Clock func() time.Duration
 }
 
@@ -210,12 +192,6 @@ type call struct {
 	entry   *Entry
 	outcome Outcome
 	err     error
-}
-
-// failure is one remembered fill error for the negative-result window.
-type failure struct {
-	at  time.Duration
-	err error
 }
 
 // cached is one resident entry with its recency stamp.
@@ -239,7 +215,6 @@ type Store struct {
 	mu       sync.Mutex
 	entries  map[Key]*cached
 	inflight map[Key]*call
-	failed   map[Key]failure
 	tick     uint64
 	bytes    int64
 	fills    sync.WaitGroup
@@ -256,27 +231,16 @@ type Store struct {
 	evictions, oversize      *obs.Counter
 	spillLoads, spillStores  *obs.Counter
 	spillErrs, computeErrs   *obs.Counter
-	canceled, negative       *obs.Counter
-	evictedSpill             *obs.Counter
+	canceled, evictedSpill   *obs.Counter
 	bytesGauge, entriesGauge *obs.Gauge
 	spillBytesGauge          *obs.Gauge
 	computeMS                *obs.Histogram
-}
-
-// computeLatencyBounds buckets compute wall time in milliseconds: quick
-// single-figure runs land in the low buckets, full -all-grade sweeps in
-// the top ones.
-func computeLatencyBounds() []int64 {
-	return []int64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000, 30000}
 }
 
 // New builds a store.
 func New(opts Options) (*Store, error) {
 	if opts.Compute == nil {
 		return nil, errors.New("resultstore: Options.Compute is required")
-	}
-	if opts.NegativeTTL > 0 && opts.Clock == nil {
-		return nil, errors.New("resultstore: Options.NegativeTTL requires Options.Clock")
 	}
 	if opts.SpillDir != "" {
 		if err := os.MkdirAll(opts.SpillDir, 0o755); err != nil {
@@ -292,7 +256,6 @@ func New(opts Options) (*Store, error) {
 		base:     base,
 		entries:  map[Key]*cached{},
 		inflight: map[Key]*call{},
-		failed:   map[Key]failure{},
 
 		hits:         opts.Obs.Counter("hit"),
 		misses:       opts.Obs.Counter("miss"),
@@ -304,13 +267,12 @@ func New(opts Options) (*Store, error) {
 		spillErrs:    opts.Obs.Counter("spill_err"),
 		computeErrs:  opts.Obs.Counter("compute_err"),
 		canceled:     opts.Obs.Counter("canceled"),
-		negative:     opts.Obs.Counter("negative"),
 		evictedSpill: opts.Obs.Counter("evicted_spill"),
 		bytesGauge:   opts.Obs.Gauge("bytes"),
 		entriesGauge: opts.Obs.Gauge("entries"),
 
 		spillBytesGauge: opts.Obs.Gauge("spill_bytes"),
-		computeMS:       opts.Obs.Histogram("compute_ms", computeLatencyBounds()),
+		computeMS:       opts.Obs.Histogram("compute_ms", obs.LatencyBoundsMS()),
 	}
 	if opts.SpillDir != "" {
 		if err := s.adoptSpillDir(); err != nil {
@@ -401,14 +363,6 @@ func (s *Store) GetContext(ctx context.Context, key Key) (*Entry, Outcome, error
 		s.coalesced.Inc()
 		return s.wait(ctx, fl, false)
 	}
-	if f, ok := s.failed[key]; ok {
-		if s.opts.Clock()-f.at < s.opts.NegativeTTL {
-			s.mu.Unlock()
-			s.negative.Inc()
-			return nil, OutcomeNegative, f.err
-		}
-		delete(s.failed, key) // window expired; retry for real
-	}
 	fl := &call{done: make(chan struct{})}
 	s.inflight[key] = fl
 	s.fills.Add(1)
@@ -456,11 +410,6 @@ func (s *Store) runFill(key Key, fl *call) {
 	delete(s.inflight, key)
 	if err == nil {
 		s.insertLocked(key, entry)
-	} else if s.opts.NegativeTTL > 0 && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
-		// Remember the failure so immediate retries are refused, but
-		// never remember shutdown-induced aborts: they say nothing
-		// about the key.
-		s.failed[key] = failure{at: s.opts.Clock(), err: err}
 	}
 	s.mu.Unlock()
 

@@ -401,18 +401,11 @@ func TestCoalescedWaiterDetachesIndependently(t *testing.T) {
 }
 
 // TestBaseContextAbortsFills: cancelling the store's Base context — the
-// server-drain path — reaches the Compute function, and the resulting
-// cancellation error is NOT remembered by the negative window.
+// server-drain path — reaches the Compute function.
 func TestBaseContextAbortsFills(t *testing.T) {
 	base, stop := context.WithCancel(context.Background())
 	comp := &countingComputer{gate: make(chan struct{})}
-	var clock atomic.Int64
-	s, err := New(Options{
-		Compute:     comp.compute,
-		Base:        base,
-		NegativeTTL: time.Second,
-		Clock:       func() time.Duration { return time.Duration(clock.Load()) },
-	})
+	s, err := New(Options{Compute: comp.compute, Base: base})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,86 +415,6 @@ func TestBaseContextAbortsFills(t *testing.T) {
 		t.Fatalf("Get under a dead Base = %v, want context.Canceled", err)
 	}
 	s.Wait()
-	s.mu.Lock()
-	_, remembered := s.failed[k]
-	s.mu.Unlock()
-	if remembered {
-		t.Error("a Base-cancelled fill was negative-cached; drain aborts must not poison keys")
-	}
-}
-
-// TestNegativeWindowCoalescesRetries: a failed fill is refused for
-// NegativeTTL of injected-clock time with the original error and zero
-// recomputation; past the window the key retries for real, and a
-// success clears the memory entirely.
-func TestNegativeWindowCoalescesRetries(t *testing.T) {
-	boom := errors.New("solver diverged")
-	var clock atomic.Int64 // nanoseconds, driven by hand
-	var calls atomic.Int64
-	var failNext atomic.Bool
-	failNext.Store(true)
-	reg := obs.New()
-	s, err := New(Options{
-		Compute: func(_ context.Context, key Key) (*Entry, error) {
-			calls.Add(1)
-			if failNext.Load() {
-				return nil, boom
-			}
-			return fakeEntry(key, 0), nil
-		},
-		NegativeTTL: 100 * time.Millisecond,
-		Clock:       func() time.Duration { return time.Duration(clock.Load()) },
-		Obs:         reg.Scope("resultstore"),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := key(gpu.GenV100, "fig6")
-
-	if _, _, err := s.Get(k); !errors.Is(err, boom) {
-		t.Fatalf("first Get err = %v, want boom", err)
-	}
-	// Rapid retries inside the window: same error, no simulation.
-	for i := 0; i < 5; i++ {
-		clock.Add(int64(10 * time.Millisecond))
-		_, out, err := s.Get(k)
-		if !errors.Is(err, boom) {
-			t.Fatalf("retry %d err = %v, want boom", i, err)
-		}
-		if out != OutcomeNegative {
-			t.Fatalf("retry %d outcome = %s, want negative", i, out)
-		}
-	}
-	if calls.Load() != 1 {
-		t.Fatalf("compute ran %d times, want 1 (window must absorb retries)", calls.Load())
-	}
-	if got := reg.Scope("resultstore").Counter("negative").Value(); got != 5 {
-		t.Errorf("negative counter = %d, want 5", got)
-	}
-
-	// Past the window the key retries; let it succeed and stay cached.
-	failNext.Store(false)
-	clock.Add(int64(200 * time.Millisecond))
-	if _, out, err := s.Get(k); err != nil || out != OutcomeMiss {
-		t.Fatalf("post-window Get = (%s, %v), want miss", out, err)
-	}
-	if calls.Load() != 2 {
-		t.Errorf("compute ran %d times, want 2", calls.Load())
-	}
-	if _, out, _ := s.Get(k); out != OutcomeHit {
-		t.Errorf("Get after success = %s, want hit (negative memory cleared)", out)
-	}
-}
-
-// TestNegativeTTLRequiresClock pins the constructor validation.
-func TestNegativeTTLRequiresClock(t *testing.T) {
-	_, err := New(Options{
-		Compute:     func(context.Context, Key) (*Entry, error) { return nil, nil },
-		NegativeTTL: time.Second,
-	})
-	if err == nil {
-		t.Fatal("New accepted NegativeTTL without a Clock")
-	}
 }
 
 // TestSpillByteCapPrunesOldest drives the spill past its byte budget
