@@ -17,20 +17,24 @@ go vet ./...
 echo "==> go build"
 go build ./...
 
-echo "==> noclint -baseline (per-package + interprocedural analyzers, ratchet)"
-# The committed baseline is empty: every analyzer must run clean, and
-# the ratchet fails both on new findings and on stale baseline entries.
-go run ./cmd/noclint -baseline noclint.baseline.json ./...
+echo "==> noclint (every analyzer; fails on any finding that survives suppression)"
+# The binary is built once and run directly: go run collapses noclint's
+# exit codes (1 = findings, 2 = hard error) to 1.
+lintdir=$(mktemp -d)
+trap 'rm -rf "$lintdir"' EXIT
+go build -o "$lintdir/noclint" ./cmd/noclint
+"$lintdir/noclint" ./...
 
 echo "==> noclint seeded-violation smoke"
-# Prove the gate actually bites: drop a file with a known violation into
-# the tree, assert noclint -baseline exits non-zero, then remove it.
+# Prove the gate actually bites: drop a file with a known seedflow
+# violation into the tree; noclint must exit exactly 1 and report that
+# file's finding. Then remove it.
 smokedir="internal/lintsmoke_$$"
 mkdir "$smokedir"
-trap 'rm -rf "$smokedir"' EXIT
+trap 'rm -rf "$smokedir" "$lintdir"' EXIT
 cat > "$smokedir/bad.go" <<'EOF'
 // Package lintsmoke is a transient CI fixture proving the noclint
-// baseline gate fails on a seeded violation.
+// gate fails on a seeded violation.
 package lintsmoke
 
 import "time"
@@ -38,11 +42,14 @@ import "time"
 // Stamp reads the wall clock inside the model: a seedflow violation.
 func Stamp() time.Time { return time.Now() }
 EOF
-if go run ./cmd/noclint -baseline noclint.baseline.json ./... >/dev/null 2>&1; then
-	echo "noclint -baseline passed with a seeded violation; the gate is dead" >&2
+status=0
+"$lintdir/noclint" ./... >"$lintdir/smoke.out" 2>&1 || status=$?
+if [ "$status" != 1 ] || ! grep -q "^$smokedir/bad\.go:[0-9]*: \[seedflow\] " "$lintdir/smoke.out"; then
+	echo "noclint exited $status on a seeded violation; want 1 and a [seedflow] finding in $smokedir/bad.go:" >&2
+	cat "$lintdir/smoke.out" >&2
 	exit 1
 fi
-rm -rf "$smokedir"
+rm -rf "$smokedir" "$lintdir"
 trap - EXIT
 
 echo "==> go test -race -shuffle=on"
@@ -118,7 +125,7 @@ echo "==> root benchmarks + nocbench ratchet (vs bench.baseline.json)"
 # fails fails the stage. nocbench then checks the entries
 # bench.baseline.json names: a gated benchmark missing from the
 # recording, over its ns/op ratio (2.5x; shared runners are noisy) or
-# over its allocs/op delta fails, exactly like noclint's ratchet.
+# over its allocs/op delta fails.
 benchdir=$(mktemp -d)
 trap 'rm -rf "$benchdir"' EXIT
 if ! go test -run '^$' -bench . -benchmem -count 3 -benchtime 100ms . >"$benchdir/bench.txt" 2>&1; then

@@ -1,6 +1,5 @@
 // Command nocbench ratchets a recorded run of the root benchmarks
-// against the committed baseline, the same way noclint ratchets static
-// findings.
+// against the committed baseline.
 //
 // Usage:
 //

@@ -25,7 +25,9 @@
 //
 // -report FILE writes every experiment the GPU (or, with -all, every
 // GPU) supports as one Markdown report, so it refuses -exp, -csv and
-// -json instead of silently ignoring them.
+// -json instead of silently ignoring them. -list, -observations and
+// -implications are modes of their own and likewise refuse each other
+// and every other mode flag.
 //
 // When an experiment's run fails, -exp and -all print its error to
 // stderr, print every other experiment and write the -metrics/-trace
@@ -65,7 +67,10 @@ func main() {
 	)
 	flag.Parse()
 
-	if err := validateFlags(*csv, *jsonOut, *runAll, *expID, *report); err != nil {
+	if err := validateFlags(modeFlags{
+		list: *list, observations: *observations, implications: *implications,
+		report: *report, exp: *expID, all: *runAll, csv: *csv, json: *jsonOut,
+	}); err != nil {
 		fatal(err)
 	}
 
@@ -150,7 +155,7 @@ func main() {
 		}
 		exps = append(exps, e)
 	default:
-		fatal(fmt.Errorf("pass -exp <id>, -all, -list, or -observations"))
+		fatal(fmt.Errorf("pass -exp <id>, -all, -report <file>, -list, -observations or -implications"))
 	}
 
 	// Fan the experiments out across the pool; results land in

@@ -1,33 +1,24 @@
-// Command noclint runs the gpunoc static-analysis suite: the
-// per-package analyzers (determinism, seedflow, unit safety, ordered
-// output, registry completeness, error hygiene) plus the
-// interprocedural analyzers built on a module-local call graph
-// (hotpathalloc, transitive determinism, atomicmix, staleignore; see
-// internal/lint). It exits non-zero when any finding survives
-// suppression, making it suitable as a CI gate.
+// Command noclint runs the gpunoc static-analysis suite (see
+// internal/lint): the per-package analyzers (determinism, seedflow,
+// unit safety, ordered output, registry completeness, error hygiene)
+// and the ones built on a module-local call graph (hotpathalloc, the
+// determinism reachability pass, atomicmix, staleignore). It is a gate:
+// it exits 1 when any finding survives suppression and 2 on a hard
+// error (a package that cannot be loaded).
 //
 // Usage:
 //
 //	noclint ./...
-//	noclint -json ./internal/core
+//	noclint ./internal/core
 //	noclint -list
-//	noclint -baseline noclint.baseline.json ./...
-//	noclint -write-baseline noclint.baseline.json ./...
 //
 // Findings print as file:line: [analyzer] message. Suppress one with a
 // `//lint:ignore <analyzer> <reason>` comment on or directly above the
-// offending line.
-//
-// The -baseline mode is a ratchet: findings are compared against a
-// committed, position-normalized baseline, and the run fails both on
-// findings missing from the baseline (regressions) and on baseline
-// entries no finding matched (stale entries — the fix must be locked in
-// by shrinking the baseline). -write-baseline records the current
-// findings as the new accepted set.
+// offending line. staleignore runs only when the patterns cover the
+// whole module.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -39,25 +30,14 @@ import (
 )
 
 func main() {
-	var (
-		jsonOut   = flag.Bool("json", false, "emit findings as a JSON array")
-		list      = flag.Bool("list", false, "list analyzers and exit")
-		baseline  = flag.String("baseline", "", "compare findings against this baseline file; fail on regressions and stale entries")
-		writeBase = flag.String("write-baseline", "", "write current findings to this baseline file and exit")
-	)
+	list := flag.Bool("list", false, "list analyzers and exit")
 	flag.Parse()
 
 	if *list {
 		for _, a := range lint.Analyzers() {
 			fmt.Printf("%-14s %s\n", a.Name, a.Doc)
 		}
-		for _, a := range lint.ProgramAnalyzers() {
-			fmt.Printf("%-14s %s\n", a.Name, a.Doc)
-		}
 		return
-	}
-	if *baseline != "" && *writeBase != "" {
-		fatal(fmt.Errorf("-baseline and -write-baseline are mutually exclusive"))
 	}
 
 	patterns := flag.Args()
@@ -93,30 +73,6 @@ func main() {
 	}
 	diags := lint.CheckProgram(prog)
 
-	if *writeBase != "" {
-		entries := lint.BaselineFromDiagnostics(root, diags)
-		if err := lint.WriteBaseline(*writeBase, entries); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "noclint: wrote %d baseline entr%s to %s\n",
-			len(entries), plural(len(entries), "y", "ies"), *writeBase)
-		return
-	}
-
-	var stale []lint.BaselineEntry
-	if *baseline != "" {
-		entries, err := lint.ReadBaseline(*baseline)
-		if err != nil {
-			fatal(err)
-		}
-		diags, stale = lint.CompareBaseline(root, diags, entries)
-		if !prog.FullModule {
-			// A partial load cannot see the whole accepted set; stale
-			// detection would misfire on every entry outside the load.
-			stale = nil
-		}
-	}
-
 	// Report paths relative to the working directory, like go vet.
 	for i := range diags {
 		if rel, err := filepath.Rel(cwd, diags[i].File); err == nil && !strings.HasPrefix(rel, "..") {
@@ -124,33 +80,17 @@ func main() {
 		}
 	}
 	lint.SortDiagnostics(diags)
-
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if diags == nil {
-			diags = []lint.Diagnostic{}
-		}
-		if err := enc.Encode(diags); err != nil {
-			fatal(err)
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Println(d)
-		}
+	for _, d := range diags {
+		fmt.Println(d)
 	}
-	for _, e := range stale {
-		fmt.Printf("%s: [%s] stale baseline entry (%d unmatched): the finding was fixed — remove it from the baseline: %s\n",
-			e.File, e.Analyzer, e.Count, e.Message)
-	}
-	if len(diags) > 0 || len(stale) > 0 {
+	if len(diags) > 0 {
 		os.Exit(1)
 	}
 }
 
 // coversModule reports whether the loaded directory set includes every
-// package directory of the module — the precondition for whole-program
-// verdicts (staleignore, stale-baseline detection).
+// package directory of the module — the precondition for the
+// whole-program staleignore verdict.
 func coversModule(root string, dirs []string) (bool, error) {
 	all, err := expandPatterns([]string{root + "/..."})
 	if err != nil {
@@ -166,13 +106,6 @@ func coversModule(root string, dirs []string) (bool, error) {
 		}
 	}
 	return true, nil
-}
-
-func plural(n int, one, many string) string {
-	if n == 1 {
-		return one
-	}
-	return many
 }
 
 // expandPatterns resolves CLI arguments into package directories. A

@@ -21,8 +21,8 @@ import (
 // position (one shared FileSet positions every package of a Program), so
 // an exported field mutated atomically in its home package and read
 // plainly from a neighbour is still caught.
-func AtomicMixAnalyzer() *ProgramAnalyzer {
-	return &ProgramAnalyzer{
+func AtomicMixAnalyzer() *Analyzer {
+	return &Analyzer{
 		Name: "atomicmix",
 		Doc:  "flag struct fields accessed both via sync/atomic and by plain load/store",
 		Run:  runAtomicMix,

@@ -20,8 +20,8 @@ func sortedKeys[V any](m map[string]V) []string {
 
 // This file gives the suite its interprocedural backbone: a module-local
 // call graph over every package loaded into one Program, plus the
-// reachability queries the hot-path and transitive-determinism analyzers
-// are built on.
+// reachability queries the hotpathalloc analyzer and the determinism
+// analyzer's reachability pass are built on.
 //
 // Soundness/conservatism choices (see DESIGN.md "noclint v2"):
 //
@@ -50,9 +50,8 @@ type Program struct {
 	// Packages lists the loaded packages in load order.
 	Packages []*Package
 	// FullModule marks a Program covering every package of the module.
-	// Whole-program verdicts (stale //lint:ignore directives, baseline
-	// comparison) are only sound on a full module load, so CheckProgram
-	// consults this flag.
+	// The whole-program staleignore verdict is only sound on a full
+	// module load, so CheckProgram consults this flag.
 	FullModule bool
 
 	modulePath string
@@ -250,6 +249,17 @@ func (prog *Program) isHotRoot(fn *ast.FuncDecl) bool {
 		return true
 	}
 	return false
+}
+
+// hotDiags applies check to every function reachable from a hot root,
+// in ID order, with the short ID of the root that reaches it.
+func (prog *Program) hotDiags(check func(n *cgNode, root string) []Diagnostic) []Diagnostic {
+	var diags []Diagnostic
+	reach := prog.Reachable(prog.HotRoots())
+	for _, id := range sortedKeys(reach) {
+		diags = append(diags, check(prog.nodes[id], shortID(reach[id]))...)
+	}
+	return diags
 }
 
 // Reachable walks the graph from the given roots and returns, for every

@@ -1,67 +1,10 @@
 package lint
 
 import (
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
-
-// programAnalyzerByName fetches one interprocedural analyzer from the
-// suite.
-func programAnalyzerByName(t *testing.T, name string) *ProgramAnalyzer {
-	t.Helper()
-	for _, a := range ProgramAnalyzers() {
-		if a.Name == name {
-			return a
-		}
-	}
-	t.Fatalf("no program analyzer %q", name)
-	return nil
-}
-
-// TestProgramAnalyzerGoldens proves every interprocedural analyzer
-// fires on its bad fixture with exactly the expected diagnostics and
-// stays silent on the clean fixture. The detflow case loads two bad
-// packages into one Program: an internal-path one (map iteration, where
-// only the transitive rule connects the helper to the simulation) and a
-// cmd-path one (goroutine, where the per-package rule is silent by
-// design).
-func TestProgramAnalyzerGoldens(t *testing.T) {
-	cases := []struct {
-		analyzer string
-		dir      string
-		extraBad []string
-	}{
-		{analyzer: "hotpathalloc", dir: "hotpathalloc"},
-		{analyzer: "determinism", dir: "detflow", extraBad: []string{filepath.Join("detflow", "cmd", "bad")}},
-		{analyzer: "atomicmix", dir: "atomicmix"},
-	}
-	for _, c := range cases {
-		c := c
-		t.Run(c.dir, func(t *testing.T) {
-			a := programAnalyzerByName(t, c.analyzer)
-
-			pkgs := []*Package{loadFixture(t, filepath.Join(c.dir, "bad"))}
-			for _, extra := range c.extraBad {
-				pkgs = append(pkgs, loadFixture(t, extra))
-			}
-			got := render(a.Run(NewProgram(pkgs)))
-			wantBytes, err := os.ReadFile(filepath.Join("testdata", "src", c.dir, "expected.txt"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := string(wantBytes); got != want {
-				t.Errorf("bad fixture diagnostics mismatch\n--- got ---\n%s--- want ---\n%s", got, want)
-			}
-
-			clean := NewProgram([]*Package{loadFixture(t, filepath.Join(c.dir, "clean"))})
-			if diags := a.Run(clean); len(diags) != 0 {
-				t.Errorf("clean fixture produced findings:\n%s", render(diags))
-			}
-		})
-	}
-}
 
 // TestStaleIgnore proves the three-way contract: a directive that
 // suppresses nothing is reported on full-module Programs, stays

@@ -7,29 +7,36 @@ import (
 )
 
 // DeterminismAnalyzer flags scheduling- and order-dependent constructs
-// that would make simulation results irreproducible: raw go statements
-// inside internal packages, and unordered map iteration in obs emission
-// paths. Concurrency belongs in internal/parallel, whose index-addressed
-// worker pool keeps reduction order independent of goroutine
-// scheduling; a bare goroutine anywhere else in the model invites
-// scheduling-order-dependent results. (Entropy-source checks — global
-// math/rand, wall-clock and environment reads — moved to the seedflow
-// analyzer in noclint v2; the interprocedural half of this analyzer
-// lives in DeterminismReachAnalyzer.)
+// that would make simulation results irreproducible, in two passes.
+// (Entropy sources — global math/rand, wall-clock and environment
+// reads — are the seedflow analyzer's.)
 //
-// Inside the obs package - the one place instrument state leaves the
-// process - the analyzer additionally flags every range over a map
-// except the collect-then-sort idiom (append keys to a slice the
-// function hands to sort.*). Metrics and trace files promise to be
-// byte-identical run to run, and the orderedoutput analyzer's
-// heuristics (writer fed, returned slice built) are too narrow to
-// guard a promise that strong: any map-order walk in an emission path
-// is a bug there even when its output looks commutative today.
+// The per-package pass flags raw go statements inside internal
+// packages: concurrency belongs in internal/parallel, whose
+// index-addressed worker pool keeps reduction order independent of
+// goroutine scheduling. Inside the obs and simcheck packages - where
+// instrument state and audit reports leave the process - it also flags
+// every range over a map except the collect-then-sort idiom (append
+// keys to a slice the function hands to sort.*). Metrics, traces and
+// violation reports promise to be byte-identical run to run, and the
+// orderedoutput analyzer's heuristics (writer fed, returned slice
+// built) are too narrow to guard a promise that strong.
+//
+// The reachability pass flags the same two constructs in any function
+// transitively reachable from a simulation hot root, even in a helper
+// package the per-package pass waves through (a cmd/ package, or a
+// non-obs package whose map walk feeds a simulator decision). It
+// subtracts the per-package pass's coverage rather than duplicating
+// it: go statements only where goInModel is false, map ranges only
+// outside packages named obs or simcheck. Collect-then-sort stays
+// exempt there too.
 func DeterminismAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "determinism",
-		Doc:  "flag raw goroutines inside the model and map-order walks in obs emission paths",
-		Run:  runDeterminism,
+		Doc:  "flag raw goroutines and map-order walks inside the model, in emission paths, or reachable from simulation entry points",
+		Run: func(prog *Program) []Diagnostic {
+			return append(perPackage(runDeterminism)(prog), prog.hotDiags(reachDeterminismDiags)...)
+		},
 	}
 }
 
@@ -50,29 +57,33 @@ var clockFuncs = map[string]bool{
 }
 
 func runDeterminism(p *Package) []Diagnostic {
-	internal := strings.Contains(p.ImportPath+"/", "/internal/")
-	inCmd := strings.Contains(p.ImportPath+"/", "/cmd/")
-	// internal/parallel is the one sanctioned home for goroutines: its
-	// runner is what makes them deterministic for everyone else.
-	inParallel := strings.HasSuffix(p.ImportPath, "internal/parallel")
 	var diags []Diagnostic
-	p.walkFiles(func(file *ast.File, n ast.Node) bool {
-		if g, ok := n.(*ast.GoStmt); ok {
-			if internal && !inCmd && !inParallel {
+	if goInModel(p) {
+		p.walkFiles(func(_ *ast.File, n ast.Node) bool {
+			if g, ok := n.(*ast.GoStmt); ok {
 				diags = append(diags, p.diag(g.Pos(), "determinism",
 					"go statement spawns a raw goroutine inside the model; shard through parallel.Map so results stay index-addressed and scheduling-independent"))
 			}
 			return true
-		}
-		return true
-	})
-	if packageNamed(p, "obs") {
-		diags = append(diags, emissionMapOrderDiags(p, obsMapOrderMsg)...)
+		})
 	}
-	if packageNamed(p, "simcheck") {
-		diags = append(diags, emissionMapOrderDiags(p, simcheckMapOrderMsg)...)
+	if msg := emissionMapOrderMsg(p); msg != "" {
+		diags = append(diags, emissionMapOrderDiags(p, msg)...)
 	}
 	return diags
+}
+
+// emissionMapOrderMsg returns the map-order message for a package whose
+// output promises byte-identical runs (obs, simcheck), and "" for any
+// other package.
+func emissionMapOrderMsg(p *Package) string {
+	switch {
+	case packageNamed(p, "obs"):
+		return obsMapOrderMsg
+	case packageNamed(p, "simcheck"):
+		return simcheckMapOrderMsg
+	}
+	return ""
 }
 
 // Emission-path map-order messages. obs promises byte-identical metrics
@@ -114,23 +125,65 @@ func emissionMapOrderDiags(p *Package, msg string) []Diagnostic {
 				if !ok {
 					return true
 				}
-				tv, ok := p.Info.Types[rng.X]
-				if !ok || tv.Type == nil {
-					return true
+				if unorderedMapRange(p, rng, sorted) {
+					diags = append(diags, p.diag(rng.Pos(), "determinism", msg))
 				}
-				if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
-					return true
-				}
-				if isCollectForSort(rng, sorted) {
-					return true
-				}
-				diags = append(diags, p.diag(rng.Pos(), "determinism", msg))
 				return true
 			})
 			return true
 		})
 	}
 	return diags
+}
+
+// goInModel reports whether the per-package pass flags go statements
+// in p: internal packages outside cmd/ and internal/parallel, the one
+// sanctioned home for goroutines (its runner is what makes them
+// deterministic for everyone else).
+func goInModel(p *Package) bool {
+	path := p.ImportPath + "/"
+	return strings.Contains(path, "/internal/") && !strings.Contains(path, "/cmd/") &&
+		!strings.HasSuffix(p.ImportPath, "internal/parallel")
+}
+
+// reachDeterminismDiags flags the scheduling- and order-dependent
+// constructs of one hot function that the per-package pass leaves
+// alone.
+func reachDeterminismDiags(n *cgNode, root string) []Diagnostic {
+	p := n.pkg
+	goCovered := goInModel(p)
+	perPkgMapRule := emissionMapOrderMsg(p) != ""
+	sorted := sortedIdents(p, n.decl.Body)
+	var diags []Diagnostic
+	ast.Inspect(n.decl.Body, func(node ast.Node) bool {
+		switch x := node.(type) {
+		case *ast.GoStmt:
+			if !goCovered {
+				diags = append(diags, p.diag(x.Pos(), "determinism",
+					"go statement spawns a raw goroutine on a simulation path (reachable from %s); results become scheduling-dependent — shard through parallel.Map", root))
+			}
+		case *ast.RangeStmt:
+			if !perPkgMapRule && unorderedMapRange(p, x, sorted) {
+				diags = append(diags, p.diag(x.Pos(), "determinism",
+					"range over map on a simulation path (reachable from %s) iterates in nondeterministic order; collect the keys, sort them, and iterate the sorted slice", root))
+			}
+		}
+		return true
+	})
+	return diags
+}
+
+// unorderedMapRange reports whether rng walks a map in iteration order:
+// its operand is a map and the loop is not the collect-then-sort idiom.
+func unorderedMapRange(p *Package, rng *ast.RangeStmt, sorted map[string]bool) bool {
+	tv, ok := p.Info.Types[rng.X]
+	if !ok || tv.Type == nil {
+		return false
+	}
+	if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
+		return false
+	}
+	return !isCollectForSort(rng, sorted)
 }
 
 // isCollectForSort recognizes the exempt idiom: the range body is the

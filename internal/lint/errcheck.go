@@ -16,7 +16,7 @@ func ErrCheckAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "errcheck",
 		Doc:  "flag silently dropped error returns",
-		Run:  runErrCheck,
+		Run:  perPackage(runErrCheck),
 	}
 }
 

@@ -14,8 +14,9 @@ import (
 // configurations; the analyzer enforces it structurally over every hot
 // function at once.
 //
-// Flagged constructs: append growth, make, map/slice composite literals,
-// closure (func) literals, fmt.* calls, and interface boxing of
+// Flagged constructs: append growth, make, new, map/slice composite
+// literals, closure (func) literals, fmt.* calls, the standard-library
+// growth calls in stdGrowthFuncs, and interface boxing of
 // non-pointer-shaped values at call sites. Struct literals are NOT
 // flagged: creating a model object (&Packet{...}) is the one intended
 // allocation of an admission path, while the constructs above are the
@@ -23,30 +24,21 @@ import (
 //
 // Two idioms are exempt:
 //
-//   - Scratch reset: appends to a slice the same function resets with
-//     `x = x[:0]` are amortized-zero (the Mesh.Step move scratch).
+//   - Scratch reset: appends (and slices.Grow/Insert calls) on a slice
+//     the same function resets with `x = x[:0]` are amortized-zero (the
+//     Mesh.Step move scratch).
 //   - Validation exit: constructs inside an if/case body whose last
 //     statement is a return, in a function whose final result is an
 //     error, are input-validation exits (fmt.Errorf and friends), not
 //     steady-state work. This can mask an allocation on a non-error
 //     early return — a deliberate conservatism trade documented in
 //     DESIGN.md.
-func HotPathAllocAnalyzer() *ProgramAnalyzer {
-	return &ProgramAnalyzer{
+func HotPathAllocAnalyzer() *Analyzer {
+	return &Analyzer{
 		Name: "hotpathalloc",
 		Doc:  "flag allocation-causing constructs reachable from Step/Inject/Pop or //lint:hotpath roots",
-		Run:  runHotPathAlloc,
+		Run:  func(prog *Program) []Diagnostic { return prog.hotDiags(hotFuncDiags) },
 	}
-}
-
-func runHotPathAlloc(prog *Program) []Diagnostic {
-	var diags []Diagnostic
-	reach := prog.Reachable(prog.HotRoots())
-	for _, id := range sortedKeys(reach) {
-		n := prog.nodes[id]
-		diags = append(diags, hotFuncDiags(n, shortID(reach[id]))...)
-	}
-	return diags
 }
 
 // hotFuncDiags flags the allocating constructs of one hot function.
@@ -95,6 +87,21 @@ func hotFuncDiags(n *cgNode, root string) []Diagnostic {
 	return diags
 }
 
+// stdGrowthFuncs are the standard-library calls that allocate or grow a
+// backing store, keyed by types.Func full name. The value marks the ones
+// that grow their first argument in place, which take the scratch-reset
+// exemption like append; a clone or concatenation allocates a fresh
+// array whatever its inputs.
+var stdGrowthFuncs = map[string]bool{
+	"slices.Grow":             true,
+	"slices.Insert":           true,
+	"slices.Clone":            false,
+	"slices.Concat":           false,
+	"maps.Clone":              false,
+	"(*strings.Builder).Grow": false,
+	"(*bytes.Buffer).Grow":    false,
+}
+
 // hotCallDiags classifies one call expression in a hot function.
 func hotCallDiags(p *Package, call *ast.CallExpr, root string, resets map[string]bool, exempt func(token.Pos) bool) []Diagnostic {
 	if exempt(call.Pos()) {
@@ -117,6 +124,15 @@ func hotCallDiags(p *Package, call *ast.CallExpr, root string, resets map[string
 			return diags
 		}
 	case *ast.SelectorExpr:
+		if fn, ok := p.Info.Uses[fun.Sel].(*types.Func); ok {
+			if inPlace, grows := stdGrowthFuncs[fn.FullName()]; grows {
+				if inPlace && len(call.Args) > 0 && resets[types.ExprString(call.Args[0])] {
+					return nil // scratch-reset idiom: amortized-zero
+				}
+				return []Diagnostic{p.diag(call.Pos(), "hotpathalloc",
+					"%s may allocate or grow a backing array in a hot path (reachable from %s); reuse a preallocated buffer or document the amortization with //lint:ignore", fn.FullName(), root)}
+			}
+		}
 		if file := fileOf(p, call.Pos()); file != nil && p.packagePathOf(file, fun) == "fmt" {
 			diags = append(diags, p.diag(call.Pos(), "hotpathalloc",
 				"fmt.%s formats (and allocates) in a hot path (reachable from %s); move formatting off the per-cycle flow", fun.Sel.Name, root))

@@ -26,11 +26,11 @@ import (
 
 // Diagnostic is one finding, addressed by file position.
 type Diagnostic struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
+	File     string
+	Line     int
+	Col      int
+	Analyzer string
+	Message  string
 }
 
 // String renders the canonical file:line: [analyzer] message form.
@@ -38,32 +38,21 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d: [%s] %s", d.File, d.Line, d.Analyzer, d.Message)
 }
 
-// Analyzer is one invariant checker. Run inspects a loaded package and
-// returns its findings (suppressions are applied by the caller).
+// Analyzer is one invariant checker. Run inspects a whole Program (all
+// loaded packages plus their shared call graph) and returns its
+// findings; suppressions are applied by CheckProgram.
 type Analyzer struct {
 	// Name is the identifier used in output and //lint:ignore comments.
 	Name string
 	// Doc is a one-line description for -list output.
 	Doc string
-	// Run executes the analyzer over one package.
-	Run func(p *Package) []Diagnostic
-}
-
-// ProgramAnalyzer is an interprocedural invariant checker. Run inspects
-// a whole Program (all loaded packages plus their shared call graph)
-// and returns its findings (suppressions are applied by the caller).
-type ProgramAnalyzer struct {
-	// Name is the identifier used in output and //lint:ignore comments.
-	Name string
-	// Doc is a one-line description for -list output.
-	Doc string
-	// Run executes the analyzer over the program. It may be nil for
-	// analyzers CheckProgram evaluates itself (staleignore needs the
-	// suppression-usage information only CheckProgram has).
+	// Run executes the analyzer over the program. It is nil for
+	// staleignore, which CheckProgram evaluates itself: it needs the
+	// suppression-usage information only CheckProgram has.
 	Run func(prog *Program) []Diagnostic
 }
 
-// Analyzers returns the per-package suite in a fixed order.
+// Analyzers returns the suite in a fixed order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		DeterminismAnalyzer(),
@@ -72,16 +61,21 @@ func Analyzers() []*Analyzer {
 		OrderedOutputAnalyzer(),
 		RegistryAnalyzer(),
 		ErrCheckAnalyzer(),
+		HotPathAllocAnalyzer(),
+		AtomicMixAnalyzer(),
+		StaleIgnoreAnalyzer(),
 	}
 }
 
-// ProgramAnalyzers returns the interprocedural suite in a fixed order.
-func ProgramAnalyzers() []*ProgramAnalyzer {
-	return []*ProgramAnalyzer{
-		HotPathAllocAnalyzer(),
-		DeterminismReachAnalyzer(),
-		AtomicMixAnalyzer(),
-		StaleIgnoreAnalyzer(),
+// perPackage lifts a single-package check into an Analyzer.Run that
+// applies it to every package of the program in load order.
+func perPackage(run func(p *Package) []Diagnostic) func(prog *Program) []Diagnostic {
+	return func(prog *Program) []Diagnostic {
+		var diags []Diagnostic
+		for _, p := range prog.Packages {
+			diags = append(diags, run(p)...)
+		}
+		return diags
 	}
 }
 
@@ -94,39 +88,21 @@ func ProgramAnalyzers() []*ProgramAnalyzer {
 // and only on full-module Programs (a partial load cannot distinguish
 // "stale" from "suppresses an interprocedural finding rooted in a
 // package outside this load").
-func StaleIgnoreAnalyzer() *ProgramAnalyzer {
-	return &ProgramAnalyzer{
+func StaleIgnoreAnalyzer() *Analyzer {
+	return &Analyzer{
 		Name: "staleignore",
 		Doc:  "report //lint:ignore directives that no longer suppress anything (full-module runs only)",
 	}
 }
 
-// Check runs every per-package analyzer over the package and returns
-// the surviving (unsuppressed) findings sorted by position.
-func Check(p *Package) []Diagnostic {
-	var diags []Diagnostic
-	for _, a := range Analyzers() {
-		diags = append(diags, a.Run(p)...)
-	}
-	diags = FilterSuppressed(p, diags)
-	SortDiagnostics(diags)
-	return diags
-}
-
-// CheckProgram runs the full suite — per-package analyzers over every
-// package, then the interprocedural analyzers over the program — and
-// applies //lint:ignore suppression across the whole diagnostic set at
-// once (an interprocedural finding can be suppressed at its position
-// like any other). On full-module Programs, directives that suppressed
-// nothing are reported under the staleignore analyzer.
+// CheckProgram runs the suite over the program and applies
+// //lint:ignore suppression across the whole diagnostic set at once (an
+// interprocedural finding can be suppressed at its position like any
+// other). On full-module Programs, directives that suppressed nothing
+// are reported under the staleignore analyzer.
 func CheckProgram(prog *Program) []Diagnostic {
 	var diags []Diagnostic
-	for _, p := range prog.Packages {
-		for _, a := range Analyzers() {
-			diags = append(diags, a.Run(p)...)
-		}
-	}
-	for _, a := range ProgramAnalyzers() {
+	for _, a := range Analyzers() {
 		if a.Run != nil {
 			diags = append(diags, a.Run(prog)...)
 		}
@@ -268,16 +244,6 @@ func applySuppressions(diags []Diagnostic, sups []suppression) ([]Diagnostic, []
 		}
 	}
 	return out, used
-}
-
-// FilterSuppressed drops diagnostics covered by //lint:ignore comments
-// in one package. Directives without a reason are themselves reported
-// so suppressions stay auditable.
-func FilterSuppressed(p *Package, diags []Diagnostic) []Diagnostic {
-	sups, malformed := collectSuppressions(p)
-	diags = append(diags, malformed...)
-	out, _ := applySuppressions(diags, sups)
-	return out
 }
 
 // walkFiles applies fn to every node of every file in the package.

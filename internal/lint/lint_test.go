@@ -41,18 +41,6 @@ func loadFixture(t *testing.T, rel string) *Package {
 	return p
 }
 
-// analyzerByName fetches one analyzer from the suite.
-func analyzerByName(t *testing.T, name string) *Analyzer {
-	t.Helper()
-	for _, a := range Analyzers() {
-		if a.Name == name {
-			return a
-		}
-	}
-	t.Fatalf("no analyzer %q", name)
-	return nil
-}
-
 // render formats diagnostics with base file names for golden
 // comparison.
 func render(diags []Diagnostic) string {
@@ -66,17 +54,59 @@ func render(diags []Diagnostic) string {
 	return b.String()
 }
 
-// TestAnalyzerGoldens proves every analyzer fires on its bad fixture
-// with exactly the expected diagnostics, and stays silent on the clean
-// fixture.
-func TestAnalyzerGoldens(t *testing.T) {
-	for _, name := range []string{"determinism", "seedflow", "unitsafety", "orderedoutput", "registry", "errcheck"} {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			a := analyzerByName(t, name)
+// goldenRows is the one golden table: each row runs one analyzer over a
+// Program of dir/bad plus any extra bad packages, and dir/clean must
+// produce nothing. Rows marked program are the ones whose findings come
+// from the cross-package call graph; TestProgramAnalyzerGoldens runs
+// them and TestAnalyzerGoldens runs the rest, so a failure names which
+// kind of pass broke. The detflow row loads two bad packages: an
+// internal-path one (map iteration, where only the reachability pass
+// connects the helper to the simulation) and a cmd-path one (goroutine,
+// where the per-package pass is silent by design). The obsoutput and
+// simcheckaudit fixtures are packages named obs and simcheck: the
+// emission rule keys on the package clause, so it guards the real
+// packages regardless of fixture layout. Every analyzer but staleignore
+// (TestStaleIgnore) needs a row.
+var goldenRows = []struct {
+	analyzer, dir string
+	extraBad      []string
+	program       bool
+}{
+	{analyzer: "determinism", dir: "determinism"},
+	{analyzer: "determinism", dir: "obsoutput"},
+	{analyzer: "determinism", dir: "simcheckaudit"},
+	{analyzer: "seedflow", dir: "seedflow"},
+	{analyzer: "unitsafety", dir: "unitsafety"},
+	{analyzer: "orderedoutput", dir: "orderedoutput"},
+	{analyzer: "registry", dir: "registry"},
+	{analyzer: "errcheck", dir: "errcheck"},
+	{analyzer: "atomicmix", dir: "atomicmix", program: true},
+	{analyzer: "determinism", dir: "detflow", extraBad: []string{filepath.Join("detflow", "cmd", "bad")}, program: true},
+	{analyzer: "hotpathalloc", dir: "hotpathalloc", program: true},
+}
 
-			got := render(a.Run(loadFixture(t, filepath.Join(name, "bad"))))
-			wantBytes, err := os.ReadFile(filepath.Join("testdata", "src", name, "expected.txt"))
+// runGoldens runs the goldenRows whose program mark matches, one
+// subtest per fixture dir.
+func runGoldens(t *testing.T, program bool) {
+	byName := map[string]*Analyzer{}
+	for _, a := range Analyzers() {
+		byName[a.Name] = a
+	}
+	for _, r := range goldenRows {
+		if r.program != program {
+			continue
+		}
+		t.Run(r.dir, func(t *testing.T) {
+			a := byName[r.analyzer]
+			if a == nil {
+				t.Fatalf("no analyzer %q", r.analyzer)
+			}
+			pkgs := []*Package{loadFixture(t, filepath.Join(r.dir, "bad"))}
+			for _, extra := range r.extraBad {
+				pkgs = append(pkgs, loadFixture(t, extra))
+			}
+			got := render(a.Run(NewProgram(pkgs)))
+			wantBytes, err := os.ReadFile(filepath.Join("testdata", "src", r.dir, "expected.txt"))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -84,63 +114,50 @@ func TestAnalyzerGoldens(t *testing.T) {
 				t.Errorf("bad fixture diagnostics mismatch\n--- got ---\n%s--- want ---\n%s", got, want)
 			}
 
-			if diags := a.Run(loadFixture(t, filepath.Join(name, "clean"))); len(diags) != 0 {
+			clean := NewProgram([]*Package{loadFixture(t, filepath.Join(r.dir, "clean"))})
+			if diags := a.Run(clean); len(diags) != 0 {
 				t.Errorf("clean fixture produced findings:\n%s", render(diags))
 			}
 		})
 	}
 }
 
-// TestDeterminismObsEmission proves the determinism analyzer's
-// obs-specific rule: raw map iteration in a package named obs is
-// flagged, and the collect-then-sort idiom (the shape the real emitters
-// use) is exempt. The fixture packages are both named obs - the rule
-// keys on the package clause, so it guards the real internal/obs
-// regardless of fixture directory layout.
-func TestDeterminismObsEmission(t *testing.T) {
-	a := analyzerByName(t, "determinism")
-
-	got := render(a.Run(loadFixture(t, filepath.Join("obsoutput", "bad"))))
-	wantBytes, err := os.ReadFile(filepath.Join("testdata", "src", "obsoutput", "expected.txt"))
-	if err != nil {
-		t.Fatal(err)
+// TestAnalyzerGoldens proves every analyzer fires on its bad fixtures
+// with exactly the expected diagnostics and stays silent on the clean
+// fixture (the per-package rows of goldenRows). It also checks the
+// table against Analyzers(): names are unique and every analyzer but
+// staleignore has a row.
+func TestAnalyzerGoldens(t *testing.T) {
+	seen := map[string]bool{}
+	for _, a := range Analyzers() {
+		if seen[a.Name] {
+			t.Errorf("analyzer name %q appears twice in Analyzers()", a.Name)
+		}
+		seen[a.Name] = true
 	}
-	if want := string(wantBytes); got != want {
-		t.Errorf("bad fixture diagnostics mismatch\n--- got ---\n%s--- want ---\n%s", got, want)
+	covered := map[string]bool{"staleignore": true}
+	for _, r := range goldenRows {
+		covered[r.analyzer] = true
 	}
-
-	if diags := a.Run(loadFixture(t, filepath.Join("obsoutput", "clean"))); len(diags) != 0 {
-		t.Errorf("clean fixture produced findings:\n%s", render(diags))
+	for _, a := range Analyzers() {
+		if !covered[a.Name] {
+			t.Errorf("analyzer %q has no golden fixture row", a.Name)
+		}
 	}
+	runGoldens(t, false)
 }
 
-// TestDeterminismSimcheckEmission proves the same emission rule guards
-// packages named simcheck: the audit harness promises byte-identical
-// violation reports and reproducers, so raw map iteration is flagged
-// there and collect-then-sort stays exempt, exactly as in obs.
-func TestDeterminismSimcheckEmission(t *testing.T) {
-	a := analyzerByName(t, "determinism")
-
-	got := render(a.Run(loadFixture(t, filepath.Join("simcheckaudit", "bad"))))
-	wantBytes, err := os.ReadFile(filepath.Join("testdata", "src", "simcheckaudit", "expected.txt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := string(wantBytes); got != want {
-		t.Errorf("bad fixture diagnostics mismatch\n--- got ---\n%s--- want ---\n%s", got, want)
-	}
-
-	if diags := a.Run(loadFixture(t, filepath.Join("simcheckaudit", "clean"))); len(diags) != 0 {
-		t.Errorf("clean fixture produced findings:\n%s", render(diags))
-	}
+// TestProgramAnalyzerGoldens runs the goldenRows whose findings depend
+// on the cross-package call graph: hotpathalloc, atomicmix and the
+// determinism reachability pass over detflow.
+func TestProgramAnalyzerGoldens(t *testing.T) {
+	runGoldens(t, true)
 }
 
 // TestSuppression proves //lint:ignore drops a finding on the next
 // line, leaves others, and reports malformed directives.
 func TestSuppression(t *testing.T) {
-	p := loadFixture(t, "suppress")
-	diags := Check(p)
-	got := render(diags)
+	got := render(CheckProgram(NewProgram([]*Package{loadFixture(t, "suppress")})))
 	want := "" +
 		"suppressed.go:14: [seedflow] time.Now reads the wall clock inside the model; pass timestamps in from the caller\n" +
 		"suppressed.go:18: [lint] malformed //lint:ignore directive: want `//lint:ignore <analyzer> <reason>`\n" +

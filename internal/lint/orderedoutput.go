@@ -18,7 +18,7 @@ func OrderedOutputAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "orderedoutput",
 		Doc:  "flag map-order-dependent output (writers fed or returned slices built inside range-over-map)",
-		Run:  runOrderedOutput,
+		Run:  perPackage(runOrderedOutput),
 	}
 }
 

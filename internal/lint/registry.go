@@ -24,7 +24,7 @@ func RegistryAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "registry",
 		Doc:  "flag unregistered experiment constructors, unservable entries, and IDs missing from EXPERIMENTS.md",
-		Run:  runRegistry,
+		Run:  perPackage(runRegistry),
 	}
 }
 

@@ -18,12 +18,12 @@ import (
 // These checks lived inside the determinism analyzer in noclint v1;
 // they are split out so //lint:ignore directives can distinguish
 // "entropy source" findings from "scheduling/order" findings, and so
-// the transitive determinism pass stays focused on the latter.
+// the determinism analyzer stays focused on the latter.
 func SeedFlowAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "seedflow",
 		Doc:  "flag global math/rand draws, wall-clock reads, and env reads that bypass the injected seed",
-		Run:  runSeedFlow,
+		Run:  perPackage(runSeedFlow),
 	}
 }
 

@@ -1,9 +1,13 @@
 // Package clean shows the sanctioned hot-path shapes: scratch-reset
-// appends, validation-exit formatting, struct literals (the intended
+// appends and slices.Grow calls, validation-exit formatting and
+// cloning, struct literals (the intended
 // object creation), and pointer-shaped interface values.
 package clean
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Packet is the model object a hot path is allowed to create.
 type Packet struct{ ID int }
@@ -18,6 +22,7 @@ type Sim struct {
 // reset, and handing a pointer to an interface parameter does not box.
 func (s *Sim) Step() {
 	s.moves = s.moves[:0]
+	s.moves = slices.Grow(s.moves, len(s.queue))
 	for i := range s.queue {
 		s.moves = append(s.moves, i)
 	}
@@ -29,6 +34,9 @@ func (s *Sim) Step() {
 func (s *Sim) Inject(id int) error {
 	if id < 0 {
 		return fmt.Errorf("negative id %d", id)
+	}
+	if len(s.queue) > 1<<20 {
+		return fmt.Errorf("queue full: %v", slices.Clone(s.queue[:4]))
 	}
 	s.queue = s.queue[:0]
 	s.queue = append(s.queue, id)

@@ -24,7 +24,7 @@ func UnitSafetyAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "unitsafety",
 		Doc:  "flag unit laundering, squared units and bare-float64 unit assignments",
-		Run:  runUnitSafety,
+		Run:  perPackage(runUnitSafety),
 	}
 }
 

@@ -96,6 +96,7 @@ func (t *packetTable) add(p Packet) int32 {
 	// a time, and append's 1.25x growth for large slices would
 	// reallocate it many times on the way up.
 	if len(t.pkts) == cap(t.pkts) {
+		//lint:ignore hotpathalloc doubling runs only until the table holds the peak number of packets in flight; slots are recycled after that (TestPacketTableBoundedByPeakInFlight)
 		t.pkts = slices.Grow(t.pkts, len(t.pkts))
 	}
 	//lint:ignore hotpathalloc the table grows only to the peak number of packets in flight, then recycles slots (TestStepSteadyStateDoesNotAllocate, TestPacketTableBoundedByPeakInFlight)
