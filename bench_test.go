@@ -470,7 +470,7 @@ func BenchmarkAblationLocalCaching(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		lat, err := microbench.GPCToMPLatency(dev, 0, 1, 0)
+		lat, err := microbench.NewBench(nil).GPCToMPLatency(dev, 0, 1)
 		if err != nil {
 			b.Fatal(err)
 		}

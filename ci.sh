@@ -88,6 +88,7 @@ fuzz_target FuzzEncryptBlock ./internal/aes
 fuzz_target FuzzCacheAccess ./internal/cache
 fuzz_target FuzzParseTrace ./internal/simcheck
 fuzz_target FuzzNoCCase ./internal/simcheck
+fuzz_target FuzzParseBenchOutput ./cmd/nocbench
 
 echo "==> native fuzz seeded-failure smoke"
 # Prove the stage bites: a transient package whose fuzz target fails on

@@ -136,7 +136,10 @@ func main() {
 // without the -GOMAXPROCS suffix. Only result lines, those with an
 // ns/op column, count: headers, log lines, name-only lines and PASS or
 // FAIL lines are skipped. A result line is the name, the iteration
-// count, then value/unit pairs, b.ReportMetric's among them.
+// count, then value/unit pairs, b.ReportMetric's among them. Every
+// value must be a finite, non-negative number below 2^63, so the gate
+// never compares against a NaN (which passes every > test) and B/op and
+// allocs/op convert to int64 exactly.
 func parseBenchOutput(r io.Reader) (map[string]measurement, error) {
 	type samples struct {
 		n                 int
@@ -151,7 +154,7 @@ func parseBenchOutput(r io.Reader) (map[string]measurement, error) {
 			continue
 		}
 		n, err := strconv.Atoi(f[1])
-		if err != nil || len(f)%2 != 0 {
+		if err != nil || n < 0 || len(f)%2 != 0 {
 			return nil, fmt.Errorf("line %d: malformed result line %q", line, sc.Text())
 		}
 		if !containsUnit(f, "allocs/op") {
@@ -166,8 +169,8 @@ func parseBenchOutput(r io.Reader) (map[string]measurement, error) {
 		s.n = n
 		for i := 2; i < len(f); i += 2 {
 			v, err := strconv.ParseFloat(f[i], 64)
-			if err != nil {
-				return nil, fmt.Errorf("line %d: %s: bad %s value %q", line, name, f[i+1], f[i])
+			if err != nil || !(v >= 0 && v < 1<<63) {
+				return nil, fmt.Errorf("line %d: %s: bad %s value %q (want a finite number in [0, 2^63))", line, name, f[i+1], f[i])
 			}
 			switch unit := f[i+1]; unit {
 			case "ns/op":

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -95,11 +96,47 @@ func TestParseBenchOutputRejectsMalformedLines(t *testing.T) {
 		"bad count":       "BenchmarkA-2 \t lots \t 12.5 ns/op \t 0 B/op \t 0 allocs/op\n",
 		"bad value":       "BenchmarkA-2 \t 100 \t fast ns/op \t 0 B/op \t 0 allocs/op\n",
 		"unpaired column": "BenchmarkA-2 \t 100 \t 12.5 ns/op \t 0 B/op \t 0 allocs/op \t 7\n",
+		"NaN ns/op":       "BenchmarkA-2 \t 100 \t NaN ns/op \t 0 B/op \t 0 allocs/op\n",
+		"Inf ns/op":       "BenchmarkA-2 \t 100 \t +Inf ns/op \t 0 B/op \t 0 allocs/op\n",
+		"negative ns/op":  "BenchmarkA-2 \t 100 \t -5 ns/op \t 0 B/op \t 0 allocs/op\n",
+		"negative B/op":   "BenchmarkA-2 \t 100 \t 12.5 ns/op \t -1 B/op \t 0 allocs/op\n",
+		"NaN allocs/op":   "BenchmarkA-2 \t 100 \t 12.5 ns/op \t 0 B/op \t NaN allocs/op\n",
+		"huge allocs/op":  "BenchmarkA-2 \t 100 \t 12.5 ns/op \t 0 B/op \t 1e300 allocs/op\n",
+		"negative metric": "BenchmarkA-2 \t 100 \t 12.5 ns/op \t -0.5 x/op \t 0 B/op \t 0 allocs/op\n",
+		"negative count":  "BenchmarkA-2 \t -100 \t 12.5 ns/op \t 0 B/op \t 0 allocs/op\n",
 	} {
 		if _, err := parseBenchOutput(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: parsed %q without error", name, in)
 		}
 	}
+}
+
+// FuzzParseBenchOutput: whatever the recording, parsing never panics,
+// and it either errors or returns only finite, non-negative values, so
+// check never compares against a NaN or a negative baseline.
+func FuzzParseBenchOutput(f *testing.F) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "bench.txt"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(string(golden))
+	f.Fuzz(func(t *testing.T, in string) {
+		got, err := parseBenchOutput(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		for name, m := range got {
+			vals := []float64{float64(m.N), m.NsPerOp, float64(m.BytesPerOp), float64(m.AllocsPerOp)}
+			for _, v := range m.Metrics {
+				vals = append(vals, v)
+			}
+			for _, v := range vals {
+				if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+					t.Fatalf("%s: parsed %v from %q", name, v, in)
+				}
+			}
+		}
+	})
 }
 
 // gate returns a baseline gating the golden's benchmarks at their

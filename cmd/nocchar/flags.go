@@ -5,12 +5,15 @@ import (
 	"fmt"
 )
 
-// modeFlags are the flags that choose what a nocchar run does or how it
-// renders.
+// modeFlags are the flags that choose what a nocchar run does, how it
+// renders and what it runs on. gpu is whether -gpu was set explicitly,
+// since its default names a generation too.
 type modeFlags struct {
 	list, observations, implications bool
 	report, exp                      string
 	all, csv, json                   bool
+	metrics, trace                   string
+	quick, gpu                       bool
 }
 
 // validateFlags rejects flag combinations whose precedence used to be
@@ -19,8 +22,9 @@ type modeFlags struct {
 // set, -report writes every experiment as Markdown, so -exp, -csv and
 // -json have nothing to choose there, and -list, -observations and
 // -implications are modes of their own that ignore every other mode
-// flag. A script must get a loud non-zero exit, not whichever flag the
-// code happened to test first.
+// flag, write no -metrics or -trace file and run on no -gpu or -quick
+// setting of the caller's. A script must get a loud non-zero exit, not
+// whichever flag the code happened to test first or silently dropped.
 func validateFlags(f modeFlags) error {
 	set := []struct {
 		name string
@@ -34,6 +38,10 @@ func validateFlags(f modeFlags) error {
 		{"-all", f.all},
 		{"-csv", f.csv},
 		{"-json", f.json},
+		{"-metrics", f.metrics != ""},
+		{"-trace", f.trace != ""},
+		{"-quick", f.quick},
+		{"-gpu", f.gpu},
 	}
 	// The first three run alone: each refuses every flag listed after it.
 	for i, m := range set[:3] {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -44,6 +45,16 @@ func TestValidateFlags(t *testing.T) {
 		{name: "implications and exp", f: modeFlags{implications: true, exp: "fig1"}, wantErr: true},
 		{name: "implications and csv", f: modeFlags{implications: true, csv: true}, wantErr: true},
 		{name: "implications and json", f: modeFlags{implications: true, json: true}, wantErr: true},
+		{name: "exp with metrics, trace, quick and gpu", f: modeFlags{exp: "fig1", metrics: "m.json", trace: "t.json", quick: true, gpu: true}},
+		{name: "report with metrics", f: modeFlags{report: "r.md", metrics: "m.json"}},
+		{name: "list and metrics", f: modeFlags{list: true, metrics: "m.json"}, wantErr: true},
+		{name: "list and trace", f: modeFlags{list: true, trace: "t.json"}, wantErr: true},
+		{name: "list and quick", f: modeFlags{list: true, quick: true}, wantErr: true},
+		{name: "list and gpu", f: modeFlags{list: true, gpu: true}, wantErr: true},
+		{name: "observations and metrics", f: modeFlags{observations: true, metrics: "m.json"}, wantErr: true},
+		{name: "observations and quick", f: modeFlags{observations: true, quick: true}, wantErr: true},
+		{name: "implications and trace", f: modeFlags{implications: true, trace: "t.json"}, wantErr: true},
+		{name: "implications and gpu", f: modeFlags{implications: true, gpu: true}, wantErr: true},
 	}
 	for _, c := range cases {
 		err := validateFlags(c.f)
@@ -54,8 +65,8 @@ func TestValidateFlags(t *testing.T) {
 }
 
 // TestCLIFlagConflicts runs the real binary: conflicting flags must
-// print to stderr, write nothing to stdout, and exit non-zero before
-// any simulation starts.
+// print to stderr, write nothing to stdout or -metrics, and exit 1
+// before any simulation starts.
 func TestCLIFlagConflicts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping binary build in -short mode")
@@ -64,11 +75,13 @@ func TestCLIFlagConflicts(t *testing.T) {
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
+	metrics := filepath.Join(t.TempDir(), "m.json")
 	for _, args := range [][]string{
 		{"-gpu", "v100", "-exp", "fig1", "-csv", "-json"},
 		{"-gpu", "v100", "-exp", "fig1", "-all"},
 		{"-gpu", "v100", "-report", filepath.Join(t.TempDir(), "r.md"), "-exp", "fig1"},
 		{"-list", "-report", filepath.Join(t.TempDir(), "r.md")},
+		{"-list", "-metrics", metrics},
 	} {
 		cmd := exec.Command(bin, args...)
 		var stdout, stderr bytes.Buffer
@@ -78,8 +91,8 @@ func TestCLIFlagConflicts(t *testing.T) {
 			t.Errorf("nocchar %v: want non-zero exit", args)
 			continue
 		}
-		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() == 0 {
-			t.Errorf("nocchar %v: exit error = %v, want non-zero exit code", args, err)
+		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 {
+			t.Errorf("nocchar %v: exit error = %v, want exit code 1", args, err)
 		}
 		if !strings.Contains(stderr.String(), "mutually exclusive") {
 			t.Errorf("nocchar %v: stderr = %q, want a mutually-exclusive diagnostic", args, stderr.String())
@@ -87,5 +100,8 @@ func TestCLIFlagConflicts(t *testing.T) {
 		if stdout.Len() != 0 {
 			t.Errorf("nocchar %v: stdout = %q, want empty (fail before any output)", args, stdout.String())
 		}
+	}
+	if _, err := os.Stat(metrics); !os.IsNotExist(err) {
+		t.Errorf("-list -metrics left %s behind (stat: %v), want no file", metrics, err)
 	}
 }

@@ -12,13 +12,14 @@
 //	nocchar -gpu v100 -all -quick -metrics metrics.json -trace trace.json
 //	nocchar -observations
 //
-// -parallel N sizes the deterministic worker pool (default GOMAXPROCS):
+// -parallel N sets GOMAXPROCS, which sizes the deterministic worker pool:
 // experiments of an -all run and the row sweeps inside each experiment
 // fan out across it, with results landing in index-addressed slots, so
 // the output is byte-identical for every N.
 //
 // -metrics FILE dumps every simulator instrument (counters, gauges,
-// histograms) as sorted-key JSON; -trace FILE dumps the cycle-stamped
+// histograms) as sorted-key JSON, each experiment's under its own
+// "<id>/<GPU>/" scope; -trace FILE dumps the cycle-stamped
 // event trace as Chrome trace-event JSON (load it in chrome://tracing or
 // Perfetto). Both files are byte-identical across runs at a fixed seed
 // and across -parallel values, and neither flag changes stdout.
@@ -26,8 +27,8 @@
 // -report FILE writes every experiment the GPU (or, with -all, every
 // GPU) supports as one Markdown report, so it refuses -exp, -csv and
 // -json instead of silently ignoring them. -list, -observations and
-// -implications are modes of their own and likewise refuse each other
-// and every other mode flag.
+// -implications are modes of their own and likewise refuse each other,
+// every other mode flag, -metrics, -trace, -quick and an explicit -gpu.
 //
 // When an experiment's run fails, -exp and -all print its error to
 // stderr, print every other experiment and write the -metrics/-trace
@@ -46,7 +47,6 @@ import (
 	"gpunoc/internal/core"
 	"gpunoc/internal/gpu"
 	"gpunoc/internal/obs"
-	"gpunoc/internal/parallel"
 )
 
 func main() {
@@ -61,24 +61,30 @@ func main() {
 		implications = flag.Bool("implications", false, "check the paper's 6 implications")
 		report       = flag.String("report", "", "write a full Markdown report of every experiment to this file")
 		jsonOut      = flag.Bool("json", false, "emit artifacts as JSON")
-		workers      = flag.Int("parallel", 0, "worker-pool size for experiment fan-out and sweep sharding; 0 means GOMAXPROCS (output is byte-identical for every value)")
+		procs        = flag.Int("parallel", 0, "set GOMAXPROCS, the worker-pool size for experiment fan-out and sweep sharding; 0 leaves it as is (output is byte-identical for every value)")
 		metricsOut   = flag.String("metrics", "", "write collected instruments (counters, gauges, histograms) as deterministic JSON to this file")
 		traceOut     = flag.String("trace", "", "write the cycle-stamped event trace as Chrome trace-event JSON to this file")
 	)
 	flag.Parse()
+	gpuSet := false
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == "gpu" {
+			gpuSet = true
+		}
+	})
 
 	if err := validateFlags(modeFlags{
 		list: *list, observations: *observations, implications: *implications,
 		report: *report, exp: *expID, all: *runAll, csv: *csv, json: *jsonOut,
+		metrics: *metricsOut, trace: *traceOut, quick: *quick, gpu: gpuSet,
 	}); err != nil {
 		fatal(err)
 	}
 
-	if *workers > 0 {
-		// One knob drives both levels of parallelism: the explicit pool
-		// arguments below and parallel.DefaultWorkers(), which reads
-		// GOMAXPROCS for every sweep that is not handed a pool size.
-		runtime.GOMAXPROCS(*workers)
+	if *procs > 0 {
+		// GOMAXPROCS is the one pool size: the experiment fan-out and
+		// every sweep inside an experiment read it.
+		runtime.GOMAXPROCS(*procs)
 	}
 
 	if *list {
@@ -121,7 +127,7 @@ func main() {
 		if *runAll {
 			cfgs = gpu.AllConfigs()
 		}
-		if err := writeReportFile(*report, cfgs, *quick, *workers, reg); err != nil {
+		if err := writeReportFile(*report, cfgs, *quick, reg); err != nil {
 			fatal(err)
 		}
 		fmt.Println("report written to", *report)
@@ -131,20 +137,10 @@ func main() {
 		return
 	}
 
-	ctx, err := core.NewContext(cfg, *quick)
-	if err != nil {
-		fatal(err)
-	}
-	ctx.Workers = *workers
-
 	var exps []*core.Experiment
 	switch {
 	case *runAll:
-		for _, e := range core.All() {
-			if e.SupportsGPU(cfg.Name) {
-				exps = append(exps, e)
-			}
-		}
+		exps = core.All()
 	case *expID != "":
 		e, err := core.Lookup(*expID)
 		if err != nil {
@@ -158,30 +154,18 @@ func main() {
 		fatal(fmt.Errorf("pass -exp <id>, -all, -report <file>, -list, -observations or -implications"))
 	}
 
-	// Fan the experiments out across the pool; results land in
-	// index-addressed slots and are printed below in registry order, so
-	// stdout is byte-identical to a sequential run. Wall times go to
-	// stderr to keep it that way. The same core.RunResult path backs the
-	// nocserve cache, whose responses are therefore byte-identical to
-	// this stdout (the renderers are shared, not reimplemented).
+	// core.Run skips the experiments cfg does not support and returns
+	// the outcomes in registry order, so stdout is byte-identical to a
+	// sequential run. Wall times go to stderr to keep it that way. The
+	// same core.RunResult path backs the nocserve cache, whose responses
+	// are therefore byte-identical to this stdout (the renderers are
+	// shared, not reimplemented).
 	t0 := time.Now()
-	results, err := parallel.Map(*workers, len(exps), func(i int) (outcome, error) {
-		start := time.Since(t0)
-		c := ctx
-		if reg != nil {
-			// Shallow-copy the shared context so each concurrent
-			// experiment observes into its own scope.
-			cc := *ctx
-			cc.Obs = reg.Scope(exps[i].ID)
-			c = &cc
-		}
-		res, err := core.RunResult(c, exps[i])
-		return outcome{res: res, err: err, dur: time.Since(t0) - start}, nil
-	})
+	outs, err := core.Run([]gpu.Config{cfg}, exps, *quick, reg, func() time.Duration { return time.Since(t0) })
 	if err != nil {
 		fatal(err)
 	}
-	failed := printOutcomes(os.Stdout, os.Stderr, cfg.Name, exps, results, *jsonOut, *csv)
+	failed := printOutcomes(os.Stdout, os.Stderr, outs, *jsonOut, *csv)
 	if err := writeObsFiles(reg, *metricsOut, *traceOut); err != nil {
 		fatal(err)
 	}
@@ -190,26 +174,19 @@ func main() {
 	}
 }
 
-// outcome is one experiment's run: its result or error, and wall time.
-type outcome struct {
-	res *core.Result
-	err error
-	dur time.Duration
-}
-
-// printOutcomes writes each experiment's header and rendering to stdout
-// in the order of exps, and its wall time and any run error to stderr.
-// A failed run prints its header and error and the rest still print;
-// the return value is how many failed.
-func printOutcomes(stdout, stderr io.Writer, gen gpu.Generation, exps []*core.Experiment, outs []outcome, jsonOut, csv bool) int {
+// printOutcomes writes each outcome's header and rendering to stdout in
+// order, and its wall time and any run error to stderr. A failed run
+// prints its header and error and the rest still print; the return
+// value is how many failed.
+func printOutcomes(stdout, stderr io.Writer, outs []core.Outcome, jsonOut, csv bool) int {
 	failed := 0
-	for i, e := range exps {
-		mustWrite(fmt.Fprintf(stdout, "=== %s: %s [%s]\n", e.ID, e.Title, gen))
+	for _, o := range outs {
+		e, res := o.Exp, o.Result
+		mustWrite(fmt.Fprintf(stdout, "=== %s: %s [%s]\n", e.ID, e.Title, o.GPU))
 		mustWrite(fmt.Fprintf(stdout, "    paper: %s\n\n", e.Paper))
-		res, runErr := outs[i].res, outs[i].err
-		_, _ = fmt.Fprintf(stderr, "nocchar: %s wall time %s\n", e.ID, outs[i].dur.Round(time.Millisecond))
-		if runErr != nil {
-			_, _ = fmt.Fprintf(stderr, "    error: %v\n\n", runErr)
+		_, _ = fmt.Fprintf(stderr, "nocchar: %s wall time %s\n", e.ID, o.Dur.Round(time.Millisecond))
+		if o.Err != nil {
+			_, _ = fmt.Fprintf(stderr, "    error: %v\n\n", o.Err)
 			failed++
 			continue
 		}
@@ -258,7 +235,7 @@ func printChecks(w io.Writer, kind string, checks []core.CheckResult) int {
 // writeReportFile writes the full Markdown report to path, surfacing
 // Close errors (a buffered flush can fail even when every write
 // succeeded).
-func writeReportFile(path string, cfgs []gpu.Config, quick bool, workers int, reg *obs.Registry) error {
+func writeReportFile(path string, cfgs []gpu.Config, quick bool, reg *obs.Registry) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -270,7 +247,6 @@ func writeReportFile(path string, cfgs []gpu.Config, quick bool, workers int, re
 	opts := core.ReportOptions{
 		Quick:     quick,
 		Now:       t0,
-		Workers:   workers,
 		Stopwatch: func() time.Duration { return time.Since(t0) },
 		Obs:       reg,
 	}

@@ -40,13 +40,13 @@ func TestPrintOutcomes(t *testing.T) {
 		{ID: "b", Title: "second", Paper: "p2"},
 		{ID: "c", Title: "third", Paper: "p3"},
 	}
-	outs := []outcome{
-		{res: &core.Result{}},
-		{err: errors.New("refused")},
-		{res: &core.Result{}},
+	outs := []core.Outcome{
+		{Exp: exps[0], GPU: gpu.GenV100, Result: &core.Result{}},
+		{Exp: exps[1], GPU: gpu.GenV100, Err: errors.New("refused")},
+		{Exp: exps[2], GPU: gpu.GenV100, Result: &core.Result{}},
 	}
 	var stdout, stderr bytes.Buffer
-	failed := printOutcomes(&stdout, &stderr, gpu.GenV100, exps, outs, false, false)
+	failed := printOutcomes(&stdout, &stderr, outs, false, false)
 	if failed != 1 {
 		t.Errorf("printOutcomes failed count = %d, want 1", failed)
 	}
@@ -62,7 +62,7 @@ func TestPrintOutcomes(t *testing.T) {
 	}
 
 	stdout.Reset()
-	if failed := printOutcomes(&stdout, &stderr, gpu.GenV100, exps[:1], outs[:1], false, false); failed != 0 {
+	if failed := printOutcomes(&stdout, &stderr, outs[:1], false, false); failed != 0 {
 		t.Errorf("printOutcomes over a successful run = %d failed, want 0", failed)
 	}
 }

@@ -141,7 +141,7 @@ func TestClusterConformance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full quick matrix in -short mode")
 	}
-	nodes := newTestClusterNodes(t, 3, newComputer(0))
+	nodes := newTestClusterNodes(t, 3, newComputer())
 	rng := rand.New(rand.NewSource(42))
 
 	type tuple struct {

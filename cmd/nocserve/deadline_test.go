@@ -236,7 +236,7 @@ func TestQueuedRequestAdmittedAfterRelease(t *testing.T) {
 // the knobs shape scheduling, never content.
 func TestIngressConfigPreservesBytes(t *testing.T) {
 	fetch := func(cfg serverConfig) []byte {
-		ts, _, _ := newConfiguredServer(t, cfg, newComputer(0))
+		ts, _, _ := newConfiguredServer(t, cfg, newComputer())
 		status, _, body := get(t, ts.URL+"/v1/v100/fig1?quick=1")
 		if status != http.StatusOK {
 			t.Fatalf("cfg %+v: status %d", cfg, status)

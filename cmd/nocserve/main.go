@@ -24,6 +24,10 @@
 // miss (this request simulated), hit (memory), coalesced (shared an
 // in-flight simulation), or spill (loaded from the -spill directory).
 //
+// Each cold key runs the same core.RunResult as nocchar, so its sweeps
+// shard across a pool of GOMAXPROCS goroutines; the GOMAXPROCS
+// environment variable is the only pool-size setting.
+//
 // Deadlines and admission control (all off by default):
 //
 //	-request-timeout D   per-request wall-time budget; expiry returns
@@ -80,7 +84,6 @@ func main() {
 		cacheBytes  = flag.Int64("cache-bytes", 256<<20, "in-memory result-cache budget in bytes; <= 0 means unbounded")
 		spillDir    = flag.String("spill", "", "directory for the disk spill; empty disables it")
 		spillMax    = flag.Int64("spill-max-bytes", 0, "disk-spill byte budget; oldest spill files are pruned past it (evicted_spill on /metricz); <= 0 means unbounded")
-		workers     = flag.Int("parallel", 0, "worker-pool size for each simulation's sweeps; 0 means GOMAXPROCS")
 		drain       = flag.Duration("drain", 30*time.Second, "graceful-shutdown deadline for in-flight requests and fills")
 		reqTimeout  = flag.Duration("request-timeout", 0, "per-request wall-time budget (504 on expiry; the fill keeps running); 0 disables")
 		maxInflight = flag.Int("max-inflight", 0, "concurrently admitted result requests; 0 means unlimited")
@@ -104,7 +107,7 @@ func main() {
 	reg := obs.New()
 	t0 := time.Now()
 	store, err := resultstore.New(resultstore.Options{
-		Compute:       newComputer(*workers),
+		Compute:       newComputer(),
 		Base:          ctx,
 		MaxBytes:      *cacheBytes,
 		SpillDir:      *spillDir,

@@ -18,12 +18,11 @@ import (
 
 // newComputer builds the store's cold-key path: one full experiment run
 // through the same core.RunResult pipeline cmd/nocchar prints from, so
-// every served byte is the CLI's byte. workers sizes each simulation's
-// internal sweep pool. The context is the store's Base (server drain),
-// never a request's: it reaches the experiment as core's Cancel, so a
-// draining process stops simulating at the next sweep-row checkpoint
-// while request deadlines never abort a shared fill.
-func newComputer(workers int) func(context.Context, resultstore.Key) (*resultstore.Entry, error) {
+// every served byte is the CLI's byte. The context is the store's Base
+// (server drain), never a request's: it reaches the experiment as core's
+// Cancel, so a draining process stops simulating at the next sweep-row
+// checkpoint while request deadlines never abort a shared fill.
+func newComputer() func(context.Context, resultstore.Key) (*resultstore.Entry, error) {
 	return func(cancel context.Context, key resultstore.Key) (*resultstore.Entry, error) {
 		cfg, err := gpu.ByName(string(key.GPU))
 		if err != nil {
@@ -37,7 +36,6 @@ func newComputer(workers int) func(context.Context, resultstore.Key) (*resultsto
 		if err != nil {
 			return nil, err
 		}
-		ctx.Workers = workers
 		ctx.Cancel = cancel
 		res, err := core.RunResult(ctx, e)
 		if err != nil {

@@ -152,7 +152,7 @@ func TestServeMatrixByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full quick matrix in -short mode")
 	}
-	ts, _, _ := newConfiguredServer(t, serverConfig{}, newComputer(0))
+	ts, _, _ := newConfiguredServer(t, serverConfig{}, newComputer())
 	for _, cfg := range gpu.AllConfigs() {
 		for _, e := range core.All() {
 			if !e.SupportsGPU(cfg.Name) {

@@ -3,6 +3,7 @@ package gpunoc_test
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -127,8 +128,8 @@ func TestReportObservedExtendsPlain(t *testing.T) {
 	}
 }
 
-// TestReportParallelMatchesSequential renders the report with a
-// single-worker pool and again with wide pools and demands byte-identical
+// TestReportParallelMatchesSequential renders the report at GOMAXPROCS=1
+// and again with wide pools and demands byte-identical
 // output: the parallel runner's index-addressed result slots must make
 // goroutine scheduling invisible in every artifact.
 func TestReportParallelMatchesSequential(t *testing.T) {
@@ -136,20 +137,21 @@ func TestReportParallelMatchesSequential(t *testing.T) {
 		t.Skip("renders every experiment several times")
 	}
 	fixed := time.Date(2024, 11, 2, 12, 0, 0, 0, time.UTC)
-	render := func(workers int) []byte {
+	render := func(procs int) []byte {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		var buf bytes.Buffer
-		opts := core.ReportOptions{Quick: true, Now: fixed, Workers: workers}
+		opts := core.ReportOptions{Quick: true, Now: fixed}
 		if err := core.WriteReportOptions(&buf, []gpu.Config{gpu.V100()}, opts); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
 	}
 	sequential := render(1)
-	for _, workers := range []int{2, 8} {
-		par := render(workers)
+	for _, procs := range []int{2, 8} {
+		par := render(procs)
 		if !bytes.Equal(sequential, par) {
-			t.Fatalf("report with %d workers differs from sequential: %d vs %d bytes",
-				workers, len(par), len(sequential))
+			t.Fatalf("report with GOMAXPROCS=%d differs from sequential: %d vs %d bytes",
+				procs, len(par), len(sequential))
 		}
 	}
 }

@@ -115,21 +115,21 @@ type LatencyResult = microbench.LatencyResult
 // MeasureL2Latency runs the paper's Algorithm 1: a single pinned thread
 // timing L1-bypassing loads from SM sm to L2 slice slice.
 func MeasureL2Latency(dev *Device, sm, slice, iters int) (LatencyResult, error) {
-	return microbench.MeasureL2Latency(dev, sm, slice, iters)
+	return microbench.NewBench(nil).MeasureL2Latency(dev, sm, slice, iters)
 }
 
 // LatencyProfile returns SM sm's mean latency to every L2 slice.
 func LatencyProfile(dev *Device, sm, iters int) ([]float64, error) {
-	return microbench.LatencyProfile(dev, sm, iters)
+	return microbench.NewBench(nil).LatencyProfile(dev, sm, iters)
 }
 
 // CorrelationHeatmap computes the SM-by-SM Pearson matrix of latency
 // profiles (the paper's Fig. 6). A nil sms slice covers every SM. The
 // profile rows are measured on the deterministic parallel runner
-// (internal/parallel) with the GOMAXPROCS-derived pool size; the result
-// is byte-identical to a sequential sweep.
+// (internal/parallel) on a pool of GOMAXPROCS goroutines; the result is
+// byte-identical to a sequential sweep.
 func CorrelationHeatmap(dev *Device, sms []int, iters int) ([][]float64, error) {
-	return microbench.CorrelationHeatmap(dev, sms, iters, 0)
+	return microbench.NewBench(nil).CorrelationHeatmap(dev, sms, iters)
 }
 
 // BandwidthEngine solves steady-state bandwidth allocations.

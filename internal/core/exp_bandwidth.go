@@ -93,7 +93,7 @@ func runFig9(ctx *Context) ([]Artifact, error) {
 			pairs = append(pairs, pair{sm: sm, s: s})
 		}
 	}
-	single, err := parallel.MapContext(ctx.Cancel, ctx.Workers, len(pairs), func(i int) (float64, error) {
+	single, err := parallel.MapContext(ctx.Cancel, len(pairs), func(i int) (float64, error) {
 		return microbench.SliceBandwidth(ctx.Engine, []int{pairs[i].sm}, pairs[i].s)
 	})
 	if err != nil {
@@ -105,8 +105,8 @@ func runFig9(ctx *Context) ([]Artifact, error) {
 		Body: stats.HistogramOf(single, 16).Render(40),
 	}
 
-	// (c) whole GPC -> single slice, one worker per GPC.
-	gpcBW, err := parallel.MapContext(ctx.Cancel, ctx.Workers, cfg.GPCs, func(g int) (float64, error) {
+	// (c) whole GPC -> single slice, one task per GPC.
+	gpcBW, err := parallel.MapContext(ctx.Cancel, cfg.GPCs, func(g int) (float64, error) {
 		return microbench.SliceBandwidth(ctx.Engine, dev.SMsOfGPC(g), 5)
 	})
 	if err != nil {
@@ -209,7 +209,7 @@ func runFig12(ctx *Context) ([]Artifact, error) {
 		if err := ctx.Interrupted(); err != nil {
 			return nil, err
 		}
-		y, err := microbench.PerSliceBandwidth(ctx.Engine, sm, slices, ctx.Workers)
+		y, err := microbench.PerSliceBandwidth(ctx.Engine, sm, slices)
 		if err != nil {
 			return nil, err
 		}
@@ -231,7 +231,7 @@ func runFig13(ctx *Context) ([]Artifact, error) {
 	for sm := 0; sm < cfg.SMs(); sm += step {
 		sms = append(sms, sm)
 	}
-	xs, err := microbench.PerSMSliceBandwidth(ctx.Engine, sms, 0, ctx.Workers)
+	xs, err := microbench.PerSMSliceBandwidth(ctx.Engine, sms, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -259,10 +259,10 @@ func runFig14(ctx *Context) ([]Artifact, error) {
 	for n := 1; n <= maxN; n++ {
 		ms.X = append(ms.X, float64(n))
 	}
-	// One worker per SM-count point; each point solves its near and far
+	// One task per SM-count point; each point solves its near and far
 	// flows together so the pair stays adjacent in the cache.
 	type point struct{ near, far float64 }
-	pts, err := parallel.MapContext(ctx.Cancel, ctx.Workers, maxN, func(i int) (point, error) {
+	pts, err := parallel.MapContext(ctx.Cancel, maxN, func(i int) (point, error) {
 		n := i + 1
 		bwN, err := microbench.SliceBandwidth(ctx.Engine, sms[:n], nearSlice)
 		if err != nil {

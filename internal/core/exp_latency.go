@@ -285,7 +285,7 @@ func runFig6(ctx *Context) ([]Artifact, error) {
 			sms = append(sms, gsms[i*step])
 		}
 	}
-	m, err := microbench.NewBench(ctx.Obs).CorrelationHeatmap(dev, sms, ctx.iters(8, 2), ctx.Workers)
+	m, err := microbench.NewBench(ctx.Obs).CorrelationHeatmap(dev, sms, ctx.iters(8, 2))
 	if err != nil {
 		return nil, err
 	}
@@ -321,14 +321,14 @@ func runFig8(ctx *Context) ([]Artifact, error) {
 	cfg := dev.Config()
 	iters := ctx.iters(4, 1)
 	b := microbench.NewBench(ctx.Obs)
-	hit, err := b.GPCToMPLatency(dev, 0, iters, ctx.Workers)
+	hit, err := b.GPCToMPLatency(dev, 0, iters)
 	if err != nil {
 		return nil, err
 	}
 	if err := ctx.Interrupted(); err != nil {
 		return nil, err
 	}
-	pen, err := b.GPCToMPMissPenalty(dev, 0, iters, ctx.Workers)
+	pen, err := b.GPCToMPMissPenalty(dev, 0, iters)
 	if err != nil {
 		return nil, err
 	}

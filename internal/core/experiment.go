@@ -19,11 +19,6 @@ type Context struct {
 	// Quick trades statistical depth for speed (used by `go test -bench`
 	// wrappers); experiments reduce sample counts under it.
 	Quick bool
-	// Workers bounds the worker pool of the experiment's internal sweeps
-	// (parallel.Map shards); <= 0 selects the GOMAXPROCS-derived
-	// default. Results are index-addressed, so any value yields
-	// byte-identical artifacts.
-	Workers int
 	// Cancel, when non-nil, lets the caller abort the run early: a
 	// timed-out HTTP request, a draining server, an interrupted sweep.
 	// Experiments consult it only between sweep rows — via Interrupted
@@ -33,10 +28,10 @@ type Context struct {
 	// Cancel. A partially complete run returns the wrapped context
 	// error and no artifacts.
 	Cancel context.Context
-	// Obs receives the experiment's instruments. Callers that enable
-	// collection (nocchar -metrics/-trace, ReportOptions.Obs) hand each
-	// experiment run its own scope; the nil default runs unobserved at
-	// zero cost and leaves all stdout byte-identical.
+	// Obs receives the experiment's instruments. Run hands each
+	// (experiment, generation) pair of an observed run its own scope;
+	// the nil default runs unobserved at zero cost and leaves all stdout
+	// byte-identical.
 	Obs *obs.Registry
 }
 

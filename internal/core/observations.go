@@ -37,13 +37,14 @@ func CheckObservations() ([]CheckResult, error) {
 		return nil, err
 	}
 
+	b := microbench.NewBench(nil)
 	var out []CheckResult
 	add := func(id int, text string, pass bool, detail string) {
 		out = append(out, CheckResult{ID: id, Text: text, Pass: pass, Detail: detail})
 	}
 
 	// #1: non-uniform latency.
-	prof, err := microbench.LatencyProfile(v100.Device, 24, 4)
+	prof, err := b.LatencyProfile(v100.Device, 24, 4)
 	if err != nil {
 		return nil, err
 	}
@@ -57,7 +58,7 @@ func CheckObservations() ([]CheckResult, error) {
 	for g := 0; g < 6; g++ {
 		var xs []float64
 		for _, sm := range v100.Device.SMsOfGPC(g)[:4] {
-			p, err := microbench.LatencyProfile(v100.Device, sm, 2)
+			p, err := b.LatencyProfile(v100.Device, sm, 2)
 			if err != nil {
 				return nil, err
 			}
@@ -86,15 +87,15 @@ func CheckObservations() ([]CheckResult, error) {
 		fmt.Sprintf("MP0 slice order from SM0 %v == from SM60 %v", order0, order60))
 
 	// #4: Pearson correlation reveals placement.
-	p0, err := microbench.LatencyProfile(dev, 0, 4)
+	p0, err := b.LatencyProfile(dev, 0, 4)
 	if err != nil {
 		return nil, err
 	}
-	p1, err := microbench.LatencyProfile(dev, 1, 4)
+	p1, err := b.LatencyProfile(dev, 1, 4)
 	if err != nil {
 		return nil, err
 	}
-	p4, err := microbench.LatencyProfile(dev, 4, 4)
+	p4, err := b.LatencyProfile(dev, 4, 4)
 	if err != nil {
 		return nil, err
 	}
@@ -114,11 +115,11 @@ func CheckObservations() ([]CheckResult, error) {
 		fmt.Sprintf("CPC0-CPC0 %.0f vs CPC2-CPC2 %.0f cycles", hm[0][0], hm[2][2]))
 
 	// #6: partition crossing and L2 policy.
-	aLat, err := microbench.GPCToMPLatency(a100.Device, 0, 1, 0)
+	aLat, err := b.GPCToMPLatency(a100.Device, 0, 1)
 	if err != nil {
 		return nil, err
 	}
-	hLat, err := microbench.GPCToMPLatency(h100.Device, 0, 1, 0)
+	hLat, err := b.GPCToMPLatency(h100.Device, 0, 1)
 	if err != nil {
 		return nil, err
 	}

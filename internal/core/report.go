@@ -8,7 +8,6 @@ import (
 
 	"gpunoc/internal/gpu"
 	"gpunoc/internal/obs"
-	"gpunoc/internal/parallel"
 )
 
 // ReportOptions configures WriteReportOptions.
@@ -17,33 +16,25 @@ type ReportOptions struct {
 	Quick bool
 	// Now stamps the report header.
 	Now time.Time
-	// Workers bounds the (experiment, generation) fan-out pool and each
-	// experiment's internal sweeps; <= 0 selects the GOMAXPROCS-derived
-	// default. The report bytes are identical for every value.
-	Workers int
-	// Stopwatch, when non-nil, returns elapsed wall time since an origin
-	// of the caller's choosing and enables the per-experiment timing
-	// footer. Callers inject it (cmd/nocchar passes a time.Since
-	// closure) so this package never reads the clock itself and reports
-	// stay byte-comparable whenever Stopwatch is nil.
+	// Stopwatch, when non-nil, is Run's clock and enables the
+	// per-experiment timing footer. Callers inject it (cmd/nocchar passes
+	// a time.Since closure) so this package never reads the clock itself
+	// and reports stay byte-comparable whenever Stopwatch is nil.
 	Stopwatch func() time.Duration
-	// Obs, when non-nil, collects simulator instruments during the run -
-	// each (experiment, generation) job observes into its own
-	// "<id>/<gpu>/" scope - and enables the metrics-summary footer. The
-	// instruments are atomic and rendered in sorted order, so the footer
-	// is byte-identical for every worker count. A nil Obs leaves the
-	// report bytes exactly as before.
+	// Obs, when non-nil, is Run's registry - each (experiment,
+	// generation) pair observes into its own "<id>/<gpu>/" scope - and
+	// enables the metrics-summary footer. The instruments are atomic and
+	// rendered in sorted order, so the footer is byte-identical for every
+	// pool size. A nil Obs leaves the report bytes exactly as before.
 	Obs *obs.Registry
 }
 
 // WriteReportOptions runs every experiment applicable to the given
-// generations and writes a self-contained Markdown report: per
-// experiment, the paper's claim and the model's artifacts. It is the
-// one-command regeneration of the paper's evaluation section. The
-// (experiment, generation) pairs run concurrently on the deterministic
-// parallel runner; results land in index-addressed slots and are
-// rendered in registry order, so the output is byte-identical to a
-// sequential run for every pool size.
+// generations through Run and writes a self-contained Markdown report:
+// per experiment, the paper's claim and the model's artifacts. It is the
+// one-command regeneration of the paper's evaluation section. Run's
+// outcomes come back in registry order, so the output is byte-identical
+// to a sequential run for every pool size.
 func WriteReportOptions(w io.Writer, cfgs []gpu.Config, opts ReportOptions) error {
 	if len(cfgs) == 0 {
 		return fmt.Errorf("core: no generations to report on")
@@ -52,82 +43,28 @@ func WriteReportOptions(w io.Writer, cfgs []gpu.Config, opts ReportOptions) erro
 	pw.printf("# gpunoc characterization report\n\n")
 	pw.printf("Generated %s; quick mode: %v.\n\n", opts.Now.Format("2006-01-02 15:04 MST"), opts.Quick)
 
-	ctxs := map[gpu.Generation]*Context{}
-	for _, cfg := range cfgs {
-		ctx, err := NewContext(cfg, opts.Quick)
-		if err != nil {
-			return err
-		}
-		ctx.Workers = opts.Workers
-		ctxs[cfg.Name] = ctx
-	}
-
-	// Fan the (experiment, generation) pairs out across the pool. An
-	// experiment's own error is part of its result (it renders as "not
-	// applicable"), so a worker never fails and no pair is skipped.
-	type job struct {
-		e   *Experiment
-		cfg gpu.Config
-	}
-	var jobs []job
-	for _, e := range All() {
-		for _, cfg := range cfgs {
-			if e.SupportsGPU(cfg.Name) {
-				jobs = append(jobs, job{e: e, cfg: cfg})
-			}
-		}
-	}
-	type outcome struct {
-		arts []Artifact
-		err  error
-		dur  time.Duration
-	}
-	results, err := parallel.Map(opts.Workers, len(jobs), func(i int) (outcome, error) {
-		j := jobs[i]
-		var start time.Duration
-		if opts.Stopwatch != nil {
-			start = opts.Stopwatch()
-		}
-		ctx := ctxs[j.cfg.Name]
-		if opts.Obs != nil {
-			// Shallow-copy the shared context so each concurrent job
-			// observes into its own scope.
-			c := *ctx
-			c.Obs = opts.Obs.Scope(j.e.ID).Scope(string(j.cfg.Name))
-			ctx = &c
-		}
-		res, err := RunResult(ctx, j.e)
-		o := outcome{err: err}
-		if err == nil {
-			o.arts = res.Artifacts
-		}
-		if opts.Stopwatch != nil {
-			o.dur = opts.Stopwatch() - start
-		}
-		return o, nil
-	})
+	// An experiment's own error is part of its outcome (it renders as
+	// "not applicable"), so no pair is skipped.
+	outs, err := Run(cfgs, All(), opts.Quick, opts.Obs, opts.Stopwatch)
 	if err != nil {
 		return err
 	}
-
-	// Render in registry order; jobs were built in the same order.
-	k := 0
+	// byExp groups the outcomes per experiment, each group in cfgs order.
+	byExp := map[*Experiment][]Outcome{}
+	for _, o := range outs {
+		byExp[o.Exp] = append(byExp[o.Exp], o)
+	}
 	for _, e := range All() {
 		pw.printf("## %s — %s\n\n", e.ID, e.Title)
 		pw.printf("*Paper:* %s\n\n", e.Paper)
 		ran := false
-		for _, cfg := range cfgs {
-			if !e.SupportsGPU(cfg.Name) {
-				continue
-			}
-			r := results[k]
-			k++
-			if r.err != nil {
-				pw.printf("`%s` on %s: not applicable (%v)\n\n", e.ID, cfg.Name, r.err)
+		for _, o := range byExp[e] {
+			if o.Err != nil {
+				pw.printf("`%s` on %s: not applicable (%v)\n\n", e.ID, o.GPU, o.Err)
 				continue
 			}
 			ran = true
-			for _, a := range r.arts {
+			for _, a := range o.Result.Artifacts {
 				pw.printf("```\n%s```\n\n", ensureTrailingNewline(a.Render()))
 			}
 		}
@@ -169,21 +106,15 @@ func WriteReportOptions(w io.Writer, cfgs []gpu.Config, opts ReportOptions) erro
 	// byte-compared report.
 	if opts.Stopwatch != nil {
 		pw.printf("\n## Experiment wall times\n\n")
-		k = 0
 		for _, e := range All() {
+			if len(byExp[e]) == 0 {
+				continue
+			}
 			var total time.Duration
-			any := false
-			for _, cfg := range cfgs {
-				if !e.SupportsGPU(cfg.Name) {
-					continue
-				}
-				total += results[k].dur
-				k++
-				any = true
+			for _, o := range byExp[e] {
+				total += o.Dur
 			}
-			if any {
-				pw.printf("- %s: %s\n", e.ID, total.Round(time.Millisecond))
-			}
+			pw.printf("- %s: %s\n", e.ID, total.Round(time.Millisecond))
 		}
 		pw.printf("- total elapsed: %s\n", opts.Stopwatch().Round(time.Millisecond))
 	}

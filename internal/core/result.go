@@ -3,8 +3,11 @@ package core
 import (
 	"fmt"
 	"strings"
+	"time"
 
 	"gpunoc/internal/gpu"
+	"gpunoc/internal/obs"
+	"gpunoc/internal/parallel"
 )
 
 // Result is the structured outcome of one experiment run on one GPU
@@ -39,6 +42,63 @@ func RunResult(ctx *Context, e *Experiment) (*Result, error) {
 		return nil, err
 	}
 	return &Result{GPU: name, Exp: e, Artifacts: arts}, nil
+}
+
+// Outcome is one (experiment, generation) pair of a Run: its result or
+// error, and its wall time.
+type Outcome struct {
+	Exp    *Experiment
+	GPU    gpu.Generation
+	Result *Result
+	Err    error
+	// Dur is the pair's RunResult wall time; zero without a clock.
+	Dur time.Duration
+}
+
+// Run is the one (experiment, generation) fan-out behind nocchar -exp,
+// -all and -report. It builds one Context per generation, runs RunResult
+// for every pair whose generation the experiment supports on the
+// deterministic parallel pool, and returns the outcomes in exps order,
+// then cfgs order. A pair's own failure is its Outcome.Err; the returned
+// error reports only a Context that could not be built.
+//
+// A non-nil reg gives each pair its own "<id>/<GPU>/" scope. A non-nil
+// clock returns elapsed wall time since an origin of the caller's
+// choosing and times each pair; this package never reads the clock
+// itself.
+func Run(cfgs []gpu.Config, exps []*Experiment, quick bool, reg *obs.Registry, clock func() time.Duration) ([]Outcome, error) {
+	ctxs := map[gpu.Generation]*Context{}
+	for _, cfg := range cfgs {
+		ctx, err := NewContext(cfg, quick)
+		if err != nil {
+			return nil, err
+		}
+		ctxs[cfg.Name] = ctx
+	}
+	var pairs []Outcome
+	for _, e := range exps {
+		for _, cfg := range cfgs {
+			if e.SupportsGPU(cfg.Name) {
+				pairs = append(pairs, Outcome{Exp: e, GPU: cfg.Name})
+			}
+		}
+	}
+	return parallel.Map(len(pairs), func(i int) (Outcome, error) {
+		o := pairs[i]
+		// Shallow-copy the generation's shared context so each
+		// concurrent pair observes into its own scope.
+		ctx := *ctxs[o.GPU]
+		ctx.Obs = reg.Scope(o.Exp.ID).Scope(string(o.GPU))
+		var start time.Duration
+		if clock != nil {
+			start = clock()
+		}
+		o.Result, o.Err = RunResult(&ctx, o.Exp)
+		if clock != nil {
+			o.Dur = clock() - start
+		}
+		return o, nil
+	})
 }
 
 // JSONBytes renders the artifacts as the MarshalArtifacts document plus

@@ -2,11 +2,15 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"gpunoc/internal/gpu"
+	"gpunoc/internal/obs"
 )
 
 // TestRunResultRendersCLIBytes pins the Result renderers to the exact
@@ -110,5 +114,80 @@ func TestRunResultDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(render(), render()) {
 		t.Error("identical (gpu, exp, quick) tuples rendered different bytes")
+	}
+}
+
+// TestRun pins the one (experiment, generation) fan-out: one outcome per
+// supported pair in exps-then-cfgs order, each observed pair's
+// instruments under its own "<id>/<GPU>/" scope, and every outcome's
+// bytes equal to a fresh single-key RunResult.
+func TestRun(t *testing.T) {
+	cfgs := []gpu.Config{gpu.V100(), gpu.A100()}
+	var exps []*Experiment
+	for _, id := range []string{"fig1", "fig3", "fig13"} {
+		e, err := Lookup(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exps = append(exps, e)
+	}
+	var ticks atomic.Int64
+	clock := func() time.Duration { return time.Duration(ticks.Add(1)) }
+	reg := obs.New()
+	outs, err := Run(cfgs, exps, true, reg, clock)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cfgOf := map[gpu.Generation]gpu.Config{}
+	for _, cfg := range cfgs {
+		cfgOf[cfg.Name] = cfg
+	}
+	var got []string
+	scopes := map[string]bool{}
+	for _, o := range outs {
+		key := o.Exp.ID + "/" + string(o.GPU)
+		got = append(got, key)
+		scopes[key+"/"] = true
+		if o.Err != nil {
+			t.Fatalf("%s: %v", key, o.Err)
+		}
+		if o.Dur <= 0 {
+			t.Errorf("%s: Dur = %v, want the clock's positive elapsed time", key, o.Dur)
+		}
+		ctx, err := NewContext(cfgOf[o.GPU], true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := RunResult(ctx, o.Exp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(o.Result.TextBytes(), fresh.TextBytes()) {
+			t.Errorf("%s: Run's TextBytes differ from a fresh RunResult", key)
+		}
+	}
+	if want := "fig1/V100 fig3/V100 fig3/A100 fig13/A100"; strings.Join(got, " ") != want {
+		t.Errorf("outcomes %v, want %s", got, want)
+	}
+
+	var buf bytes.Buffer
+	if err := reg.WriteMetrics(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Counters map[string]int64 `json:"counters"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.Counters) == 0 {
+		t.Fatal("observed run recorded no counters")
+	}
+	for name := range doc.Counters {
+		parts := strings.SplitN(name, "/", 3)
+		if len(parts) < 3 || !scopes[parts[0]+"/"+parts[1]+"/"] {
+			t.Errorf("instrument %q is outside every <id>/<GPU>/ scope", name)
+		}
 	}
 }

@@ -28,27 +28,27 @@ func SliceBandwidth(eng *bandwidth.Engine, sms []int, slice int) (float64, error
 }
 
 // PerSMSliceBandwidth measures SliceBandwidth for each SM alone against
-// one destination slice, sharding the per-SM solves across workers
-// (workers <= 0 selects the default). Result slot i is sms[i]'s
-// bandwidth; each solve builds its own queueing model over the read-only
-// engine, so the sweep is race-free and identical for every pool size.
-func PerSMSliceBandwidth(eng *bandwidth.Engine, sms []int, slice, workers int) ([]float64, error) {
+// one destination slice, sharding the per-SM solves across the parallel
+// pool. Result slot i is sms[i]'s bandwidth; each solve builds its own
+// queueing model over the read-only engine, so the sweep is race-free
+// and identical for every pool size.
+func PerSMSliceBandwidth(eng *bandwidth.Engine, sms []int, slice int) ([]float64, error) {
 	if len(sms) == 0 {
 		return nil, fmt.Errorf("microbench: no source SMs")
 	}
-	return parallel.Map(workers, len(sms), func(i int) (float64, error) {
+	return parallel.Map(len(sms), func(i int) (float64, error) {
 		return SliceBandwidth(eng, []int{sms[i]}, slice)
 	})
 }
 
 // PerSliceBandwidth measures SliceBandwidth from one SM to each slice of
-// the given set, sharding the per-slice solves across workers (workers
-// <= 0 selects the default). Result slot i is slices[i]'s bandwidth.
-func PerSliceBandwidth(eng *bandwidth.Engine, sm int, slices []int, workers int) ([]float64, error) {
+// the given set, sharding the per-slice solves across the parallel pool.
+// Result slot i is slices[i]'s bandwidth.
+func PerSliceBandwidth(eng *bandwidth.Engine, sm int, slices []int) ([]float64, error) {
 	if len(slices) == 0 {
 		return nil, fmt.Errorf("microbench: no destination slices")
 	}
-	return parallel.Map(workers, len(slices), func(i int) (float64, error) {
+	return parallel.Map(len(slices), func(i int) (float64, error) {
 		return SliceBandwidth(eng, []int{sm}, slices[i])
 	})
 }

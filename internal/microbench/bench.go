@@ -7,8 +7,7 @@ import "gpunoc/internal/obs"
 // counters. Counters are atomic, so the parallel row sharding of
 // LatencyMatrix/GPCToMPLatency counts correctly from every worker. The
 // zero Bench (nil counters) is the disabled collector - each counter
-// call is a nil-safe no-op - and backs the package-level measurement
-// functions, which stay instrument-free.
+// call is a nil-safe no-op; NewBench(nil) builds it.
 type Bench struct {
 	// measurements counts Algorithm-1 (and remote-shared) measurement
 	// calls, one per (sm, slice) pair probed.
@@ -26,6 +25,3 @@ func NewBench(reg *obs.Registry) *Bench {
 		probes:       reg.Counter("probes"),
 	}
 }
-
-// defaultBench is the disabled bench behind the package-level functions.
-var defaultBench = &Bench{}

@@ -27,12 +27,6 @@ const addressSearchLimit = 1 << 16
 // issues L1-bypassing loads to an address resident in L2 slice slice,
 // timing each round trip with the warp clock. The L2 is warmed before
 // timing so every access hits.
-func MeasureL2Latency(dev *gpu.Device, sm, slice, iters int) (LatencyResult, error) {
-	return defaultBench.MeasureL2Latency(dev, sm, slice, iters)
-}
-
-// MeasureL2Latency is the instrumented form of the package-level
-// function.
 func (b *Bench) MeasureL2Latency(dev *gpu.Device, sm, slice, iters int) (LatencyResult, error) {
 	return b.measureLatency(dev, sm, slice, iters, false)
 }
@@ -40,12 +34,6 @@ func (b *Bench) MeasureL2Latency(dev *gpu.Device, sm, slice, iters int) (Latency
 // MeasureL2MissLatency is Algorithm 1 with a working set that always
 // misses in L2, so each timed access pays the home memory partition's
 // fill latency on top of the NoC round trip (the Fig. 8 bottom row).
-func MeasureL2MissLatency(dev *gpu.Device, sm, slice, iters int) (LatencyResult, error) {
-	return defaultBench.MeasureL2MissLatency(dev, sm, slice, iters)
-}
-
-// MeasureL2MissLatency is the instrumented form of the package-level
-// function.
 func (b *Bench) MeasureL2MissLatency(dev *gpu.Device, sm, slice, iters int) (LatencyResult, error) {
 	return b.measureLatency(dev, sm, slice, iters, true)
 }
@@ -96,11 +84,6 @@ func (b *Bench) measureLatency(dev *gpu.Device, sm, slice, iters int, miss bool)
 // LatencyProfile returns the mean L2 hit latency from SM sm to every L2
 // slice, the per-SM "profile" whose pairwise Pearson correlation drives
 // the placement analysis of Sec. III-B.
-func LatencyProfile(dev *gpu.Device, sm, iters int) ([]float64, error) {
-	return defaultBench.LatencyProfile(dev, sm, iters)
-}
-
-// LatencyProfile is the instrumented form of the package-level function.
 func (b *Bench) LatencyProfile(dev *gpu.Device, sm, iters int) ([]float64, error) {
 	cfg := dev.Config()
 	out := make([]float64, cfg.L2Slices)
@@ -115,19 +98,13 @@ func (b *Bench) LatencyProfile(dev *gpu.Device, sm, iters int) ([]float64, error
 }
 
 // LatencyMatrix measures the full [SM][slice] mean-latency matrix,
-// sharding one worker per SM row. sms selects the rows; nil means every
-// SM. workers <= 0 selects the GOMAXPROCS-derived default; rows land in
-// index-addressed slots, so the matrix is identical for every worker
-// count. Each row's measurements build their own kernel.Machine, and the
-// shared *gpu.Device is immutable after construction, so rows race on
-// nothing.
-func LatencyMatrix(dev *gpu.Device, sms []int, iters, workers int) ([][]float64, error) {
-	return defaultBench.LatencyMatrix(dev, sms, iters, workers)
-}
-
-// LatencyMatrix is the instrumented form of the package-level function;
-// the bench's atomic counters aggregate correctly across row workers.
-func (b *Bench) LatencyMatrix(dev *gpu.Device, sms []int, iters, workers int) ([][]float64, error) {
+// sharding one task per SM row across the parallel pool. sms selects the
+// rows; nil means every SM. Rows land in index-addressed slots, so the
+// matrix is identical for every pool size, and the bench's atomic
+// counters aggregate correctly across row workers. Each row's
+// measurements build their own kernel.Machine, and the shared
+// *gpu.Device is immutable after construction, so rows race on nothing.
+func (b *Bench) LatencyMatrix(dev *gpu.Device, sms []int, iters int) ([][]float64, error) {
 	if sms == nil {
 		cfg := dev.Config()
 		sms = make([]int, cfg.SMs())
@@ -135,22 +112,16 @@ func (b *Bench) LatencyMatrix(dev *gpu.Device, sms []int, iters, workers int) ([
 			sms[i] = i
 		}
 	}
-	return parallel.Map(workers, len(sms), func(i int) ([]float64, error) {
+	return parallel.Map(len(sms), func(i int) ([]float64, error) {
 		return b.LatencyProfile(dev, sms[i], iters)
 	})
 }
 
 // CorrelationHeatmap computes the SM-by-SM Pearson correlation matrix of
 // latency profiles (Fig. 6), with profile rows measured in parallel.
-// sms selects the SMs; nil means all. workers <= 0 selects the default.
-func CorrelationHeatmap(dev *gpu.Device, sms []int, iters, workers int) ([][]float64, error) {
-	return defaultBench.CorrelationHeatmap(dev, sms, iters, workers)
-}
-
-// CorrelationHeatmap is the instrumented form of the package-level
-// function.
-func (b *Bench) CorrelationHeatmap(dev *gpu.Device, sms []int, iters, workers int) ([][]float64, error) {
-	profiles, err := b.LatencyMatrix(dev, sms, iters, workers)
+// sms selects the SMs; nil means all.
+func (b *Bench) CorrelationHeatmap(dev *gpu.Device, sms []int, iters int) ([][]float64, error) {
+	profiles, err := b.LatencyMatrix(dev, sms, iters)
 	if err != nil {
 		return nil, err
 	}
@@ -232,18 +203,13 @@ func remoteSharedMean(dev *gpu.Device, srcSM, dstSM, iters int) (float64, error)
 
 // GPCToMPLatency returns the average L2 hit latency from the SMs of each
 // GPC to the slices of one MP (the Fig. 8 top row), indexed by GPC, with
-// one worker per GPC row. workers <= 0 selects the default.
-func GPCToMPLatency(dev *gpu.Device, mp, iters, workers int) ([]float64, error) {
-	return defaultBench.GPCToMPLatency(dev, mp, iters, workers)
-}
-
-// GPCToMPLatency is the instrumented form of the package-level function.
-func (b *Bench) GPCToMPLatency(dev *gpu.Device, mp, iters, workers int) ([]float64, error) {
+// one parallel task per GPC row.
+func (b *Bench) GPCToMPLatency(dev *gpu.Device, mp, iters int) ([]float64, error) {
 	cfg := dev.Config()
 	if mp < 0 || mp >= cfg.MPs {
 		return nil, fmt.Errorf("microbench: MP %d out of range", mp)
 	}
-	return parallel.Map(workers, cfg.GPCs, func(g int) (float64, error) {
+	return parallel.Map(cfg.GPCs, func(g int) (float64, error) {
 		var xs []float64
 		for _, sm := range dev.SMsOfGPC(g) {
 			for _, s := range dev.SlicesOfMP(mp) {
@@ -259,21 +225,14 @@ func (b *Bench) GPCToMPLatency(dev *gpu.Device, mp, iters, workers int) ([]float
 }
 
 // GPCToMPMissPenalty returns the average L2 miss penalty (miss latency
-// minus hit latency) from each GPC's SMs for lines homed in one MP
-// (the Fig. 8 bottom row), with one worker per GPC row. workers <= 0
-// selects the default.
-func GPCToMPMissPenalty(dev *gpu.Device, mp, iters, workers int) ([]float64, error) {
-	return defaultBench.GPCToMPMissPenalty(dev, mp, iters, workers)
-}
-
-// GPCToMPMissPenalty is the instrumented form of the package-level
-// function.
-func (b *Bench) GPCToMPMissPenalty(dev *gpu.Device, mp, iters, workers int) ([]float64, error) {
+// minus hit latency) from each GPC's SMs for lines homed in one MP (the
+// Fig. 8 bottom row), with one parallel task per GPC row.
+func (b *Bench) GPCToMPMissPenalty(dev *gpu.Device, mp, iters int) ([]float64, error) {
 	cfg := dev.Config()
 	if mp < 0 || mp >= cfg.MPs {
 		return nil, fmt.Errorf("microbench: MP %d out of range", mp)
 	}
-	return parallel.Map(workers, cfg.GPCs, func(g int) (float64, error) {
+	return parallel.Map(cfg.GPCs, func(g int) (float64, error) {
 		var xs []float64
 		for _, sm := range dev.SMsOfGPC(g) {
 			for _, s := range dev.SlicesOfMP(mp) {

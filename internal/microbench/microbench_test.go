@@ -2,6 +2,7 @@ package microbench
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -27,7 +28,7 @@ func engine(t *testing.T, cfg gpu.Config) *bandwidth.Engine {
 
 func TestMeasureL2LatencyBasic(t *testing.T) {
 	dev := v100(t)
-	r, err := MeasureL2Latency(dev, 24, 5, 32)
+	r, err := NewBench(nil).MeasureL2Latency(dev, 24, 5, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,24 +47,24 @@ func TestMeasureL2LatencyBasic(t *testing.T) {
 
 func TestMeasureL2LatencyValidation(t *testing.T) {
 	dev := v100(t)
-	if _, err := MeasureL2Latency(dev, -1, 0, 4); err == nil {
+	if _, err := NewBench(nil).MeasureL2Latency(dev, -1, 0, 4); err == nil {
 		t.Error("bad SM should fail")
 	}
-	if _, err := MeasureL2Latency(dev, 0, 99, 4); err == nil {
+	if _, err := NewBench(nil).MeasureL2Latency(dev, 0, 99, 4); err == nil {
 		t.Error("bad slice should fail")
 	}
-	if _, err := MeasureL2Latency(dev, 0, 0, 0); err == nil {
+	if _, err := NewBench(nil).MeasureL2Latency(dev, 0, 0, 0); err == nil {
 		t.Error("zero iters should fail")
 	}
 }
 
 func TestMissLatencyExceedsHit(t *testing.T) {
 	dev := v100(t)
-	hit, err := MeasureL2Latency(dev, 0, 3, 16)
+	hit, err := NewBench(nil).MeasureL2Latency(dev, 0, 3, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	miss, err := MeasureL2MissLatency(dev, 0, 3, 16)
+	miss, err := NewBench(nil).MeasureL2MissLatency(dev, 0, 3, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestMissLatencyExceedsHit(t *testing.T) {
 
 func TestLatencyProfileNonUniform(t *testing.T) {
 	dev := v100(t)
-	prof, err := LatencyProfile(dev, 24, 8)
+	prof, err := NewBench(nil).LatencyProfile(dev, 24, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestCorrelationHeatmapStructure(t *testing.T) {
 	dev := v100(t)
 	// One SM per GPC for speed: SMs 0..5 are GPCs 0..5.
 	sms := []int{0, 1, 2, 3, 4, 5}
-	hm, err := CorrelationHeatmap(dev, sms, 6, 0)
+	hm, err := NewBench(nil).CorrelationHeatmap(dev, sms, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +130,7 @@ func TestSMToSMLatencyMatrixH100(t *testing.T) {
 func TestGPCToMPLatencyPartitions(t *testing.T) {
 	// A100, destination MP0 (partition 0): GPCs 0-3 near, 4-7 far.
 	dev := gpu.MustNew(gpu.A100())
-	lat, err := GPCToMPLatency(dev, 0, 3, 0)
+	lat, err := NewBench(nil).GPCToMPLatency(dev, 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +148,7 @@ func TestGPCToMPLatencyPartitions(t *testing.T) {
 
 func TestGPCToMPLatencyH100Uniform(t *testing.T) {
 	dev := gpu.MustNew(gpu.H100())
-	lat, err := GPCToMPLatency(dev, 0, 3, 0)
+	lat, err := NewBench(nil).GPCToMPLatency(dev, 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +168,7 @@ func TestGPCToMPLatencyH100Uniform(t *testing.T) {
 func TestGPCToMPMissPenalty(t *testing.T) {
 	// V100: constant. H100: varies with requester partition.
 	v := v100(t)
-	pen, err := GPCToMPMissPenalty(v, 0, 2, 0)
+	pen, err := NewBench(nil).GPCToMPMissPenalty(v, 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,17 +176,17 @@ func TestGPCToMPMissPenalty(t *testing.T) {
 		t.Errorf("V100 miss penalty spread %.0f, want ~constant", spread)
 	}
 	h := gpu.MustNew(gpu.H100())
-	penH, err := GPCToMPMissPenalty(h, 0, 2, 0)
+	penH, err := NewBench(nil).GPCToMPMissPenalty(h, 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if spread := stats.Max(penH) - stats.Min(penH); spread < 100 {
 		t.Errorf("H100 miss penalty spread %.0f, want home-partition dependence", spread)
 	}
-	if _, err := GPCToMPMissPenalty(v, 99, 2, 0); err == nil {
+	if _, err := NewBench(nil).GPCToMPMissPenalty(v, 99, 2); err == nil {
 		t.Error("bad MP should fail")
 	}
-	if _, err := GPCToMPLatency(v, 99, 2, 0); err == nil {
+	if _, err := NewBench(nil).GPCToMPLatency(v, 99, 2); err == nil {
 		t.Error("bad MP should fail")
 	}
 }
@@ -348,7 +349,7 @@ func TestLatencyMatrixDefaultsToAllSMs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := LatencyMatrix(dev, nil, 2, 0)
+	m, err := NewBench(nil).LatencyMatrix(dev, nil, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,19 +425,23 @@ func TestLatencyMatrixWorkerCountInvariant(t *testing.T) {
 	// identical (not just statistically equivalent) for every pool size.
 	dev := v100(t)
 	sms := []int{0, 7, 40, 79}
-	seq, err := LatencyMatrix(dev, sms, 3, 1)
+	matrix := func(procs int) ([][]float64, error) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		return NewBench(nil).LatencyMatrix(dev, sms, 3)
+	}
+	seq, err := matrix(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{2, 3, 16} {
-		par, err := LatencyMatrix(dev, sms, 3, workers)
+	for _, procs := range []int{2, 3, 16} {
+		par, err := matrix(procs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := range seq {
 			for j := range seq[i] {
 				if seq[i][j] != par[i][j] {
-					t.Fatalf("workers=%d: [%d][%d] = %v, want %v (sequential)", workers, i, j, par[i][j], seq[i][j])
+					t.Fatalf("GOMAXPROCS=%d: [%d][%d] = %v, want %v (sequential)", procs, i, j, par[i][j], seq[i][j])
 				}
 			}
 		}
@@ -446,7 +451,7 @@ func TestLatencyMatrixWorkerCountInvariant(t *testing.T) {
 func TestPerSMAndPerSliceBandwidth(t *testing.T) {
 	eng := engine(t, gpu.V100())
 	sms := []int{0, 1, 41}
-	perSM, err := PerSMSliceBandwidth(eng, sms, 0, 0)
+	perSM, err := PerSMSliceBandwidth(eng, sms, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,7 +468,7 @@ func TestPerSMAndPerSliceBandwidth(t *testing.T) {
 		}
 	}
 	slices := []int{0, 3, 5}
-	perSlice, err := PerSliceBandwidth(eng, 0, slices, 2)
+	perSlice, err := PerSliceBandwidth(eng, 0, slices)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,10 +481,10 @@ func TestPerSMAndPerSliceBandwidth(t *testing.T) {
 			t.Errorf("slice %d slot %d = %v, want sequential %v", s, i, perSlice[i], want)
 		}
 	}
-	if _, err := PerSMSliceBandwidth(eng, nil, 0, 0); err == nil {
+	if _, err := PerSMSliceBandwidth(eng, nil, 0); err == nil {
 		t.Error("empty SM set should fail")
 	}
-	if _, err := PerSliceBandwidth(eng, 0, nil, 0); err == nil {
+	if _, err := PerSliceBandwidth(eng, 0, nil); err == nil {
 		t.Error("empty slice set should fail")
 	}
 }

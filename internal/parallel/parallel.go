@@ -1,26 +1,26 @@
 // Package parallel is the repository's sanctioned concurrency runner: a
-// bounded worker pool whose results are index-addressed, so a sharded
-// sweep reduces in exactly the order a sequential loop would and its
-// output is byte-identical regardless of worker count or goroutine
-// scheduling.
+// worker pool of min(GOMAXPROCS, n) goroutines whose results are
+// index-addressed, so a sharded sweep reduces in exactly the order a
+// sequential loop would and its output is byte-identical regardless of
+// pool size or goroutine scheduling. GOMAXPROCS is the only pool-size
+// knob (nocchar -parallel N sets it).
 //
 // The design rules that make sharded sweeps deterministic:
 //
-//  1. Work is identified by index. Map(workers, n, fn) calls fn(i) for
-//     every i in [0, n) and stores fn's result in slot i of the result
-//     slice. No channel fan-in, no append from multiple goroutines —
-//     reduction order is the index order, decided before any goroutine
-//     starts.
+//  1. Work is identified by index. Map(n, fn) calls fn(i) for every i
+//     in [0, n) and stores fn's result in slot i of the result slice.
+//     No channel fan-in, no append from multiple goroutines — reduction
+//     order is the index order, decided before any goroutine starts.
 //  2. Errors are selected deterministically. When tasks fail, the error
 //     of the LOWEST index is returned — the same error a sequential loop
 //     would have stopped at — no matter which goroutine finished first.
 //  3. Cancellation is cooperative. After the first failure no NEW
 //     indices are dispatched; tasks already in flight run to completion
 //     (tasks share nothing, so there is nothing to interrupt safely).
-//     MapContext adds an external cancel with the same shape: a context checked only at task-claim boundaries, so the
-//     task bodies — the simulators' Step loops — never see a context
-//     and stay alloc-free and byte-identical when the context never
-//     fires.
+//     MapContext adds an external cancel with the same shape: a
+//     context checked only at task-claim boundaries, so the task
+//     bodies — the simulators' Step loops — never see a context and stay
+//     alloc-free and byte-identical when the context never fires.
 //
 // The noclint determinism analyzer enforces rule 1 globally: `go`
 // statements inside internal packages are flagged everywhere except
@@ -34,34 +34,14 @@ import (
 	"sync/atomic"
 )
 
-// DefaultWorkers returns the GOMAXPROCS-derived default pool size. The
-// nocchar -parallel N flag adjusts GOMAXPROCS, so the whole process —
-// experiment fan-out and inner sweeps alike — honours one knob.
-func DefaultWorkers() int {
-	return runtime.GOMAXPROCS(0)
-}
-
-// normalize clamps a requested worker count to [1, n] with the
-// GOMAXPROCS default for workers <= 0. n == 0 yields 0 (no pool).
-func normalize(workers, n int) int {
-	if workers <= 0 {
-		workers = DefaultWorkers()
-	}
-	if workers > n {
-		workers = n
-	}
-	return workers
-}
-
-// Map runs fn(i) for every i in [0, n) on at most workers goroutines
-// (workers <= 0 selects DefaultWorkers) and returns the results in index
-// order. On failure it returns the error of the lowest failing index and
-// a nil slice; remaining indices are not dispatched once any task has
-// failed. fn must be safe for concurrent invocation with distinct
-// indices; results never pass through a channel, so output is identical
-// for every worker count.
-func Map[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
-	return MapContext[T](nil, workers, n, fn)
+// Map runs fn(i) for every i in [0, n) on min(GOMAXPROCS, n)
+// goroutines and returns the results in index order. On failure it
+// returns the error of the lowest failing index and a nil slice;
+// remaining indices are not dispatched once any task has failed. fn must
+// be safe for concurrent invocation with distinct indices; results never
+// pass through a channel, so output is identical for every GOMAXPROCS.
+func Map[T any](n int, fn func(i int) (T, error)) ([]T, error) {
+	return mapSized[T](nil, runtime.GOMAXPROCS(0), n, fn)
 }
 
 // MapContext is Map with an external cancel: when ctx is cancelled, no
@@ -73,7 +53,13 @@ func Map[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
 // allocation profile are identical to Map. When both a task failure and
 // a cancellation occur, the lowest failing index's error wins, matching
 // what a sequential ctx-checking loop would have stopped at.
-func MapContext[T any](ctx context.Context, workers, n int, fn func(i int) (T, error)) ([]T, error) {
+func MapContext[T any](ctx context.Context, n int, fn func(i int) (T, error)) ([]T, error) {
+	return mapSized[T](ctx, runtime.GOMAXPROCS(0), n, fn)
+}
+
+// mapSized is MapContext on a pool of min(workers, n) goroutines;
+// workers must be positive.
+func mapSized[T any](ctx context.Context, workers, n int, fn func(i int) (T, error)) ([]T, error) {
 	if n <= 0 {
 		if err := ctxErr(ctx); err != nil {
 			return nil, err
@@ -81,7 +67,7 @@ func MapContext[T any](ctx context.Context, workers, n int, fn func(i int) (T, e
 		return nil, nil
 	}
 	out := make([]T, n)
-	workers = normalize(workers, n)
+	workers = min(workers, n)
 	if workers == 1 {
 		// Inline fast path: no goroutines, exact sequential semantics
 		// with the claim-boundary check before each task.

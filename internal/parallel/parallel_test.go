@@ -5,14 +5,16 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestMapOrdersResultsByIndex(t *testing.T) {
-	for _, workers := range []int{0, 1, 2, 7, 64} {
-		got, err := Map(workers, 10, func(i int) (int, error) { return i * i, nil })
+	for _, workers := range []int{runtime.GOMAXPROCS(0), 1, 2, 7, 64} {
+		got, err := mapSized(nil, workers, 10, func(i int) (int, error) { return i * i, nil })
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -28,7 +30,7 @@ func TestMapOrdersResultsByIndex(t *testing.T) {
 // for every worker count, including N > items and N = 1.
 func TestMapIdenticalAcrossPoolSizes(t *testing.T) {
 	run := func(workers int) []string {
-		out, err := Map(workers, 23, func(i int) (string, error) {
+		out, err := mapSized(nil, workers, 23, func(i int) (string, error) {
 			return fmt.Sprintf("row-%02d", i), nil
 		})
 		if err != nil {
@@ -45,12 +47,12 @@ func TestMapIdenticalAcrossPoolSizes(t *testing.T) {
 }
 
 func TestMapEmptyAndEdgePools(t *testing.T) {
-	out, err := Map(4, 0, func(i int) (int, error) { return 0, errors.New("must not run") })
+	out, err := mapSized(nil, 4, 0, func(i int) (int, error) { return 0, errors.New("must not run") })
 	if err != nil || out != nil {
 		t.Errorf("n=0: got (%v, %v), want (nil, nil)", out, err)
 	}
 	// workers > n must not panic or leak goroutines; n=1 with a large pool.
-	one, err := Map(1000, 1, func(i int) (int, error) { return 42, nil })
+	one, err := mapSized(nil, 1000, 1, func(i int) (int, error) { return 42, nil })
 	if err != nil || len(one) != 1 || one[0] != 42 {
 		t.Errorf("workers>n: got (%v, %v)", one, err)
 	}
@@ -61,7 +63,7 @@ func TestMapEmptyAndEdgePools(t *testing.T) {
 // what a sequential loop would have stopped at — for every pool size.
 func TestMapLowestIndexErrorWins(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
-		_, err := Map(workers, 16, func(i int) (int, error) {
+		_, err := mapSized(nil, workers, 16, func(i int) (int, error) {
 			if i >= 5 {
 				return 0, fmt.Errorf("task %d failed", i)
 			}
@@ -79,7 +81,7 @@ func TestMapLowestIndexErrorWins(t *testing.T) {
 func TestMapCancelsOnFirstError(t *testing.T) {
 	const n, workers = 1000, 4
 	var ran atomic.Int64
-	_, err := Map(workers, n, func(i int) (int, error) {
+	_, err := mapSized(nil, workers, n, func(i int) (int, error) {
 		ran.Add(1)
 		if i == 3 {
 			return 0, errors.New("early failure")
@@ -96,9 +98,33 @@ func TestMapCancelsOnFirstError(t *testing.T) {
 	}
 }
 
-func TestDefaultWorkersPositive(t *testing.T) {
-	if DefaultWorkers() < 1 {
-		t.Fatalf("DefaultWorkers() = %d", DefaultWorkers())
+// TestMapPoolIsGOMAXPROCS pins the one pool-size knob: Map and
+// MapContext never run more tasks at once than GOMAXPROCS.
+func TestMapPoolIsGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	for _, run := range []func(fn func(int) (int, error)) error{
+		func(fn func(int) (int, error)) error { _, err := Map(64, fn); return err },
+		func(fn func(int) (int, error)) error { _, err := MapContext(context.Background(), 64, fn); return err },
+	} {
+		var mu sync.Mutex
+		active, peak := 0, 0
+		err := run(func(i int) (int, error) {
+			mu.Lock()
+			active++
+			peak = max(peak, active)
+			mu.Unlock()
+			time.Sleep(time.Millisecond)
+			mu.Lock()
+			active--
+			mu.Unlock()
+			return i, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if peak > 2 {
+			t.Errorf("%d tasks ran at once under GOMAXPROCS=2", peak)
+		}
 	}
 }
 
@@ -107,13 +133,13 @@ func TestDefaultWorkersPositive(t *testing.T) {
 // output for every pool size.
 func TestMapContextNilAndBackgroundMatchMap(t *testing.T) {
 	fn := func(i int) (int, error) { return i * 3, nil }
-	want, err := Map(4, 17, fn)
+	want, err := Map(17, fn)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, ctx := range []context.Context{nil, context.Background()} {
 		for _, workers := range []int{1, 2, 8} {
-			got, err := MapContext(ctx, workers, 17, fn)
+			got, err := mapSized(ctx, workers, 17, fn)
 			if err != nil {
 				t.Fatalf("ctx=%v workers=%d: %v", ctx, workers, err)
 			}
@@ -144,7 +170,7 @@ func TestMapContextCancelStopsDispatch(t *testing.T) {
 		cancel()
 		close(release)
 	}()
-	_, err := MapContext(ctx, workers, n, func(i int) (int, error) {
+	_, err := mapSized(ctx, workers, n, func(i int) (int, error) {
 		ran.Add(1)
 		started.Done()
 		<-release
@@ -164,7 +190,7 @@ func TestMapContextCancelStopsDispatch(t *testing.T) {
 func TestMapContextLowestIndexErrorBeatsCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	sentinel := errors.New("task failure")
-	_, err := MapContext(ctx, 2, 50, func(i int) (int, error) {
+	_, err := mapSized(ctx, 2, 50, func(i int) (int, error) {
 		if i == 0 {
 			cancel() // cancel and fail in the same breath
 			return 0, sentinel
@@ -183,7 +209,7 @@ func TestMapContextSkipsUndispatched(t *testing.T) {
 	cancel()
 	for _, workers := range []int{1, 4} {
 		var ran atomic.Int64
-		_, err := MapContext(ctx, workers, 100, func(i int) (int, error) {
+		_, err := mapSized(ctx, workers, 100, func(i int) (int, error) {
 			ran.Add(1)
 			return i, nil
 		})

@@ -23,9 +23,10 @@ func ClusterSMsByLatency(dev *gpu.Device, sms []int, iters int, threshold float6
 	if threshold <= 0 || threshold >= 1 {
 		return nil, fmt.Errorf("sidechannel: threshold %v outside (0, 1)", threshold)
 	}
+	b := microbench.NewBench(nil)
 	profiles := make([][]float64, len(sms))
 	for i, sm := range sms {
-		p, err := microbench.LatencyProfile(dev, sm, iters)
+		p, err := b.LatencyProfile(dev, sm, iters)
 		if err != nil {
 			return nil, err
 		}

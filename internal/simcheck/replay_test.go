@@ -1,6 +1,7 @@
 package simcheck
 
 import (
+	"runtime"
 	"testing"
 
 	"gpunoc/internal/noc"
@@ -41,25 +42,31 @@ func TestReplayStatsIdenticalAcrossPoolSizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 2, 4} {
-		runs, err := parallel.Map(workers, 6, func(i int) ([]noc.ReplayStepStats, error) {
-			return noc.ReplayTrace(replayCfg(), steps)
-		})
+	for _, procs := range []int{1, 2, 4} {
+		runs, err := replayRuns(procs, steps)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for ri, got := range runs {
 			if len(got) != len(base) {
-				t.Fatalf("workers=%d run %d: %d steps, want %d", workers, ri, len(got), len(base))
+				t.Fatalf("GOMAXPROCS=%d run %d: %d steps, want %d", procs, ri, len(got), len(base))
 			}
 			for si := range base {
 				if got[si] != base[si] {
-					t.Fatalf("workers=%d run %d step %d: %+v, sequential says %+v",
-						workers, ri, si, got[si], base[si])
+					t.Fatalf("GOMAXPROCS=%d run %d step %d: %+v, sequential says %+v",
+						procs, ri, si, got[si], base[si])
 				}
 			}
 		}
 	}
+}
+
+// replayRuns replays steps six times on a pool of procs goroutines.
+func replayRuns(procs int, steps [][]uint64) ([][]noc.ReplayStepStats, error) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	return parallel.Map(6, func(i int) ([]noc.ReplayStepStats, error) {
+		return noc.ReplayTrace(replayCfg(), steps)
+	})
 }
 
 // A trace that goes to disk and comes back must replay to identical
