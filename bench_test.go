@@ -48,11 +48,13 @@ func BenchmarkExperiments(b *testing.B) {
 
 // experimentLoop runs registry experiment id against cfg once per
 // iteration, building a fresh core.Context inside the timed region each
-// time: that is the cost a nocserve cold fill actually pays (device +
-// engine construction, then the run), and it keeps iterations
-// independent of state an earlier run warmed. A run that returns an
-// error fails the benchmark: the registry lists only (gpu, experiment)
-// pairs that run.
+// time: that is the cost a nocserve cold fill actually pays (engine
+// construction, then the run), and it keeps iterations independent of
+// state an earlier run warmed. The canonical gpu.Device, tables
+// included, is built once per process and shared, so only the first
+// iteration of a process can pay for it. A run that returns an error
+// fails the benchmark: the registry lists only (gpu, experiment) pairs
+// that run.
 func experimentLoop(b *testing.B, id string, cfg gpu.Config) {
 	b.Helper()
 	e, err := core.Lookup(id)

@@ -63,8 +63,9 @@ var (
 	H100 = gpu.H100
 )
 
-// NewDevice builds a device for a generation name ("v100", "a100",
-// "h100").
+// NewDevice returns the device for a generation name ("v100", "a100",
+// "h100"): the generation's one process-wide, immutable Device (see
+// gpu.New).
 func NewDevice(name string) (*Device, error) {
 	cfg, err := gpu.ByName(name)
 	if err != nil {
@@ -74,7 +75,8 @@ func NewDevice(name string) (*Device, error) {
 }
 
 // NewDeviceFromConfig builds a device from an explicit (possibly
-// customized) configuration.
+// customized) configuration. A configuration equal to a canonical one
+// returns that generation's shared Device.
 func NewDeviceFromConfig(cfg Config) (*Device, error) { return gpu.New(cfg) }
 
 // CustomSpec describes a speculative GPU generation for design-space

@@ -12,7 +12,10 @@
 // side-channel counts 32-byte transactions.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Config sizes one cache slice.
 type Config struct {
@@ -64,9 +67,13 @@ type Cache struct {
 	tags []uint64
 	// valid marks which sectors of each way hold data.
 	valid []uint32
-	// setCount and lineShift precompute indexing.
-	setCount  int
-	lineShift uint
+	// setCount, lineShift, lineMask and sectorShift precompute indexing:
+	// line and sector sizes are powers of two, so only the set split
+	// divides.
+	setCount    int
+	lineShift   uint
+	lineMask    uint64
+	sectorShift uint
 
 	// Stats accumulate until Reset.
 	Hits, Misses, SectorMisses, Evictions uint64
@@ -78,16 +85,15 @@ func New(cfg Config) (*Cache, error) {
 		return nil, err
 	}
 	setCount := cfg.SizeBytes / (cfg.LineBytes * cfg.Ways)
-	c := &Cache{
-		cfg:      cfg,
-		tags:     make([]uint64, setCount*cfg.Ways),
-		valid:    make([]uint32, setCount*cfg.Ways),
-		setCount: setCount,
-	}
-	for shift := cfg.LineBytes; shift > 1; shift >>= 1 {
-		c.lineShift++
-	}
-	return c, nil
+	return &Cache{
+		cfg:         cfg,
+		tags:        make([]uint64, setCount*cfg.Ways),
+		valid:       make([]uint32, setCount*cfg.Ways),
+		setCount:    setCount,
+		lineShift:   uint(bits.TrailingZeros(uint(cfg.LineBytes))),
+		lineMask:    uint64(cfg.LineBytes - 1),
+		sectorShift: uint(bits.TrailingZeros(uint(cfg.SectorBytes))),
+	}, nil
 }
 
 // Config returns the geometry.
@@ -97,10 +103,12 @@ func (c *Cache) Config() Config { return c.cfg }
 // valid-mask bit.
 func (c *Cache) locate(addr uint64) (tags []uint64, valid []uint32, tag uint64, bit uint32) {
 	lineAddr := addr >> c.lineShift
-	base := int(lineAddr%uint64(c.setCount)) * c.cfg.Ways
+	// One division yields both the tag (quotient) and the set (remainder).
+	tag = lineAddr / uint64(c.setCount)
+	base := int(lineAddr-tag*uint64(c.setCount)) * c.cfg.Ways
 	end := base + c.cfg.Ways
-	sector := (addr % uint64(c.cfg.LineBytes)) / uint64(c.cfg.SectorBytes)
-	return c.tags[base:end:end], c.valid[base:end:end], lineAddr / uint64(c.setCount), 1 << sector
+	sector := (addr & c.lineMask) >> c.sectorShift
+	return c.tags[base:end:end], c.valid[base:end:end], tag, 1 << sector
 }
 
 // Access touches addr and reports whether the touched sector was

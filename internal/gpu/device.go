@@ -2,6 +2,8 @@ package gpu
 
 import (
 	"fmt"
+	"math/bits"
+	"sync"
 
 	"gpunoc/internal/floorplan"
 	"gpunoc/internal/units"
@@ -13,15 +15,61 @@ import (
 // from SM s to L2 slice d?", "which slice does address a map to?",
 // "what does a miss cost?".
 //
+// The latency model is a pure function of the (SM, slice) placement, so
+// a canonical Device (see New) holds it as tables filled once from the
+// floorplan arithmetic. The arithmetic stays as the reference and
+// answers every query outside the tables, and on every other Device.
+//
 // Device is immutable after New and safe for concurrent use.
 type Device struct {
 	cfg  Config
 	plan *floorplan.Plan
+
+	// sms and lineShift cache cfg.SMs() and log2(cfg.CacheLineBytes).
+	sms       int
+	lineShift uint
+	// homeSalt is the first two rounds of HomeSlice's
+	// mix(Seed, 0xadd2, line), which depend only on the seed.
+	homeSalt uint64
+
+	// The tables, empty unless filled by fillTables. Entry
+	// sm*L2Slices+slice of hitMean and serve is L2HitLatencyMean and
+	// ServingSliceID of (sm, slice); entry sm*(L2Slices+MPs)+k of
+	// noisePre is the first two rounds of noise's mix(Seed, sm<<20|k,
+	// iter), for every noise key k below L2Slices+MPs.
+	hitMean  []units.Cycles
+	serve    []int32
+	noisePre []uint64
 }
 
+// canonical holds the one shared Device of each canonical generation,
+// built on its first New.
+var canonical = [...]struct {
+	cfg  Config
+	once sync.Once
+	dev  *Device
+	err  error
+}{{cfg: V100()}, {cfg: A100()}, {cfg: H100()}}
+
 // New builds a Device from cfg, validating it and laying out the
-// floorplan.
+// floorplan. A cfg equal to V100(), A100() or H100() returns that
+// generation's one process-wide Device, whose latency tables are built
+// on the first call; any other cfg builds its own Device, which answers
+// from the floorplan arithmetic and so costs no table memory however
+// large the design.
 func New(cfg Config) (*Device, error) {
+	for i := range canonical {
+		c := &canonical[i]
+		if cfg == c.cfg {
+			c.once.Do(func() { c.dev, c.err = newTabled(cfg) })
+			return c.dev, c.err
+		}
+	}
+	return newDevice(cfg)
+}
+
+// newDevice validates cfg and builds a Device on the arithmetic path.
+func newDevice(cfg Config) (*Device, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -35,7 +83,47 @@ func New(cfg Config) (*Device, error) {
 	if len(plan.MPPos) != cfg.MPs {
 		return nil, fmt.Errorf("gpu: %s floorplan has %d MPs, config has %d", cfg.Name, len(plan.MPPos), cfg.MPs)
 	}
-	return &Device{cfg: cfg, plan: plan}, nil
+	if cfg.Floorplan.CPCsPerGPC != cfg.CPCsPerGPC {
+		return nil, fmt.Errorf("gpu: %s floorplan has %d CPCs per GPC, config has %d", cfg.Name, cfg.Floorplan.CPCsPerGPC, cfg.CPCsPerGPC)
+	}
+	if cfg.Floorplan.Partitions != cfg.Partitions {
+		return nil, fmt.Errorf("gpu: %s floorplan has %d partitions, config has %d", cfg.Name, cfg.Floorplan.Partitions, cfg.Partitions)
+	}
+	return &Device{
+		cfg:       cfg,
+		plan:      plan,
+		sms:       cfg.SMs(),
+		lineShift: uint(bits.TrailingZeros64(uint64(cfg.CacheLineBytes))),
+		homeSalt:  splitmix64(splitmix64(mixInit^cfg.Seed) ^ 0xadd2),
+	}, nil
+}
+
+// newTabled is newDevice plus the latency tables.
+func newTabled(cfg Config) (*Device, error) {
+	d, err := newDevice(cfg)
+	if err != nil {
+		return nil, err
+	}
+	d.fillTables()
+	return d, nil
+}
+
+// fillTables fills the latency tables from the arithmetic reference.
+func (d *Device) fillTables() {
+	slices, keys := d.cfg.L2Slices, d.cfg.L2Slices+d.cfg.MPs
+	d.hitMean = make([]units.Cycles, d.sms*slices)
+	d.serve = make([]int32, d.sms*slices)
+	d.noisePre = make([]uint64, d.sms*keys)
+	seeded := splitmix64(mixInit ^ d.cfg.Seed)
+	for sm := 0; sm < d.sms; sm++ {
+		for s := 0; s < slices; s++ {
+			d.hitMean[sm*slices+s] = d.hitLatencyMean(sm, s)
+			d.serve[sm*slices+s] = int32(d.effectiveHitSlice(sm, s))
+		}
+		for k := 0; k < keys; k++ {
+			d.noisePre[sm*keys+k] = splitmix64(seeded ^ (uint64(sm)<<20 | uint64(k)))
+		}
+	}
 }
 
 // MustNew is New but panics on error, for the canonical configurations.
@@ -50,7 +138,8 @@ func MustNew(cfg Config) *Device {
 // Config returns the device configuration.
 func (d *Device) Config() Config { return d.cfg }
 
-// Plan returns the realized floorplan.
+// Plan returns the realized floorplan. It is shared by every user of a
+// canonical Device and must be treated as read-only.
 func (d *Device) Plan() *floorplan.Plan { return d.plan }
 
 // --- Hierarchy enumeration -------------------------------------------------
@@ -185,10 +274,26 @@ func (d *Device) mpExtra(mp int) units.Cycles {
 	return d.cfg.Cal.MPExtraMax.Scale(unitFloat(h))
 }
 
-// noise returns the measurement noise for one (sm, slice, iter) sample.
-func (d *Device) noise(sm, slice int, iter uint64) units.Cycles {
-	h := mix(d.cfg.Seed, uint64(sm)<<20|uint64(slice), iter)
+// noise returns the measurement noise for one (sm, key, iter) sample.
+// The key is a slice, L2Slices plus an MP, or (for SM-to-SM loads) an
+// SM id, which can exceed the table's key range and then takes mix.
+func (d *Device) noise(sm, key int, iter uint64) units.Cycles {
+	var h uint64
+	if keys := d.cfg.L2Slices + d.cfg.MPs; uint(key) < uint(keys) && uint(sm) < uint(d.sms) && d.noisePre != nil {
+		h = splitmix64(d.noisePre[sm*keys+key] ^ iter)
+	} else {
+		h = mix(d.cfg.Seed, uint64(sm)<<20|uint64(key), iter)
+	}
 	return d.cfg.Cal.NoiseSigma.Scale(gaussian(h))
+}
+
+// pair returns the table index of (sm, slice), or -1 when the tables are
+// empty or do not hold the pair.
+func (d *Device) pair(sm, slice int) int {
+	if uint(slice) >= uint(d.cfg.L2Slices) || uint(sm) >= uint(d.sms) || d.hitMean == nil {
+		return -1
+	}
+	return sm*d.cfg.L2Slices + slice
 }
 
 // effectiveHitSlice maps the addressed slice to the slice that actually
@@ -216,6 +321,15 @@ func (d *Device) effectiveHitSlice(sm, slice int) int {
 // an L1-bypassing load from SM sm that hits in L2 slice slice. This is the
 // quantity Algorithm 1 of the paper estimates by averaging timed loads.
 func (d *Device) L2HitLatencyMean(sm, slice int) units.Cycles {
+	if i := d.pair(sm, slice); i >= 0 {
+		return d.hitMean[i]
+	}
+	return d.hitLatencyMean(sm, slice)
+}
+
+// hitLatencyMean is L2HitLatencyMean's floorplan arithmetic, the
+// reference its table is filled from.
+func (d *Device) hitLatencyMean(sm, slice int) units.Cycles {
 	slice = d.effectiveHitSlice(sm, slice)
 	gpc := d.GPCOf(sm)
 	mp := d.MPOfSlice(slice)
@@ -287,8 +401,8 @@ func (d *Device) SMToSMLatency(src, dst int, iter uint64) (units.Cycles, error) 
 // slices to avoid memory camping (Sec. IV-C); we model this with a mixing
 // hash of the line address.
 func (d *Device) HomeSlice(addr uint64) int {
-	line := addr / uint64(d.cfg.CacheLineBytes)
-	return int(mix(d.cfg.Seed, 0xadd2, line) % uint64(d.cfg.L2Slices))
+	// splitmix64(homeSalt^line) is mix(Seed, 0xadd2, line).
+	return int(splitmix64(d.homeSalt^(addr>>d.lineShift)) % uint64(d.cfg.L2Slices))
 }
 
 // HomeMP returns the memory partition whose controller owns addr's line.
@@ -299,12 +413,15 @@ func (d *Device) HomeMP(addr uint64) int {
 // ServingSlice returns the L2 slice that serves a hit on addr for a load
 // from SM sm, applying partition-local caching when the generation has it.
 func (d *Device) ServingSlice(sm int, addr uint64) int {
-	return d.effectiveHitSlice(sm, d.HomeSlice(addr))
+	return d.ServingSliceID(sm, d.HomeSlice(addr))
 }
 
 // ServingSliceID maps an addressed slice to the slice that actually serves
 // hits for SM sm (identity except under H100 partition-local caching).
 func (d *Device) ServingSliceID(sm, slice int) int {
+	if i := d.pair(sm, slice); i >= 0 {
+		return int(d.serve[i])
+	}
 	return d.effectiveHitSlice(sm, slice)
 }
 

@@ -13,20 +13,23 @@ func a100() *Device { return MustNew(A100()) }
 func h100() *Device { return MustNew(H100()) }
 
 func TestNewRejectsInvalidConfig(t *testing.T) {
-	cfg := V100()
-	cfg.GPCs = 0
-	if _, err := New(cfg); err == nil {
-		t.Error("New should reject invalid config")
-	}
-	cfg = V100()
-	cfg.Floorplan.GPCs = 4 // floorplan/config mismatch
-	if _, err := New(cfg); err == nil {
-		t.Error("New should reject floorplan/config GPC mismatch")
-	}
-	cfg = V100()
-	cfg.Floorplan.MPs = 4
-	if _, err := New(cfg); err == nil {
-		t.Error("New should reject floorplan/config MP mismatch")
+	for _, tc := range []struct {
+		name string
+		cfg  func() Config
+	}{
+		{"invalid hierarchy", func() Config { c := V100(); c.GPCs = 0; return c }},
+		{"floorplan GPC mismatch", func() Config { c := V100(); c.Floorplan.GPCs = 4; return c }},
+		{"floorplan MP mismatch", func() Config { c := V100(); c.Floorplan.MPs = 4; return c }},
+		// Both configs pass Validate and used to build a Device whose
+		// latency model panicked (a CPC index past the plan's 3) or
+		// returned slice ids past L2Slices (a mirror into a partition the
+		// plan does not have).
+		{"floorplan CPC mismatch", func() Config { c := H100(); c.SMsPerTPC = 1; c.CPCsPerGPC = 9; return c }},
+		{"floorplan partition mismatch", func() Config { c := H100(); c.Partitions = 1; return c }},
+	} {
+		if _, err := New(tc.cfg()); err == nil {
+			t.Errorf("%s: New should reject the config", tc.name)
+		}
 	}
 }
 

@@ -14,9 +14,12 @@ func splitmix64(state uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
+// mixInit is mix's initial state.
+const mixInit = 0x243f6a8885a308d3
+
 // mix combines up to four 64-bit values into one hash.
 func mix(vals ...uint64) uint64 {
-	h := uint64(0x243f6a8885a308d3)
+	h := uint64(mixInit)
 	for _, v := range vals {
 		h = splitmix64(h ^ v)
 	}

@@ -696,3 +696,66 @@ func TestCoalesceLargeInputUsesMap(t *testing.T) {
 		t.Errorf("large-input coalesce = %d, want 10", n)
 	}
 }
+
+// --- Lockstep reference -------------------------------------------------------
+
+// The canonical Devices answer from latency tables; a config equal to
+// the canonical one except in name answers from the floorplan
+// arithmetic. One seeded stream of LoadCG, StoreCG and LoadCGMiss
+// accesses from every SM, with the L2 modelled, must leave both
+// machines' warps in bit-identical states after every access.
+func TestWarpLockstepTablesVsArithmetic(t *testing.T) {
+	opts := DefaultOptions()
+	opts.ModelL2 = true
+	for _, cfg := range gpu.AllConfigs() {
+		ref := cfg
+		ref.Name += "-arith"
+		var ms [2]*Machine
+		for i, c := range []gpu.Config{cfg, ref} {
+			m, err := NewMachine(gpu.MustNew(c), nil, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.launchCount = 3
+			ms[i] = m
+		}
+		rng := rand.New(rand.NewSource(int64(cfg.Seed)))
+		addrs := make([]uint64, WarpSize)
+		for step := 0; step < 3000; step++ {
+			sm := rng.Intn(cfg.SMs())
+			var ws [2]*Warp
+			for i, m := range ms {
+				ws[i] = &Warp{m: m, sm: sm, lanes: WarpSize, now: float64(step), iter: uint64(step) << 16}
+			}
+			for a := 0; a < 4; a++ {
+				// A 2 MiB working set, revisited, so accesses both hit
+				// and miss; the stride picks 1 to 32 lines per access.
+				base := uint64(rng.Intn(1<<21)) &^ 3
+				stride := uint64(4) << uint(rng.Intn(8))
+				for l := range addrs {
+					addrs[l] = base + uint64(l)*stride
+				}
+				op := rng.Intn(3)
+				var n [2]int
+				for i, w := range ws {
+					switch op {
+					case 0:
+						n[i] = w.LoadCG(addrs)
+					case 1:
+						n[i] = w.StoreCG(addrs)
+					default:
+						n[i] = w.LoadCGMiss(addrs)
+					}
+				}
+				if n[0] != n[1] || ws[0].Clock() != ws[1].Clock() || ms[0].L2HitRate() != ms[1].L2HitRate() {
+					t.Fatalf("%s step %d op %d: tables give (%d, %v, %v), arithmetic (%d, %v, %v)",
+						cfg.Name, step, op, n[0], ws[0].Clock(), ms[0].L2HitRate(),
+						n[1], ws[1].Clock(), ms[1].L2HitRate())
+				}
+			}
+		}
+		if r := ms[0].L2HitRate(); r == 0 || r == 1 {
+			t.Errorf("%s: hit rate %v; the stream should both hit and miss", cfg.Name, r)
+		}
+	}
+}

@@ -391,6 +391,7 @@ func TestSMToSMLatencyMatrixRejectsSingleSMCPCs(t *testing.T) {
 	cfg := gpu.H100()
 	cfg.SMsPerTPC = 1
 	cfg.CPCsPerGPC = 9
+	cfg.Floorplan.CPCsPerGPC = 9
 	dev, err := gpu.New(cfg)
 	if err != nil {
 		t.Fatal(err)
