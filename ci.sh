@@ -85,6 +85,7 @@ fuzz_target() {
 	go test -run '^$' -fuzz "^$1\$" -fuzztime 10s -fuzzminimizetime 1s "$2"
 }
 fuzz_target FuzzEncryptBlock ./internal/aes
+fuzz_target FuzzCoalesce ./internal/kernel
 fuzz_target FuzzCacheAccess ./internal/cache
 fuzz_target FuzzParseTrace ./internal/simcheck
 fuzz_target FuzzNoCCase ./internal/simcheck

@@ -177,45 +177,62 @@ func (k *Key) Encrypt(pt []byte) ([]byte, Trace, error) {
 // The state is four big-endian column words. Output column c of an inner
 // round XORs four T-table lookups whose indices are the ShiftRows-ordered
 // state bytes 4c..4c+3 - exactly the RoundIndices the trace records.
+// ShiftRows gathers those bytes word-wise: row i of output column c comes
+// from column c+i, so t_c takes its top byte from s_c, its second from
+// s_{c+1}, and so on.
 func (k *Key) EncryptBlock(dst, src *[BlockSize]byte, tr *Trace) {
-	var s [4]uint32
-	for c := range s {
-		s[c] = binary.BigEndian.Uint32(src[4*c:]) ^ k.rounds[0][c]
-	}
+	rk := &k.rounds
+	s0 := binary.BigEndian.Uint32(src[0:]) ^ rk[0][0]
+	s1 := binary.BigEndian.Uint32(src[4:]) ^ rk[0][1]
+	s2 := binary.BigEndian.Uint32(src[8:]) ^ rk[0][2]
+	s3 := binary.BigEndian.Uint32(src[12:]) ^ rk[0][3]
 	for r := 1; r < Rounds; r++ {
-		idx := roundIndices(&s)
+		t0, t1, t2, t3 := shiftRowWords(s0, s1, s2, s3)
 		if tr != nil {
-			tr.RoundIndices[r-1] = idx
+			putWords(&tr.RoundIndices[r-1], t0, t1, t2, t3)
 		}
-		for c := range s {
-			s[c] = te[0][idx[4*c]] ^ te[1][idx[4*c+1]] ^ te[2][idx[4*c+2]] ^ te[3][idx[4*c+3]] ^ k.rounds[r][c]
-		}
+		s0 = te[0][t0>>24] ^ te[1][t0>>16&0xff] ^ te[2][t0>>8&0xff] ^ te[3][t0&0xff] ^ rk[r][0]
+		s1 = te[0][t1>>24] ^ te[1][t1>>16&0xff] ^ te[2][t1>>8&0xff] ^ te[3][t1&0xff] ^ rk[r][1]
+		s2 = te[0][t2>>24] ^ te[1][t2>>16&0xff] ^ te[2][t2>>8&0xff] ^ te[3][t2&0xff] ^ rk[r][2]
+		s3 = te[0][t3>>24] ^ te[1][t3>>16&0xff] ^ te[2][t3>>8&0xff] ^ te[3][t3&0xff] ^ rk[r][3]
 	}
 	// Final round: SubBytes + ShiftRows + AddRoundKey; its S-box lookups
 	// are the attacked table accesses.
-	idx := roundIndices(&s)
+	t0, t1, t2, t3 := shiftRowWords(s0, s1, s2, s3)
 	if tr != nil {
-		tr.RoundIndices[Rounds-1] = idx
-		tr.FinalIndices = idx
+		putWords(&tr.RoundIndices[Rounds-1], t0, t1, t2, t3)
+		tr.FinalIndices = tr.RoundIndices[Rounds-1]
 	}
-	for c := range s {
-		word := uint32(sbox[idx[4*c]])<<24 | uint32(sbox[idx[4*c+1]])<<16 |
-			uint32(sbox[idx[4*c+2]])<<8 | uint32(sbox[idx[4*c+3]])
-		binary.BigEndian.PutUint32(dst[4*c:], word^k.rounds[Rounds][c])
-	}
+	binary.BigEndian.PutUint32(dst[0:], subWord(t0)^rk[Rounds][0])
+	binary.BigEndian.PutUint32(dst[4:], subWord(t1)^rk[Rounds][1])
+	binary.BigEndian.PutUint32(dst[8:], subWord(t2)^rk[Rounds][2])
+	binary.BigEndian.PutUint32(dst[12:], subWord(t3)^rk[Rounds][3])
 }
 
-// roundIndices returns the state bytes in ShiftRows order: the table
-// lookup indices of the round that consumes state s.
-func roundIndices(s *[4]uint32) [BlockSize]byte {
-	var idx [BlockSize]byte
-	for c := 0; c < 4; c++ {
-		idx[4*c] = byte(s[c] >> 24)
-		idx[4*c+1] = byte(s[(c+1)&3] >> 16)
-		idx[4*c+2] = byte(s[(c+2)&3] >> 8)
-		idx[4*c+3] = byte(s[(c+3)&3])
-	}
-	return idx
+// shiftRowWords returns the ShiftRows-ordered state columns: the table
+// lookup indices, packed big-endian, of the round that consumes state
+// s0..s3.
+func shiftRowWords(s0, s1, s2, s3 uint32) (t0, t1, t2, t3 uint32) {
+	const r0, r1, r2, r3 = 0xff000000, 0x00ff0000, 0x0000ff00, 0x000000ff
+	t0 = s0&r0 | s1&r1 | s2&r2 | s3&r3
+	t1 = s1&r0 | s2&r1 | s3&r2 | s0&r3
+	t2 = s2&r0 | s3&r1 | s0&r2 | s1&r3
+	t3 = s3&r0 | s0&r1 | s1&r2 | s2&r3
+	return t0, t1, t2, t3
+}
+
+// putWords stores four column words big-endian into b.
+func putWords(b *[BlockSize]byte, w0, w1, w2, w3 uint32) {
+	binary.BigEndian.PutUint32(b[0:], w0)
+	binary.BigEndian.PutUint32(b[4:], w1)
+	binary.BigEndian.PutUint32(b[8:], w2)
+	binary.BigEndian.PutUint32(b[12:], w3)
+}
+
+// subWord applies the S-box to each byte of w.
+func subWord(w uint32) uint32 {
+	return uint32(sbox[w>>24])<<24 | uint32(sbox[w>>16&0xff])<<16 |
+		uint32(sbox[w>>8&0xff])<<8 | uint32(sbox[w&0xff])
 }
 
 // Decrypt inverts Encrypt (equivalent-inverse-cipher free, straightforward

@@ -74,6 +74,12 @@ type Cache struct {
 	lineShift   uint
 	lineMask    uint64
 	sectorShift uint
+	// setMagic is the rounded-up reciprocal 2^64/setCount, or 0 for a
+	// single set (where it would overflow). For a line address below
+	// 2^32 the high word of setMagic*lineAddr is the exact quotient:
+	// setMagic*setCount exceeds 2^64 by e < setCount, and lineAddr*e <
+	// 2^64 keeps the error under one part in setCount.
+	setMagic uint64
 
 	// Stats accumulate until Reset.
 	Hits, Misses, SectorMisses, Evictions uint64
@@ -85,6 +91,10 @@ func New(cfg Config) (*Cache, error) {
 		return nil, err
 	}
 	setCount := cfg.SizeBytes / (cfg.LineBytes * cfg.Ways)
+	var magic uint64
+	if setCount > 1 {
+		magic = ^uint64(0)/uint64(setCount) + 1
+	}
 	return &Cache{
 		cfg:         cfg,
 		tags:        make([]uint64, setCount*cfg.Ways),
@@ -93,6 +103,7 @@ func New(cfg Config) (*Cache, error) {
 		lineShift:   uint(bits.TrailingZeros(uint(cfg.LineBytes))),
 		lineMask:    uint64(cfg.LineBytes - 1),
 		sectorShift: uint(bits.TrailingZeros(uint(cfg.SectorBytes))),
+		setMagic:    magic,
 	}, nil
 }
 
@@ -103,8 +114,13 @@ func (c *Cache) Config() Config { return c.cfg }
 // valid-mask bit.
 func (c *Cache) locate(addr uint64) (tags []uint64, valid []uint32, tag uint64, bit uint32) {
 	lineAddr := addr >> c.lineShift
-	// One division yields both the tag (quotient) and the set (remainder).
-	tag = lineAddr / uint64(c.setCount)
+	// One quotient yields both the tag and the set (the remainder); a
+	// reciprocal multiply replaces the division where it is exact.
+	if lineAddr < 1<<32 && c.setMagic != 0 {
+		tag, _ = bits.Mul64(c.setMagic, lineAddr)
+	} else {
+		tag = lineAddr / uint64(c.setCount)
+	}
 	base := int(lineAddr-tag*uint64(c.setCount)) * c.cfg.Ways
 	end := base + c.cfg.Ways
 	sector := (addr & c.lineMask) >> c.sectorShift
@@ -115,9 +131,18 @@ func (c *Cache) locate(addr uint64) (tags []uint64, valid []uint32, tag uint64, 
 // resident. A miss allocates (or revalidates a sector of) the line.
 func (c *Cache) Access(addr uint64) (hit bool) {
 	tags, valid, tag, bit := c.locate(addr)
-	w := 0
-	for ; w < len(tags) && valid[w] != 0; w++ {
-		if tags[w] != tag {
+	// Resident ways lead the set, so only they are scanned: all of them
+	// when the last way is resident (a full set, where the scan compares
+	// tags alone), otherwise those before the first empty way.
+	n := len(tags)
+	if valid[n-1] == 0 {
+		n = 0
+		for valid[n] != 0 {
+			n++
+		}
+	}
+	for w, t := range tags[:n] {
+		if t != tag {
 			continue
 		}
 		mask := valid[w]
@@ -137,6 +162,7 @@ func (c *Cache) Access(addr uint64) (hit bool) {
 	// Full miss: allocate into the first empty way, or evict the LRU
 	// (last) way of a full set.
 	c.Misses++
+	w := n
 	if w == len(tags) {
 		w--
 		c.Evictions++

@@ -442,3 +442,32 @@ func FuzzCacheAccess(f *testing.F) {
 		checkAgainstReference(t, geometry(g), ops)
 	})
 }
+
+// locate's reciprocal quotient equals the division it replaces for every
+// set count from 1 to 4096 (the modelled slices have 96 to 320) and a
+// few larger ones, at line addresses from 0 through the 2^32 cut-over to
+// the top of the address space.
+func TestLocateMatchesDivision(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	lines := []uint64{0, 1, 2, 1<<32 - 2, 1<<32 - 1, 1 << 32, 1<<32 + 1, 1<<57 - 1}
+	for i := 0; i < 200; i++ {
+		lines = append(lines, uint64(rng.Int63n(1<<32)), rng.Uint64()>>7)
+	}
+	counts := []int{3 * 4096, 24 * 1024, 48 * 1024}
+	for n := 1; n <= 4096; n++ {
+		counts = append(counts, n)
+	}
+	for _, sets := range counts {
+		cfg := Config{SizeBytes: sets * 128, LineBytes: 128, SectorBytes: 32, Ways: 1}
+		c, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range lines {
+			_, _, tag, _ := c.locate(line << 7)
+			if want := line / uint64(sets); tag != want {
+				t.Fatalf("%d sets, line %#x: tag %d, want %d", sets, line, tag, want)
+			}
+		}
+	}
+}

@@ -51,6 +51,31 @@ func TestAllOrdering(t *testing.T) {
 	}
 }
 
+// All lists the registry in orderKey order, as one copy that the caller
+// may reorder without disturbing the next listing.
+func TestAllMatchesOrderKey(t *testing.T) {
+	all := All()
+	if len(all) != len(registry) {
+		t.Fatalf("All lists %d experiments, registry holds %d", len(all), len(registry))
+	}
+	for i, e := range all {
+		if registry[e.ID] != e {
+			t.Errorf("All()[%d] = %s is not the registered experiment", i, e.ID)
+		}
+		if i > 0 && orderKey(all[i-1].ID) >= orderKey(e.ID) {
+			t.Errorf("All()[%d:%d] = %s, %s: not in orderKey order", i-1, i+1, all[i-1].ID, e.ID)
+		}
+	}
+	first := all[0]
+	all[0] = all[len(all)-1]
+	if All()[0] != first {
+		t.Error("reordering a listing changed the next one")
+	}
+	if n := testing.AllocsPerRun(100, func() { All() }); n > 1 {
+		t.Errorf("All allocates %.0f times per listing, want at most 1", n)
+	}
+}
+
 func TestLookupUnknown(t *testing.T) {
 	if _, err := Lookup("fig99"); err == nil {
 		t.Error("unknown id should fail")

@@ -3,7 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"gpunoc/internal/bandwidth"
 	"gpunoc/internal/gpu"
@@ -99,8 +99,14 @@ func (e *Experiment) SupportsGPU(g gpu.Generation) bool {
 	return false
 }
 
-// registry holds all experiments by ID.
-var registry = map[string]*Experiment{}
+// registry holds all experiments by ID. ordered holds them in All's
+// order and orderKeys their sort keys: init-time registration keeps both
+// sorted, so listing parses no IDs.
+var (
+	registry  = map[string]*Experiment{}
+	ordered   []*Experiment
+	orderKeys []string
+)
 
 // register adds an experiment; duplicate IDs are programming errors.
 func register(e *Experiment) {
@@ -108,6 +114,10 @@ func register(e *Experiment) {
 		panic(fmt.Sprintf("core: duplicate experiment %q", e.ID))
 	}
 	registry[e.ID] = e
+	key := orderKey(e.ID)
+	i, _ := slices.BinarySearch(orderKeys, key)
+	orderKeys = slices.Insert(orderKeys, i, key)
+	ordered = slices.Insert(ordered, i, e)
 }
 
 // Lookup returns the experiment with the given ID.
@@ -120,15 +130,8 @@ func Lookup(id string) (*Experiment, error) {
 }
 
 // All returns every experiment ordered by ID with tables first, then
-// figures in numeric order.
-func All() []*Experiment {
-	out := make([]*Experiment, 0, len(registry))
-	for _, e := range registry {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool { return orderKey(out[i].ID) < orderKey(out[j].ID) })
-	return out
-}
+// figures in numeric order. The slice is the caller's own.
+func All() []*Experiment { return slices.Clone(ordered) }
 
 // orderKey sorts "table1" before "fig1" and figures numerically.
 func orderKey(id string) string {

@@ -66,9 +66,52 @@ outer:
 	return out[:n]
 }
 
-// UniqueLines returns only the count of unique cache lines touched by the
-// warp access, the quantity attackers infer from timing.
-func UniqueLines(addrs []uint64, lineBytes int) int {
+// countLines returns what coalesce would for addrs without writing the
+// list: the number of unique lines and the last of them in first-touch
+// order. Without the L2 model a warp access needs nothing more, so the
+// hot path skips building the list. lineBytes must be a power of two;
+// an empty input yields (0, 0).
+//
+// Warp-sized inputs whose lanes all fall in coalesce's ±32-line window
+// count through the same occupancy mask, with no branch inside the loop:
+// the first-touch select is written so the compiler emits a conditional
+// move (a branch on that data-dependent test made this slower than
+// coalesce), and the window check is one OR tested after the loop. A
+// lane outside the window, or an input over 2*WarpSize lanes, falls back
+// to coalesce.
+func countLines(addrs []uint64, lineBytes int) (n int, last uint64) {
+	if len(addrs) == 0 || len(addrs) > 2*WarpSize {
+		return countLinesList(addrs, lineBytes)
+	}
+	shift := uint(bits.TrailingZeros(uint(lineBytes))) & 63
+	origin := addrs[0]>>shift - WarpSize
+	// outside ORs every lane's slot: it reaches 64 iff some lane falls
+	// outside the window. lastSlot is the slot of the latest first touch.
+	var window, outside, lastSlot uint64
+	for _, a := range addrs {
+		slot := a>>shift - origin
+		outside |= slot
+		slot &= 63
+		old := window
+		window |= 1 << slot
+		sel := lastSlot
+		if window != old {
+			sel = slot
+		}
+		lastSlot = sel
+	}
+	if outside >= 64 {
+		return countLinesList(addrs, lineBytes)
+	}
+	return bits.OnesCount64(window), (origin + lastSlot) << shift
+}
+
+// countLinesList is countLines through coalesce's list.
+func countLinesList(addrs []uint64, lineBytes int) (int, uint64) {
 	var buf [2 * WarpSize]uint64
-	return len(coalesce(buf[:0], addrs, lineBytes))
+	lines := coalesce(buf[:0], addrs, lineBytes)
+	if len(lines) == 0 {
+		return 0, 0
+	}
+	return len(lines), lines[len(lines)-1]
 }

@@ -1,10 +1,13 @@
 package kernel
 
 import (
+	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"gpunoc/internal/cache"
 	"gpunoc/internal/gpu"
 )
 
@@ -25,14 +28,14 @@ func TestCoalesceBasics(t *testing.T) {
 	for i := range addrs {
 		addrs[i] = 0x1000 + uint64(i*4)
 	}
-	if n := UniqueLines(addrs, 128); n != 1 {
+	if n, _ := countLines(addrs, 128); n != 1 {
 		t.Errorf("fully coalesced access = %d lines, want 1", n)
 	}
 	// Stride of one line per lane -> 32 transactions.
 	for i := range addrs {
 		addrs[i] = 0x1000 + uint64(i*128)
 	}
-	if n := UniqueLines(addrs, 128); n != 32 {
+	if n, _ := countLines(addrs, 128); n != 32 {
 		t.Errorf("fully divergent access = %d lines, want 32", n)
 	}
 }
@@ -61,7 +64,7 @@ func TestCoalescePropertyCount(t *testing.T) {
 		for i := range addrs {
 			addrs[i] = uint64(rng.Intn(16)) * 128
 		}
-		got := UniqueLines(addrs, 128)
+		got, _ := countLines(addrs, 128)
 		distinct := map[uint64]bool{}
 		for _, a := range addrs {
 			distinct[a/128] = true
@@ -70,7 +73,8 @@ func TestCoalescePropertyCount(t *testing.T) {
 			return false
 		}
 		rng.Shuffle(n, func(i, j int) { addrs[i], addrs[j] = addrs[j], addrs[i] })
-		return UniqueLines(addrs, 128) == got
+		shuffled, _ := countLines(addrs, 128)
+		return shuffled == got
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -129,8 +133,12 @@ func TestCoalesceMatchesReference(t *testing.T) {
 		for i, l := range c.lines {
 			addrs[i] = l*32 + uint64(i) // unaligned within the line
 		}
-		if got, want := coalesce(nil, addrs, 32), referenceCoalesce(addrs, 32); !sameLines(got, want) {
+		want := referenceCoalesce(addrs, 32)
+		if got := coalesce(nil, addrs, 32); !sameLines(got, want) {
 			t.Errorf("%s: got %x, want %x", c.name, got, want)
+		}
+		if n, last := countLines(addrs, 32); n != len(want) || (n > 0 && last != want[n-1]) {
+			t.Errorf("%s: countLines = (%d, %x), want the count and last of %x", c.name, n, last, want)
 		}
 	}
 
@@ -164,12 +172,44 @@ func TestCoalesceMatchesReference(t *testing.T) {
 		// dedups only the new access.
 		prefix := []uint64{7} // unaligned, so no line equals it
 		got = coalesce(prefix, addrs, lineBytes)
+		n, last := countLines(addrs, lineBytes)
 		return got[0] == prefix[0] && sameLines(got[1:], want) &&
-			UniqueLines(addrs, lineBytes) == len(want)
+			n == len(want) && (n == 0 || last == want[n-1])
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
 	}
+}
+
+// FuzzCoalesce checks coalesce and countLines against referenceCoalesce.
+// base is the first lane's address; each following pair of bytes (d, off)
+// adds a lane int8(d) lines from base plus off bytes, wrapping modulo
+// 2^64, so lanes land inside and outside the ±32-line window, near 0 and
+// near 2^64, and past 2*WarpSize lanes. wide selects 128-byte lines over
+// 32-byte ones.
+func FuzzCoalesce(f *testing.F) {
+	f.Add(uint64(0x40000), []byte{1, 4, 2, 8, 31, 0, 32, 0, 0xe0, 0, 0xdf, 0}, false)
+	f.Add(uint64(5), []byte{0xff, 0, 0x80, 3, 0x7f, 9, 1, 1}, true)
+	f.Add(^uint64(0)-40, []byte{1, 0, 2, 0, 0xfe, 7, 0x40, 0}, false)
+	f.Add(uint64(1)<<40, bytes.Repeat([]byte{3, 1, 0xfd, 2, 40, 0}, 30), true)
+	f.Fuzz(func(t *testing.T, base uint64, lanes []byte, wide bool) {
+		lineBytes := 32
+		if wide {
+			lineBytes = 128
+		}
+		addrs := []uint64{base}
+		for i := 0; i+1 < len(lanes); i += 2 {
+			addrs = append(addrs, base+uint64(int64(int8(lanes[i])))*uint64(lineBytes)+uint64(lanes[i+1]))
+		}
+		want := referenceCoalesce(addrs, lineBytes)
+		if got := coalesce(nil, addrs, lineBytes); !sameLines(got, want) {
+			t.Fatalf("lineBytes %d addrs %x: coalesce %x, reference %x", lineBytes, addrs, got, want)
+		}
+		if n, last := countLines(addrs, lineBytes); n != len(want) || last != want[len(want)-1] {
+			t.Fatalf("lineBytes %d addrs %x: countLines (%d, %x), reference %d lines ending %x",
+				lineBytes, addrs, n, last, len(want), want[len(want)-1])
+		}
+	})
 }
 
 // A warp-sized LoadCG, StoreCG and LoadCGMiss on a machine without the
@@ -692,7 +732,7 @@ func TestCoalesceLargeInputUsesMap(t *testing.T) {
 	for i := range addrs {
 		addrs[i] = uint64(i%10) * 128
 	}
-	if n := UniqueLines(addrs, 128); n != 10 {
+	if n, _ := countLines(addrs, 128); n != 10 {
 		t.Errorf("large-input coalesce = %d, want 10", n)
 	}
 }
@@ -757,5 +797,245 @@ func TestWarpLockstepTablesVsArithmetic(t *testing.T) {
 		if r := ms[0].L2HitRate(); r == 0 || r == 1 {
 			t.Errorf("%s: hit rate %v; the stream should both hit and miss", cfg.Name, r)
 		}
+	}
+}
+
+// refSlice is a timestamp-LRU L2 slice with the geometry NewMachine
+// gives each modelled slice: every access stamps its line, and a full
+// set evicts the line with the oldest stamp. It shares no code with
+// internal/cache.
+type refSlice struct {
+	cfg   cache.Config
+	sets  [][]refWay
+	clock uint64
+
+	hits, misses uint64
+}
+
+type refWay struct {
+	tag, stamp uint64
+	valid      uint32
+}
+
+func newRefSlice(cfg cache.Config) *refSlice {
+	return &refSlice{cfg: cfg, sets: make([][]refWay, cfg.SizeBytes/(cfg.LineBytes*cfg.Ways))}
+}
+
+func (c *refSlice) access(addr uint64) bool {
+	c.clock++
+	line := addr / uint64(c.cfg.LineBytes)
+	set := &c.sets[line%uint64(len(c.sets))]
+	tag := line / uint64(len(c.sets))
+	bit := uint32(1) << (addr % uint64(c.cfg.LineBytes) / uint64(c.cfg.SectorBytes))
+	for i := range *set {
+		w := &(*set)[i]
+		if w.tag != tag {
+			continue
+		}
+		w.stamp = c.clock
+		if w.valid&bit != 0 {
+			c.hits++
+			return true
+		}
+		w.valid |= bit
+		c.misses++
+		return false
+	}
+	c.misses++
+	if len(*set) < c.cfg.Ways {
+		*set = append(*set, refWay{tag: tag, stamp: c.clock, valid: bit})
+		return false
+	}
+	oldest := 0
+	for i, w := range *set {
+		if w.stamp < (*set)[oldest].stamp {
+			oldest = i
+		}
+	}
+	(*set)[oldest] = refWay{tag: tag, stamp: c.clock, valid: bit}
+	return false
+}
+
+// refWarp replays warp accesses from their definitions: referenceCoalesce
+// lists the sectors, refSlice decides residency, and a Device built from
+// a renamed config (which answers from the floorplan arithmetic, not the
+// canonical latency tables) prices each access.
+type refWarp struct {
+	dev    *gpu.Device
+	opts   Options
+	l2     []*refSlice // nil without the L2 model
+	sm     int
+	now    float64
+	iter   uint64
+	launch uint64
+}
+
+func (r *refWarp) access(op int, addrs []uint64) int {
+	if len(addrs) == 0 {
+		return 0
+	}
+	sectors := referenceCoalesce(addrs, r.opts.SectorBytes)
+	n := len(sectors)
+	last := sectors[n-1]
+	slice := r.dev.ServingSlice(r.sm, last)
+	r.iter++
+	lat := r.dev.L2HitLatency(r.sm, slice, r.iter^r.launch<<32)
+	switch op {
+	case 0: // LoadCG
+		if r.l2 != nil {
+			missed := false
+			for _, s := range sectors {
+				if !r.l2[r.dev.ServingSlice(r.sm, s)].access(s) {
+					missed = true
+				}
+			}
+			if missed {
+				lat += r.dev.L2MissPenalty(r.sm, r.dev.HomeMP(last), r.iter)
+			}
+		}
+	case 1: // StoreCG
+		if r.l2 != nil {
+			for _, s := range sectors {
+				r.l2[r.dev.ServingSlice(r.sm, s)].access(s)
+			}
+		}
+	default: // LoadCGMiss
+		lat += r.dev.L2MissPenalty(r.sm, r.dev.HomeMP(last), r.iter)
+	}
+	r.now += float64(lat) + r.opts.IssueGapCycles*float64(n-1)
+	return n
+}
+
+func (r *refWarp) counts() (hits, misses uint64) {
+	for _, c := range r.l2 {
+		hits += c.hits
+		misses += c.misses
+	}
+	return hits, misses
+}
+
+func machineCounts(m *Machine) (hits, misses uint64) {
+	for _, c := range m.l2 {
+		hits += c.Hits
+		misses += c.Misses
+	}
+	return hits, misses
+}
+
+// lockstepAddrs fills one access of a seeded stream over a 2 MiB working
+// set: a strided access of 2 to 32 lanes (1 to 32 sectors), a single
+// address, a warp with lanes beyond the ±32-sector coalescing window, or
+// 65 to 128 lanes (past the warp-sized path).
+func lockstepAddrs(rng *rand.Rand, buf []uint64) []uint64 {
+	base := uint64(rng.Intn(1<<21)) &^ 3
+	switch rng.Intn(4) {
+	case 0:
+		stride := uint64(4) << uint(rng.Intn(8))
+		addrs := buf[:2+rng.Intn(WarpSize-1)]
+		for l := range addrs {
+			addrs[l] = base + uint64(l)*stride
+		}
+		return addrs
+	case 1:
+		return append(buf[:0], base)
+	case 2:
+		addrs := buf[:WarpSize]
+		for l := range addrs {
+			addrs[l] = base + uint64(rng.Intn(8))*32
+			if rng.Intn(4) == 0 {
+				addrs[l] = uint64(rng.Intn(1<<21)) &^ 3
+			}
+		}
+		return addrs
+	default:
+		addrs := buf[:2*WarpSize+1+rng.Intn(2*WarpSize)]
+		for l := range addrs {
+			addrs[l] = base + uint64(rng.Intn(96))*32
+		}
+		return addrs
+	}
+}
+
+// TestWarpLockstepRuntimeVsReference runs LoadCG, StoreCG and LoadCGMiss
+// with the L2 model off and on, one seeded address stream per
+// generation, beside refWarp. After every access the return count, the
+// bit pattern of Clock() and the L2 hit and miss totals must agree.
+func TestWarpLockstepRuntimeVsReference(t *testing.T) {
+	for _, cfg := range gpu.AllConfigs() {
+		arith := cfg
+		arith.Name += "-arith"
+		refDev := gpu.MustNew(arith)
+		for _, modelL2 := range []bool{false, true} {
+			opts := DefaultOptions()
+			opts.ModelL2 = modelL2
+			m, err := NewMachine(gpu.MustNew(cfg), nil, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.launchCount = 5
+			var refL2 []*refSlice
+			if modelL2 {
+				perSlice := cfg.L2SizeMiB * 1024 * 1024 / cfg.L2Slices
+				for range cfg.L2Slices {
+					refL2 = append(refL2, newRefSlice(cache.DefaultSliceConfig(perSlice)))
+				}
+			}
+			rng := rand.New(rand.NewSource(int64(cfg.Seed)))
+			buf := make([]uint64, 4*WarpSize)
+			for step := 0; step < 1500; step++ {
+				sm := rng.Intn(cfg.SMs())
+				w := &Warp{m: m, sm: sm, lanes: WarpSize, now: float64(step), iter: uint64(step) << 16}
+				ref := &refWarp{dev: refDev, opts: opts, l2: refL2, sm: sm, now: w.now, iter: w.iter, launch: m.launchCount}
+				for a := 0; a < 4; a++ {
+					addrs := lockstepAddrs(rng, buf)
+					op := rng.Intn(3)
+					var got int
+					switch op {
+					case 0:
+						got = w.LoadCG(addrs)
+					case 1:
+						got = w.StoreCG(addrs)
+					default:
+						got = w.LoadCGMiss(addrs)
+					}
+					want := ref.access(op, addrs)
+					gh, gm := machineCounts(m)
+					wh, wm := ref.counts()
+					if got != want || math.Float64bits(w.Clock()) != math.Float64bits(ref.now) || gh != wh || gm != wm {
+						t.Fatalf("%s L2 %v step %d op %d, %d lanes: runtime (%d, %v, %d hits, %d misses), reference (%d, %v, %d, %d)",
+							cfg.Name, modelL2, step, op, len(addrs), got, w.Clock(), gh, gm, want, ref.now, wh, wm)
+					}
+				}
+			}
+			if h, mi := machineCounts(m); modelL2 && (h == 0 || mi == 0) {
+				t.Errorf("%s: %d hits, %d misses; the stream should both hit and miss", cfg.Name, h, mi)
+			}
+		}
+	}
+}
+
+// Every launch starts its SMs idle and allocates no per-SM state: a
+// launch after others on the same SMs takes exactly as long as the first.
+func TestLaunchStartsFromIdleSMs(t *testing.T) {
+	m := machine(t, PinnedScheduler{SM: 5})
+	body := func(w *Warp) { w.Compute(1000) }
+	const want = 3 * (20 + 1000) // three serialized blocks, launch overhead each
+	for i := 0; i < 3; i++ {
+		res, err := m.Launch(3, 32, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Cycles != want {
+			t.Fatalf("launch %d on SM 5 took %v cycles, want %v", i, res.Cycles, want)
+		}
+	}
+	m.SetScheduler(ListScheduler{SMs: []int{5, 6}})
+	if res, err := m.Launch(2, 32, body); err != nil || res.Cycles != 1020 {
+		t.Fatalf("two blocks on SMs 5 and 6 after SM 5 ran took %v cycles (err %v), want 1020", res.Cycles, err)
+	}
+	// The result's BlockCycles and BlockSM, and the one Warp the kernel
+	// receives, are all a launch may allocate.
+	if n := testing.AllocsPerRun(100, func() { m.Launch(1, 32, body) }); n > 3 {
+		t.Errorf("a one-block launch allocates %.0f times, want at most 3", n)
 	}
 }

@@ -49,7 +49,9 @@ func DefaultOptions() Options {
 	return Options{IssueGapCycles: 4, SectorBytes: 32, LaunchOverheadCycles: 20}
 }
 
-// Machine executes kernels on a device under a block scheduler.
+// Machine executes kernels on a device under a block scheduler. It is not
+// safe for concurrent use, and a kernel must not launch on its own
+// machine: launches share the machine's L2 model and per-SM clocks.
 type Machine struct {
 	dev   *gpu.Device
 	sched Scheduler
@@ -59,6 +61,9 @@ type Machine struct {
 	launchCount uint64
 	// l2 holds one cache per slice when Options.ModelL2 is set.
 	l2 []*cache.Cache
+	// smBusyUntil is Launch's per-SM completion time, kept across
+	// launches so a launch does not allocate it, and cleared by each.
+	smBusyUntil []float64
 }
 
 // NewMachine builds a Machine. A nil scheduler defaults to the static
@@ -199,13 +204,26 @@ func (w *Warp) LoadCG(addrs []uint64) int {
 	if len(addrs) == 0 {
 		return 0
 	}
+	if w.m.l2 != nil && len(addrs) > 1 {
+		var buf [2 * WarpSize]uint64
+		sectors := coalesce(buf[:0], addrs, w.m.opts.SectorBytes)
+		n := len(sectors)
+		return w.load(n, sectors[n-1], sectors[:n-1])
+	}
+	// Without the L2 model only the count and the last sector matter,
+	// and with it a one-lane access has no other sector to visit.
+	n, last := countLines(addrs, w.m.opts.SectorBytes)
+	return w.load(n, last, nil)
+}
+
+// load charges a load of n unique sectors whose final transaction is
+// last; others lists the other n-1 sectors, which only the L2 model
+// visits.
+func (w *Warp) load(n int, last uint64, others []uint64) int {
 	dev := w.m.dev
-	var buf [2 * WarpSize]uint64
-	sectors := coalesce(buf[:0], addrs, w.m.opts.SectorBytes)
-	n := len(sectors)
 	// The last sector's home slice is hashed once: it fixes the serving
 	// slice, the miss penalty's memory partition and its cache access.
-	home := dev.HomeSlice(sectors[n-1])
+	home := dev.HomeSlice(last)
 	slice := dev.ServingSliceID(w.sm, home)
 	w.iter++
 	lat := dev.L2HitLatency(w.sm, slice, w.iter^w.m.launchCount<<32)
@@ -214,13 +232,13 @@ func (w *Warp) LoadCG(addrs []uint64) int {
 		// transaction; the warp waits for the slowest, so any miss adds
 		// one DRAM trip (misses overlap in the memory system).
 		missed := false
-		for _, sector := range sectors[:n-1] {
+		for _, sector := range others {
 			s := dev.ServingSlice(w.sm, sector)
 			if !w.m.l2[s].Access(sector) {
 				missed = true
 			}
 		}
-		if !w.m.l2[slice].Access(sectors[n-1]) {
+		if !w.m.l2[slice].Access(last) {
 			missed = true
 		}
 		if missed {
@@ -240,18 +258,27 @@ func (w *Warp) StoreCG(addrs []uint64) int {
 	if len(addrs) == 0 {
 		return 0
 	}
+	if w.m.l2 != nil && len(addrs) > 1 {
+		var buf [2 * WarpSize]uint64
+		sectors := coalesce(buf[:0], addrs, w.m.opts.SectorBytes)
+		n := len(sectors)
+		return w.store(n, sectors[n-1], sectors[:n-1])
+	}
+	n, last := countLines(addrs, w.m.opts.SectorBytes)
+	return w.store(n, last, nil)
+}
+
+// store is load's write-acknowledge counterpart.
+func (w *Warp) store(n int, last uint64, others []uint64) int {
 	dev := w.m.dev
-	var buf [2 * WarpSize]uint64
-	sectors := coalesce(buf[:0], addrs, w.m.opts.SectorBytes)
-	n := len(sectors)
-	slice := dev.ServingSlice(w.sm, sectors[n-1])
+	slice := dev.ServingSlice(w.sm, last)
 	w.iter++
 	lat := dev.L2HitLatency(w.sm, slice, w.iter^w.m.launchCount<<32)
 	if w.m.l2 != nil {
-		for _, sector := range sectors[:n-1] {
+		for _, sector := range others {
 			w.m.l2[dev.ServingSlice(w.sm, sector)].Access(sector)
 		}
-		w.m.l2[slice].Access(sectors[n-1])
+		w.m.l2[slice].Access(last)
 	}
 	w.now += float64(lat) + w.m.opts.IssueGapCycles*float64(n-1)
 	return n
@@ -259,15 +286,14 @@ func (w *Warp) StoreCG(addrs []uint64) int {
 
 // LoadCGMiss is LoadCG for addresses that miss in L2 and are filled from
 // the home memory partition (used for the miss-penalty study of Fig. 8).
+// It never consults the L2 model, so only the count and the last sector
+// matter.
 func (w *Warp) LoadCGMiss(addrs []uint64) int {
 	if len(addrs) == 0 {
 		return 0
 	}
 	dev := w.m.dev
-	var buf [2 * WarpSize]uint64
-	sectors := coalesce(buf[:0], addrs, w.m.opts.SectorBytes)
-	n := len(sectors)
-	last := sectors[n-1]
+	n, last := countLines(addrs, w.m.opts.SectorBytes)
 	slice := dev.ServingSlice(w.sm, last)
 	w.iter++
 	lat := dev.L2HitLatency(w.sm, slice, w.iter^w.m.launchCount<<32)
@@ -322,7 +348,11 @@ func (m *Machine) Launch(gridDim, blockDim int, k Kernel) (Result, error) {
 		BlockCycles: make([]float64, gridDim),
 		BlockSM:     placement,
 	}
-	smBusyUntil := make([]float64, numSMs)
+	if len(m.smBusyUntil) != numSMs {
+		m.smBusyUntil = make([]float64, numSMs)
+	}
+	smBusyUntil := m.smBusyUntil
+	clear(smBusyUntil)
 	warpsPerBlock := (blockDim + WarpSize - 1) / WarpSize
 	for b := 0; b < gridDim; b++ {
 		sm := placement[b]

@@ -17,10 +17,12 @@ import (
 )
 
 // AESVictim is the attacked encryption service: a GPU kernel that
-// encrypts one block per warp lane, its final-round table lookups issued
-// as one warp load per byte position. Its wall-clock time therefore grows
-// with the number of unique table sectors those lookups coalesce into -
-// and shifts with the SM the thread block lands on.
+// encrypts one block per warp lane, issuing every round's table lookups
+// as one warp load per byte position (10 rounds x 16 loads). Its
+// wall-clock time therefore grows with the number of unique table
+// sectors those lookups coalesce into - and shifts with the SM the
+// thread block lands on. Only the final round's count is recoverable
+// from a ciphertext; the inner rounds add plaintext-dependent noise.
 type AESVictim struct {
 	machine *kernel.Machine
 	key     *aes.Key
@@ -63,6 +65,7 @@ func (v *AESVictim) EncryptWarp(pts *[kernel.WarpSize][aes.BlockSize]byte) (AESS
 		v.key.EncryptBlock(&sample.Ciphertexts[lane], &pts[lane], &traces[lane])
 	}
 	var addrs [kernel.WarpSize]uint64
+	base, stride := v.tableBase, v.wordBytes
 	res, err := v.machine.Launch(1, kernel.WarpSize, func(w *kernel.Warp) {
 		// Every round performs 16 warp-wide T-table lookups; the inner
 		// rounds contribute plaintext-dependent timing the attacker
@@ -71,7 +74,7 @@ func (v *AESVictim) EncryptWarp(pts *[kernel.WarpSize][aes.BlockSize]byte) (AESS
 		for r := 0; r < aes.Rounds; r++ {
 			for j := 0; j < aes.BlockSize; j++ {
 				for lane := range addrs {
-					addrs[lane] = v.tableBase + uint64(traces[lane].RoundIndices[r][j])*v.wordBytes
+					addrs[lane] = base + uint64(traces[lane].RoundIndices[r][j])*stride
 				}
 				w.LoadCG(addrs[:])
 			}
@@ -157,25 +160,24 @@ func RecoverAESKeyByte(samples []AESSample, j int, sectorBytes int) (AESGuessRes
 			cts = append(cts, samples[i].Ciphertexts[lane][j])
 		}
 	}
-	predicted := make([]float64, len(samples))
-	for g := 0; g < 256; g++ {
-		for i := range predicted {
-			var mask uint64
-			for _, c := range cts[i*kernel.WarpSize : (i+1)*kernel.WarpSize] {
-				mask |= sectorOf[c^byte(g)]
+	var predicted [4][]float64
+	for k := range predicted {
+		predicted[k] = make([]float64, len(samples))
+	}
+	for g0 := 0; g0 < 256; g0 += 4 {
+		predict4(&predicted, cts, &sectorOf, byte(g0))
+		for k, p := range predicted {
+			r, err := stats.Pearson(p, times)
+			if errors.Is(err, stats.ErrZeroVariance) {
+				// A constant prediction (or flat timing) carries no
+				// signal for this guess; score it as uncorrelated
+				// rather than failing the whole key byte.
+				r = 0
+			} else if err != nil {
+				return res, err
 			}
-			predicted[i] = float64(bits.OnesCount64(mask))
+			res.Correlations[g0+k] = r
 		}
-		r, err := stats.Pearson(predicted, times)
-		if errors.Is(err, stats.ErrZeroVariance) {
-			// A constant prediction (or flat timing) carries no signal
-			// for this guess; score it as uncorrelated rather than
-			// failing the whole key byte.
-			r = 0
-		} else if err != nil {
-			return res, err
-		}
-		res.Correlations[g] = r
 	}
 	best, second := 0, -1.0
 	for g, r := range res.Correlations {
@@ -191,6 +193,43 @@ func RecoverAESKeyByte(samples []AESSample, j int, sectorBytes int) (AESGuessRes
 	res.Best = byte(best)
 	res.Margin = res.Correlations[best] - second
 	return res, nil
+}
+
+// predict4 fills p[k][i] with the number of unique sectors sample i's
+// ciphertext bytes (cts[32i:32i+32]) name under guess g0+k, k < 4. One
+// pass over a sample's bytes scores all four guesses: byGuess[c][k] is
+// the sector bit byte c names under guess g0+k, which is sectorOf[c^g0^k]
+// because g0 is a multiple of 4.
+func predict4(p *[4][]float64, cts []byte, sectorOf *[256]uint64, g0 byte) {
+	var byGuess [256][4]uint64
+	for c := range byGuess {
+		x := byte(c) ^ g0
+		byGuess[c] = [4]uint64{sectorOf[x], sectorOf[x^1], sectorOf[x^2], sectorOf[x^3]}
+	}
+	p0, p1, p2, p3 := p[0], p[1], p[2], p[3]
+	for i := range p0 {
+		m0, m1, m2, m3 := masks4(&byGuess, (*[kernel.WarpSize]byte)(cts[i*kernel.WarpSize:]))
+		p0[i] = float64(bits.OnesCount64(m0))
+		p1[i] = float64(bits.OnesCount64(m1))
+		p2[i] = float64(bits.OnesCount64(m2))
+		p3[i] = float64(bits.OnesCount64(m3))
+	}
+}
+
+// masks4 ORs the byGuess rows of one sample's ciphertext bytes. It stays
+// out of line: inlined into predict4's loop, the compiler kept the four
+// masks on the stack, and RecoverAESKeyByte took twice as long.
+//
+//go:noinline
+func masks4(byGuess *[256][4]uint64, cts *[kernel.WarpSize]byte) (m0, m1, m2, m3 uint64) {
+	for _, c := range cts {
+		t := &byGuess[c]
+		m0 |= t[0]
+		m1 |= t[1]
+		m2 |= t[2]
+		m3 |= t[3]
+	}
+	return m0, m1, m2, m3
 }
 
 // RecoverAESKey attacks the first nBytes of the last-round key.
