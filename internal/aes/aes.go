@@ -65,9 +65,6 @@ func init() {
 	}
 }
 
-// SBox returns the S-box value for x (the final-round table lookup).
-func SBox(x byte) byte { return sbox[x] }
-
 // InvSBox returns the inverse S-box value, which attackers use to recover
 // the final-round table index from a ciphertext byte and a key guess.
 func InvSBox(x byte) byte { return invSbox[x] }
@@ -155,10 +152,6 @@ type Trace struct {
 	FinalIndices [BlockSize]byte
 }
 
-// shiftRowsIndex maps output byte position to input position for
-// ShiftRows (column-major AES state order).
-var shiftRowsIndex = [16]int{0, 5, 10, 15, 4, 9, 14, 3, 8, 13, 2, 7, 12, 1, 6, 11}
-
 // Encrypt encrypts one 16-byte block, returning the ciphertext and the
 // access trace.
 func (k *Key) Encrypt(pt []byte) ([]byte, Trace, error) {
@@ -233,57 +226,4 @@ func putWords(b *[BlockSize]byte, w0, w1, w2, w3 uint32) {
 func subWord(w uint32) uint32 {
 	return uint32(sbox[w>>24])<<24 | uint32(sbox[w>>16&0xff])<<16 |
 		uint32(sbox[w>>8&0xff])<<8 | uint32(sbox[w&0xff])
-}
-
-// Decrypt inverts Encrypt (equivalent-inverse-cipher free, straightforward
-// inverse rounds); provided so tests can verify functional correctness.
-func (k *Key) Decrypt(ct []byte) ([]byte, error) {
-	if len(ct) != BlockSize {
-		return nil, fmt.Errorf("aes: ciphertext length %d, want %d", len(ct), BlockSize)
-	}
-	var s [16]byte
-	copy(s[:], ct)
-	addRoundKey(&s, k.RoundKey(Rounds))
-	invShiftRows(&s)
-	invSubBytes(&s)
-	for r := Rounds - 1; r >= 1; r-- {
-		addRoundKey(&s, k.RoundKey(r))
-		invMixColumns(&s)
-		invShiftRows(&s)
-		invSubBytes(&s)
-	}
-	addRoundKey(&s, k.RoundKey(0))
-	pt := make([]byte, BlockSize)
-	copy(pt, s[:])
-	return pt, nil
-}
-
-func invSubBytes(s *[16]byte) {
-	for i := range s {
-		s[i] = invSbox[s[i]]
-	}
-}
-
-func invShiftRows(s *[16]byte) {
-	var t [16]byte
-	for j := 0; j < 16; j++ {
-		t[shiftRowsIndex[j]] = s[j]
-	}
-	*s = t
-}
-
-func invMixColumns(s *[16]byte) {
-	for c := 0; c < 4; c++ {
-		a0, a1, a2, a3 := s[4*c], s[4*c+1], s[4*c+2], s[4*c+3]
-		s[4*c] = mul(a0, 14) ^ mul(a1, 11) ^ mul(a2, 13) ^ mul(a3, 9)
-		s[4*c+1] = mul(a0, 9) ^ mul(a1, 14) ^ mul(a2, 11) ^ mul(a3, 13)
-		s[4*c+2] = mul(a0, 13) ^ mul(a1, 9) ^ mul(a2, 14) ^ mul(a3, 11)
-		s[4*c+3] = mul(a0, 11) ^ mul(a1, 13) ^ mul(a2, 9) ^ mul(a3, 14)
-	}
-}
-
-func addRoundKey(s *[16]byte, k [16]byte) {
-	for i := range s {
-		s[i] ^= k[i]
-	}
 }

@@ -25,9 +25,6 @@ func TestEncryptInputValidation(t *testing.T) {
 	if _, _, err := k.Encrypt(make([]byte, 15)); err == nil {
 		t.Error("short plaintext should fail")
 	}
-	if _, err := k.Decrypt(make([]byte, 17)); err == nil {
-		t.Error("long ciphertext should fail")
-	}
 }
 
 // fips197Vectors are the AES-128 known answers of FIPS-197 Appendix B
@@ -87,6 +84,16 @@ func referenceEncrypt(k *Key, pt [BlockSize]byte) ([BlockSize]byte, Trace) {
 	shiftRows(&s)
 	addRoundKey(&s, k.RoundKey(Rounds))
 	return s, tr
+}
+
+// shiftRowsIndex maps output byte position to input position for
+// ShiftRows (column-major AES state order).
+var shiftRowsIndex = [16]int{0, 5, 10, 15, 4, 9, 14, 3, 8, 13, 2, 7, 12, 1, 6, 11}
+
+func addRoundKey(s *[16]byte, k [16]byte) {
+	for i := range s {
+		s[i] ^= k[i]
+	}
 }
 
 func subBytes(s *[16]byte) {
@@ -209,33 +216,6 @@ func TestMatchesStdlib(t *testing.T) {
 	}
 }
 
-// Property: Decrypt inverts Encrypt.
-func TestEncryptDecryptRoundTrip(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		key := make([]byte, 16)
-		pt := make([]byte, 16)
-		rng.Read(key)
-		rng.Read(pt)
-		k, err := NewKey(key)
-		if err != nil {
-			return false
-		}
-		ct, _, err := k.Encrypt(pt)
-		if err != nil {
-			return false
-		}
-		back, err := k.Decrypt(ct)
-		if err != nil {
-			return false
-		}
-		return bytes.Equal(back, pt)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
 // The attacker's reconstruction identity: the final-round table index for
 // ciphertext byte j is InvSBox(C[j] ^ K10[j]). This identity is what makes
 // the key-recovery attack possible.
@@ -269,8 +249,8 @@ func TestTraceReconstructionIdentity(t *testing.T) {
 
 func TestSBoxInverse(t *testing.T) {
 	for i := 0; i < 256; i++ {
-		if InvSBox(SBox(byte(i))) != byte(i) {
-			t.Fatalf("InvSBox(SBox(%d)) != %d", i, i)
+		if InvSBox(sbox[i]) != byte(i) {
+			t.Fatalf("InvSBox(sbox[%d]) != %d", i, i)
 		}
 	}
 }

@@ -345,30 +345,3 @@ func solveAMVA(m *netModel, maxIter int) ([]float64, error) {
 	}
 	return nil, fmt.Errorf("bandwidth: AMVA did not converge in %d iterations", maxIter)
 }
-
-// TopUtilized returns the n most utilized stations of a result, sorted
-// descending, for bottleneck reports.
-func (r Result) TopUtilized(n int) []string {
-	type kv struct {
-		name string
-		u    float64
-	}
-	all := make([]kv, 0, len(r.Utilization))
-	for k, v := range r.Utilization {
-		all = append(all, kv{k, v})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].u != all[j].u {
-			return all[i].u > all[j].u
-		}
-		return all[i].name < all[j].name
-	})
-	if n > len(all) {
-		n = len(all)
-	}
-	out := make([]string, n)
-	for i := 0; i < n; i++ {
-		out[i] = fmt.Sprintf("%s=%.0f%%", all[i].name, all[i].u*100)
-	}
-	return out
-}

@@ -522,21 +522,6 @@ func TestNewEngineWithProfileValidates(t *testing.T) {
 	}
 }
 
-func TestTopUtilized(t *testing.T) {
-	e := engineFor(t, gpu.V100())
-	r, err := e.Solve([]Flow{{SM: 0, Slices: []int{0}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	top := r.TopUtilized(3)
-	if len(top) != 3 {
-		t.Fatalf("TopUtilized(3) returned %d entries", len(top))
-	}
-	if all := r.TopUtilized(1000); len(all) != len(r.Utilization) {
-		t.Errorf("TopUtilized(1000) should clamp to %d", len(r.Utilization))
-	}
-}
-
 // Property: raising any single capacity never lowers total bandwidth
 // (the queueing model is monotone in capacities).
 func TestSolvePropertyCapacityMonotone(t *testing.T) {

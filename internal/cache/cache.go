@@ -107,9 +107,6 @@ func New(cfg Config) (*Cache, error) {
 	}, nil
 }
 
-// Config returns the geometry.
-func (c *Cache) Config() Config { return c.cfg }
-
 // locate splits addr into its set's way range, its tag and its sector's
 // valid-mask bit.
 func (c *Cache) locate(addr uint64) (tags []uint64, valid []uint32, tag uint64, bit uint32) {
@@ -195,13 +192,4 @@ func (c *Cache) Contains(addr uint64) bool {
 func (c *Cache) Reset() {
 	clear(c.valid)
 	c.Hits, c.Misses, c.SectorMisses, c.Evictions = 0, 0, 0, 0
-}
-
-// HitRate returns hits / (hits + misses), or 0 with no accesses.
-func (c *Cache) HitRate() float64 {
-	total := c.Hits + c.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(c.Hits) / float64(total)
 }

@@ -112,9 +112,6 @@ func rendezvousScore(peer, key string) uint64 {
 	return x
 }
 
-// Self returns this node's own peer identity.
-func (r *Router) Self() string { return r.self }
-
 // IsSelf reports whether peer is this node.
 func (r *Router) IsSelf(peer string) bool { return peer == r.self }
 

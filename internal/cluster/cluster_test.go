@@ -44,7 +44,7 @@ func TestRouterDeterministicAcrossNodes(t *testing.T) {
 		want := routers[0].Owner(key)
 		for i, r := range routers[1:] {
 			if got := r.Owner(key); got != want {
-				t.Fatalf("router %d (self=%s) owner(%s) = %s, want %s", i+1, r.Self(), key, got, want)
+				t.Fatalf("router %d (self=%s) owner(%s) = %s, want %s", i+1, r.self, key, got, want)
 			}
 		}
 	}

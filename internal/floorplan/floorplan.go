@@ -215,16 +215,6 @@ func Build(spec Spec) (*Plan, error) {
 	return p, nil
 }
 
-// MustBuild is Build but panics on error; for the package-level canonical
-// plans whose specs are correct by construction.
-func MustBuild(spec Spec) *Plan {
-	p, err := Build(spec)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // V100Spec is the modelled Volta floorplan: one monolithic die, 6 GPCs in
 // a 2x3 arrangement (pairs share columns), 8 memory partitions along the
 // central band.
@@ -253,12 +243,6 @@ func (p *Plan) GPCDistanceToMP(g, cpc, m int) units.GridUnits {
 		src = p.CPCPos[g][cpc]
 	}
 	return Manhattan(src, p.MPPos[m])
-}
-
-// HubDistanceToMP returns the distance from GPU partition part's hub to
-// memory partition m.
-func (p *Plan) HubDistanceToMP(part, m int) units.GridUnits {
-	return Manhattan(p.HubPos[part], p.MPPos[m])
 }
 
 // CrossesPartition reports whether traffic from GPC g to MP m crosses the

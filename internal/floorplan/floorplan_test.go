@@ -7,6 +7,16 @@ import (
 	"testing/quick"
 )
 
+// build is Build for the canonical specs, failing the test on error.
+func build(t *testing.T, spec Spec) *Plan {
+	t.Helper()
+	p, err := Build(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 func TestManhattan(t *testing.T) {
 	cases := []struct {
 		a, b Point
@@ -49,7 +59,7 @@ func TestManhattanPropertyMetric(t *testing.T) {
 }
 
 func TestBuildV100Layout(t *testing.T) {
-	p := MustBuild(V100Spec())
+	p := build(t, V100Spec())
 	if len(p.GPCPos) != 6 || len(p.MPPos) != 8 || len(p.HubPos) != 1 {
 		t.Fatalf("unexpected counts: %d GPCs, %d MPs, %d hubs", len(p.GPCPos), len(p.MPPos), len(p.HubPos))
 	}
@@ -80,7 +90,7 @@ func TestBuildV100Layout(t *testing.T) {
 }
 
 func TestBuildA100PartitionSplit(t *testing.T) {
-	p := MustBuild(A100Spec())
+	p := build(t, A100Spec())
 	for g := 0; g < 4; g++ {
 		if p.GPCPartition[g] != 0 {
 			t.Errorf("GPC%d partition = %d, want 0", g, p.GPCPartition[g])
@@ -125,7 +135,7 @@ func TestBuildA100PartitionSplit(t *testing.T) {
 }
 
 func TestBuildH100CPCs(t *testing.T) {
-	p := MustBuild(H100Spec())
+	p := build(t, H100Spec())
 	if len(p.CPCPos) != 8 {
 		t.Fatalf("CPCPos rows = %d, want 8", len(p.CPCPos))
 	}
@@ -161,17 +171,8 @@ func TestBuildErrors(t *testing.T) {
 	}
 }
 
-func TestMustBuildPanicsOnBadSpec(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("MustBuild should panic on invalid spec")
-		}
-	}()
-	MustBuild(Spec{Name: "bad", Partitions: 0})
-}
-
 func TestGPCDistanceToMPMonotoneInColumns(t *testing.T) {
-	p := MustBuild(V100Spec())
+	p := build(t, V100Spec())
 	// From the leftmost GPC column, distance to MPs grows with MP index.
 	for m := 1; m < 8; m++ {
 		if p.GPCDistanceToMP(0, -1, m) < p.GPCDistanceToMP(0, -1, m-1) &&
@@ -200,7 +201,7 @@ func TestGPCDistanceToMPMonotoneInColumns(t *testing.T) {
 }
 
 func TestCPCDistanceDiffersWithinGPC(t *testing.T) {
-	p := MustBuild(H100Spec())
+	p := build(t, H100Spec())
 	d0 := p.GPCDistanceToMP(0, 0, 0)
 	d2 := p.GPCDistanceToMP(0, 2, 0)
 	if d0 == d2 {
@@ -209,14 +210,14 @@ func TestCPCDistanceDiffersWithinGPC(t *testing.T) {
 }
 
 func TestCrossesPartition(t *testing.T) {
-	p := MustBuild(A100Spec())
+	p := build(t, A100Spec())
 	if p.CrossesPartition(0, 0) {
 		t.Error("GPC0 -> MP0 is intra-partition")
 	}
 	if !p.CrossesPartition(0, 9) {
 		t.Error("GPC0 -> MP9 should cross partitions")
 	}
-	v := MustBuild(V100Spec())
+	v := build(t, V100Spec())
 	for g := 0; g < 6; g++ {
 		for m := 0; m < 8; m++ {
 			if v.CrossesPartition(g, m) {
@@ -226,22 +227,9 @@ func TestCrossesPartition(t *testing.T) {
 	}
 }
 
-func TestHubDistanceToMPSymmetricOnV100(t *testing.T) {
-	p := MustBuild(V100Spec())
-	// V100's hub sits at die center, so hub->MP distances are symmetric
-	// around the middle MP pair.
-	for m := 0; m < 4; m++ {
-		l := p.HubDistanceToMP(0, m)
-		r := p.HubDistanceToMP(0, 7-m)
-		if diff := l - r; diff > 1e-9 || diff < -1e-9 {
-			t.Errorf("hub distance asymmetric: MP%d=%v MP%d=%v", m, l, 7-m, r)
-		}
-	}
-}
-
 func TestRenderContainsBlocks(t *testing.T) {
 	for _, spec := range []Spec{V100Spec(), A100Spec(), H100Spec()} {
-		p := MustBuild(spec)
+		p := build(t, spec)
 		out := p.Render()
 		if !strings.Contains(out, "G0") {
 			t.Errorf("%s render missing GPC0:\n%s", spec.Name, out)

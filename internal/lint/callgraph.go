@@ -61,11 +61,13 @@ type Program struct {
 	methodsByName map[string][]string
 }
 
-// cgNode is one declared function or method of the module.
+// cgNode is one declared function or method of the module. Every init
+// of a package shares the ID "pkg.init", so their declarations and edges
+// merge into one node.
 type cgNode struct {
-	id   string
-	pkg  *Package
-	decl *ast.FuncDecl
+	id    string
+	pkg   *Package
+	decls []*ast.FuncDecl
 	// calls holds resolved module-local callee IDs (including plain
 	// references; see "reference = may-call" above).
 	calls []string
@@ -112,11 +114,17 @@ func modulePathOf(p *Package) string {
 // addNode registers a declared function and collects its call edges.
 func (prog *Program) addNode(p *Package, fn *ast.FuncDecl) {
 	id := prog.declID(p, fn)
-	n := &cgNode{id: id, pkg: p, decl: fn}
-	prog.nodes[id] = n
-	if fn.Recv != nil {
-		prog.methodsByName[fn.Name.Name] = append(prog.methodsByName[fn.Name.Name], id)
+	n := prog.nodes[id]
+	if n == nil {
+		n = &cgNode{id: id, pkg: p}
+		prog.nodes[id] = n
+		if fn.Recv != nil {
+			prog.methodsByName[fn.Name.Name] = append(prog.methodsByName[fn.Name.Name], id)
+		}
 	}
+	n.decls = append(n.decls, fn)
+	// Per declaration; a callee shared by two inits is listed twice,
+	// which Reachable tolerates.
 	seen := map[string]bool{}
 	dynSeen := map[string]bool{}
 	ast.Inspect(fn.Body, func(node ast.Node) bool {
@@ -251,13 +259,16 @@ func (prog *Program) isHotRoot(fn *ast.FuncDecl) bool {
 	return false
 }
 
-// hotDiags applies check to every function reachable from a hot root,
+// hotDiags applies check to every declaration reachable from a hot root,
 // in ID order, with the short ID of the root that reaches it.
-func (prog *Program) hotDiags(check func(n *cgNode, root string) []Diagnostic) []Diagnostic {
+func (prog *Program) hotDiags(check func(p *Package, fn *ast.FuncDecl, root string) []Diagnostic) []Diagnostic {
 	var diags []Diagnostic
 	reach := prog.Reachable(prog.HotRoots())
 	for _, id := range sortedKeys(reach) {
-		diags = append(diags, check(prog.nodes[id], shortID(reach[id]))...)
+		n := prog.nodes[id]
+		for _, fn := range n.decls {
+			diags = append(diags, check(n.pkg, fn, shortID(reach[id]))...)
+		}
 	}
 	return diags
 }

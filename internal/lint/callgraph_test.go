@@ -35,7 +35,8 @@ func TestStaleIgnore(t *testing.T) {
 // TestCallGraphReachability pins the graph's conservatism on the shapes
 // that matter: recursion terminates, a method value creates a may-call
 // edge, an interface call fans out to every same-named module method,
-// and unreferenced functions stay unreachable.
+// unreferenced functions stay unreachable, and every init of a package
+// keeps its edges.
 func TestCallGraphReachability(t *testing.T) {
 	p := loadFixture(t, "callgraph")
 	prog := NewProgram([]*Package{p})
@@ -63,5 +64,13 @@ func TestCallGraphReachability(t *testing.T) {
 	}
 	if len(short) != 5 {
 		t.Errorf("reachable set has %d entries, want 5: %v", len(short), short)
+	}
+
+	// Both inits' callees are reachable from the one merged init node.
+	inits := prog.Reachable([]string{p.ImportPath + ".init"})
+	for _, want := range []string{"first", "second"} {
+		if _, ok := inits[p.ImportPath+"."+want]; !ok {
+			t.Errorf("%s is called by an init but unreachable from it; got %v", want, inits)
+		}
 	}
 }

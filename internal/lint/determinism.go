@@ -149,13 +149,12 @@ func goInModel(p *Package) bool {
 // reachDeterminismDiags flags the scheduling- and order-dependent
 // constructs of one hot function that the per-package pass leaves
 // alone.
-func reachDeterminismDiags(n *cgNode, root string) []Diagnostic {
-	p := n.pkg
+func reachDeterminismDiags(p *Package, fn *ast.FuncDecl, root string) []Diagnostic {
 	goCovered := goInModel(p)
 	perPkgMapRule := emissionMapOrderMsg(p) != ""
-	sorted := sortedIdents(p, n.decl.Body)
+	sorted := sortedIdents(p, fn.Body)
 	var diags []Diagnostic
-	ast.Inspect(n.decl.Body, func(node ast.Node) bool {
+	ast.Inspect(fn.Body, func(node ast.Node) bool {
 		switch x := node.(type) {
 		case *ast.GoStmt:
 			if !goCovered {

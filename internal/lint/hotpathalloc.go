@@ -42,10 +42,10 @@ func HotPathAllocAnalyzer() *Analyzer {
 }
 
 // hotFuncDiags flags the allocating constructs of one hot function.
-func hotFuncDiags(n *cgNode, root string) []Diagnostic {
-	p, body := n.pkg, n.decl.Body
+func hotFuncDiags(p *Package, fn *ast.FuncDecl, root string) []Diagnostic {
+	body := fn.Body
 	resets := scratchResets(body)
-	exits := validationExits(n.decl)
+	exits := validationExits(fn)
 	exempt := func(pos token.Pos) bool {
 		for _, r := range exits {
 			if r[0] <= pos && pos < r[1] {

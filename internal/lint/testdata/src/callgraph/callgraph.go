@@ -44,3 +44,15 @@ func spin(n int) {
 
 // lonely is referenced by nothing and must stay unreachable.
 func lonely() {}
+
+// Two inits share the ID "callgraph.init"; the graph must keep both
+// bodies' edges.
+func init() { first() }
+
+func init() { second() }
+
+// first is called only by the first init.
+func first() {}
+
+// second is called only by the second init.
+func second() {}

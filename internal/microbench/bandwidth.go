@@ -53,11 +53,6 @@ func PerSliceBandwidth(eng *bandwidth.Engine, sm int, slices []int) ([]float64, 
 	})
 }
 
-// MPBandwidth streams from sms to every slice of one memory partition.
-func MPBandwidth(eng *bandwidth.Engine, sms []int, mp int) (float64, error) {
-	return SetBandwidth(eng, sms, eng.Device().SlicesOfMP(mp), false)
-}
-
 // SetBandwidth streams reads (or writes) from sms across an arbitrary
 // slice set and returns the total achieved GB/s.
 func SetBandwidth(eng *bandwidth.Engine, sms []int, slices []int, write bool) (float64, error) {

@@ -250,8 +250,13 @@ func TestBuildSliceMapProfilerV100(t *testing.T) {
 			}
 		}
 	}
-	if _, err := m.AddressFor(0); err != nil {
-		t.Errorf("slice 0 should have addresses after 256 lines: %v", err)
+	if len(m.Addrs) != dev.Config().L2Slices {
+		t.Fatalf("map has %d slices, want %d", len(m.Addrs), dev.Config().L2Slices)
+	}
+	for s := range m.Addrs {
+		if _, err := m.AddressFor(s); err != nil {
+			t.Errorf("slice %d should have addresses after 256 lines: %v", s, err)
+		}
 	}
 	if _, err := BuildSliceMapProfiler(dev, p, 0); err == nil {
 		t.Error("zero lines should fail")
@@ -267,50 +272,50 @@ func TestBuildSliceMapProfilerFailsAggregated(t *testing.T) {
 	}
 }
 
-func TestContentionProbeAgreesWithHash(t *testing.T) {
-	eng := engine(t, gpu.A100())
-	dev := eng.Device()
-	cp, err := NewContentionProber(eng, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lineBytes := uint64(dev.Config().CacheLineBytes)
-	checked := 0
-	for i := uint64(1); i < 40 && checked < 12; i++ {
-		a, b := uint64(0), i*lineBytes
-		same, err := cp.SameSlice(a, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		truth := dev.ServingSlice(0, a) == dev.ServingSlice(8, b)
-		if same != truth {
-			t.Errorf("contention probe for line %d said %v, hash says %v", i, same, truth)
-		}
-		checked++
-	}
-}
-
+// TestBuildSliceMapByContentionGroups certifies the paper's footnote-1
+// method on every generation. At 64 lines each probe class is exactly one
+// serving slice of the prober's two SM groups: SM 0 reaches the class
+// anchor, SM 8 the probed line. On V100 and A100 that is also one home
+// slice per class; on H100 partition-local L2 caching (Fig. 8f) puts
+// lines of different home slices behind one serving slice.
 func TestBuildSliceMapByContentionGroups(t *testing.T) {
-	eng := engine(t, gpu.V100())
-	dev := eng.Device()
-	m, classes, err := BuildSliceMapByContention(eng, 24)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if classes < 2 {
-		t.Fatalf("found %d classes, want several", classes)
-	}
-	// Discovery labels are arbitrary, but grouping must match the hash:
-	// same class <=> same home slice.
-	for c, addrs := range m.Addrs {
-		ref := dev.HomeSlice(addrs[0])
-		for _, a := range addrs {
-			if dev.HomeSlice(a) != ref {
-				t.Fatalf("class %d mixes slices %d and %d", c, ref, dev.HomeSlice(a))
+	for _, tc := range []struct {
+		cfg       gpu.Config
+		homeMixed bool
+	}{{gpu.V100(), false}, {gpu.A100(), false}, {gpu.H100(), true}} {
+		t.Run(string(tc.cfg.Name), func(t *testing.T) {
+			eng := engine(t, tc.cfg)
+			dev := eng.Device()
+			m, classes, err := BuildSliceMapByContention(eng, 64)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			if classes < 2 || classes != len(m.Addrs) {
+				t.Fatalf("found %d classes over %d label sets, want several", classes, len(m.Addrs))
+			}
+			classOf := map[int]int{} // serving slice -> class
+			mixed := 0
+			for c, addrs := range m.Addrs {
+				s := dev.ServingSlice(0, addrs[0])
+				if prev, ok := classOf[s]; ok {
+					t.Errorf("classes %d and %d share serving slice %d", prev, c, s)
+				}
+				classOf[s] = c
+				for _, a := range addrs[1:] {
+					if got := dev.ServingSlice(8, a); got != s {
+						t.Errorf("class %d: line %#x is served by slice %d, its anchor by %d", c, a, got, s)
+					}
+					if dev.HomeSlice(a) != dev.HomeSlice(addrs[0]) {
+						mixed++
+					}
+				}
+			}
+			if (mixed > 0) != tc.homeMixed {
+				t.Errorf("%d of 64 lines share a class with another home slice; want mixed classes: %v", mixed, tc.homeMixed)
+			}
+		})
 	}
-	if _, _, err := BuildSliceMapByContention(eng, 0); err == nil {
+	if _, _, err := BuildSliceMapByContention(engine(t, gpu.V100()), 0); err == nil {
 		t.Error("zero lines should fail")
 	}
 }
@@ -322,17 +327,6 @@ func TestNewContentionProberValidation(t *testing.T) {
 	}
 	if _, err := NewContentionProber(eng, 99); err == nil {
 		t.Error("oversized group should fail")
-	}
-}
-
-func TestMPBandwidth(t *testing.T) {
-	eng := engine(t, gpu.V100())
-	bw, err := MPBandwidth(eng, eng.Device().SMsOfGPC(0), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bw < 50 || bw > 400 {
-		t.Errorf("GPC->MP bandwidth %.0f implausible", bw)
 	}
 }
 

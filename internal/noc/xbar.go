@@ -146,10 +146,6 @@ func NewXbar(cfg XbarConfig) (*Xbar, error) {
 // Nodes returns the compute-node count.
 func (x *Xbar) Nodes() int { return x.cfg.Clusters * x.cfg.NodesPerCluster }
 
-// Config returns the crossbar's configuration (read-only audit tap; see
-// Mesh.Config).
-func (x *Xbar) Config() XbarConfig { return x.cfg }
-
 // VisitVOQs calls fn for every hub virtual output queue with its
 // current occupancy and depth bound. It is a read-only audit tap for
 // per-cycle invariant checks (VOQ occupancy <= VOQDepth; flit

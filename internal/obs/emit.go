@@ -126,8 +126,6 @@ func (r *Registry) WriteTrace(w io.Writer) error {
 				switch e.ph {
 				case phaseComplete:
 					fmt.Fprintf(&b, `, "dur": %d, "args": {"v": %d}}`, e.dur, e.arg)
-				case phaseCounter:
-					fmt.Fprintf(&b, `, "args": {"v": %d}}`, e.arg)
 				default:
 					fmt.Fprintf(&b, `, "s": "t", "args": {"v": %d}}`, e.arg)
 				}

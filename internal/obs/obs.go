@@ -145,14 +145,6 @@ func (h *Histogram) Sum() int64 {
 	return h.sum.Load()
 }
 
-// Bounds returns the bucket upper bounds (shared; do not mutate).
-func (h *Histogram) Bounds() []int64 {
-	if h == nil {
-		return nil
-	}
-	return h.bounds
-}
-
 // BucketCounts returns a snapshot of the bucket counts, the last entry
 // being the overflow bucket.
 func (h *Histogram) BucketCounts() []int64 {
@@ -306,7 +298,6 @@ func sortedKeys[V any](m map[string]V) []string {
 // Chrome trace-event phases used by the tracer.
 const (
 	phaseInstant  = 'i'
-	phaseCounter  = 'C'
 	phaseComplete = 'X'
 )
 
@@ -353,11 +344,6 @@ func (t *Tracer) emit(e event) {
 // free integer argument (rendered as args.v).
 func (t *Tracer) Instant(cat, name string, cycle, tid, arg int64) {
 	t.emit(event{ph: phaseInstant, cat: cat, name: name, ts: cycle, tid: tid, arg: arg})
-}
-
-// Count records a counter-series sample at a cycle.
-func (t *Tracer) Count(cat, name string, cycle, value int64) {
-	t.emit(event{ph: phaseCounter, cat: cat, name: name, ts: cycle, arg: value})
 }
 
 // Span records a complete event covering [start, start+dur) on a track

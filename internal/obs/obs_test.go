@@ -24,7 +24,6 @@ func populate(r *Registry) {
 	tr := sim.Tracer()
 	for cyc := int64(0); cyc < 5; cyc++ {
 		tr.Instant("noc", "eject", cyc, cyc%2, cyc*3)
-		tr.Count("noc", "occupancy", cyc, cyc+1)
 	}
 	tr.Span("noc", "packet", 2, 9, 1, 42)
 	other := r.Scope("fig23")
@@ -116,7 +115,7 @@ func TestTraceJSONShape(t *testing.T) {
 	if len(doc.TraceEvents) == 0 {
 		t.Fatal("trace has no events")
 	}
-	var sawMeta, sawInstant, sawSpan, sawCounter bool
+	var sawMeta, sawInstant, sawSpan bool
 	for _, e := range doc.TraceEvents {
 		switch e["ph"] {
 		case "M":
@@ -128,13 +127,10 @@ func TestTraceJSONShape(t *testing.T) {
 			if e["dur"] == nil {
 				t.Error("complete event missing dur")
 			}
-		case "C":
-			sawCounter = true
 		}
 	}
-	if !sawMeta || !sawInstant || !sawSpan || !sawCounter {
-		t.Errorf("missing event kinds: meta=%v instant=%v span=%v counter=%v",
-			sawMeta, sawInstant, sawSpan, sawCounter)
+	if !sawMeta || !sawInstant || !sawSpan {
+		t.Errorf("missing event kinds: meta=%v instant=%v span=%v", sawMeta, sawInstant, sawSpan)
 	}
 }
 
@@ -152,7 +148,6 @@ func TestNilRegistryIsSafeAndSilent(t *testing.T) {
 	s.Histogram("h", DepthBounds()).Observe(3)
 	s.Tracer().Instant("a", "b", 0, 0, 0)
 	s.Tracer().Span("a", "b", 0, 1, 0, 0)
-	s.Tracer().Count("a", "b", 0, 0)
 	if s.Counter("c").Value() != 0 || s.Gauge("g").Value() != 0 {
 		t.Error("nil instruments should read zero")
 	}
@@ -192,7 +187,6 @@ func TestDisabledInstrumentsDoNotAllocate(t *testing.T) {
 		h.Observe(4)
 		tr.Instant("a", "b", 1, 2, 3)
 		tr.Span("a", "b", 1, 2, 3, 4)
-		tr.Count("a", "b", 1, 2)
 	})
 	if allocs != 0 {
 		t.Errorf("disabled obs path allocates %.1f per op, want 0", allocs)

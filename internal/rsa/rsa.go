@@ -1,69 +1,20 @@
-// Package rsa provides a compact RSA implementation whose decryption is
-// the classic left-to-right square-and-multiply loop, plus a GPU-timed
-// variant that executes the loop on the kernel runtime so its duration
-// reflects the modelled NoC. The paper's Sec. V-B.2 attack exploits that
-// the loop performs square()+reduce() per exponent bit and an additional
+// Package rsa provides RSA's private-key loop, the classic left-to-right
+// square-and-multiply modular exponentiation, plus a GPU-timed variant
+// that executes the loop on the kernel runtime so its duration reflects
+// the modelled NoC. The paper's Sec. V-B.2 attack exploits that the loop
+// performs square()+reduce() per exponent bit and an additional
 // multiply()+reduce() per 1-bit, making execution time linear in the
 // number of 1s - and that the line's slope and intercept shift with the
 // SMs the kernel lands on.
 //
-// Key sizes here are toy-sized for experiment speed; this package must
-// never be used to protect data.
+// Operand sizes here are toy-sized for experiment speed; this package
+// must never be used to protect data.
 package rsa
 
 import (
 	"fmt"
 	"math/big"
-	"math/rand"
 )
-
-// Key is an RSA key pair.
-type Key struct {
-	N *big.Int // modulus
-	E *big.Int // public exponent
-	D *big.Int // private exponent
-}
-
-// GenerateKey creates a toy RSA key with an n-bit modulus using a seeded
-// generator (reproducible experiments; deliberately not crypto/rand).
-func GenerateKey(bits int, seed int64) (*Key, error) {
-	if bits < 16 || bits > 4096 {
-		return nil, fmt.Errorf("rsa: modulus size %d out of range", bits)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	e := big.NewInt(65537)
-	one := big.NewInt(1)
-	for attempt := 0; attempt < 1000; attempt++ {
-		p := randomPrime(rng, bits/2)
-		q := randomPrime(rng, bits-bits/2)
-		if p.Cmp(q) == 0 {
-			continue
-		}
-		n := new(big.Int).Mul(p, q)
-		phi := new(big.Int).Mul(new(big.Int).Sub(p, one), new(big.Int).Sub(q, one))
-		if new(big.Int).GCD(nil, nil, e, phi).Cmp(one) != 0 {
-			continue
-		}
-		d := new(big.Int).ModInverse(e, phi)
-		if d == nil {
-			continue
-		}
-		return &Key{N: n, E: e, D: d}, nil
-	}
-	return nil, fmt.Errorf("rsa: failed to generate %d-bit key", bits)
-}
-
-// randomPrime returns a probable prime of the requested bit length.
-func randomPrime(rng *rand.Rand, bits int) *big.Int {
-	for {
-		candidate := new(big.Int).Rand(rng, new(big.Int).Lsh(big.NewInt(1), uint(bits)))
-		candidate.SetBit(candidate, bits-1, 1) // full length
-		candidate.SetBit(candidate, 0, 1)      // odd
-		if candidate.ProbablyPrime(20) {
-			return candidate
-		}
-	}
-}
 
 // Op identifies one step of the square-and-multiply loop.
 type Op int
@@ -119,22 +70,6 @@ func ModExp(base, exp, mod *big.Int, hook func(Op)) (*big.Int, error) {
 		}
 	}
 	return result, nil
-}
-
-// Encrypt computes m^E mod N.
-func (k *Key) Encrypt(m *big.Int) (*big.Int, error) {
-	if m.Cmp(k.N) >= 0 || m.Sign() < 0 {
-		return nil, fmt.Errorf("rsa: message out of range")
-	}
-	return ModExp(m, k.E, k.N, nil)
-}
-
-// Decrypt computes c^D mod N.
-func (k *Key) Decrypt(c *big.Int) (*big.Int, error) {
-	if c.Cmp(k.N) >= 0 || c.Sign() < 0 {
-		return nil, fmt.Errorf("rsa: ciphertext out of range")
-	}
-	return ModExp(c, k.D, k.N, nil)
 }
 
 // OnesCount returns the number of 1-bits in the exponent, the quantity

@@ -10,37 +10,6 @@ import (
 	"gpunoc/internal/kernel"
 )
 
-func TestGenerateKeyAndRoundTrip(t *testing.T) {
-	k, err := GenerateKey(128, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k.N.BitLen() < 120 {
-		t.Errorf("modulus only %d bits", k.N.BitLen())
-	}
-	m := big.NewInt(123456789)
-	c, err := k.Encrypt(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := k.Decrypt(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Cmp(m) != 0 {
-		t.Errorf("decrypt(encrypt(m)) = %v, want %v", back, m)
-	}
-}
-
-func TestGenerateKeyValidation(t *testing.T) {
-	if _, err := GenerateKey(8, 1); err == nil {
-		t.Error("tiny modulus should fail")
-	}
-	if _, err := GenerateKey(9999, 1); err == nil {
-		t.Error("huge modulus should fail")
-	}
-}
-
 // Property: ModExp agrees with math/big's Exp.
 func TestModExpMatchesBig(t *testing.T) {
 	f := func(seed int64) bool {
@@ -116,19 +85,6 @@ func TestOpString(t *testing.T) {
 	}
 }
 
-func TestEncryptRangeChecks(t *testing.T) {
-	k, err := GenerateKey(64, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := k.Encrypt(k.N); err == nil {
-		t.Error("message >= N should fail")
-	}
-	if _, err := k.Decrypt(new(big.Int).Neg(big.NewInt(1))); err == nil {
-		t.Error("negative ciphertext should fail")
-	}
-}
-
 func newTimer(t *testing.T, sms []int, sync bool) *GPUTimer {
 	t.Helper()
 	dev := gpu.MustNew(gpu.A100())
@@ -189,32 +145,6 @@ func TestGPUTimerPartitionSpread(t *testing.T) {
 	}
 	if tSpan <= tSame {
 		t.Errorf("partition-spanning run %.0f should exceed co-located %.0f", tSpan, tSame)
-	}
-}
-
-func TestTimedDecrypt(t *testing.T) {
-	k, err := GenerateKey(64, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	timer := newTimer(t, []int{0, 8}, false)
-	m := big.NewInt(424242)
-	c, err := k.Encrypt(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, cycles, err := timer.TimedDecrypt(k, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Cmp(m) != 0 {
-		t.Errorf("timed decrypt wrong: %v != %v", back, m)
-	}
-	if cycles <= 0 {
-		t.Error("cycles must be positive")
-	}
-	if _, _, err := timer.TimedDecrypt(k, k.N); err == nil {
-		t.Error("out-of-range ciphertext should fail")
 	}
 }
 

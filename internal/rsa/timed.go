@@ -112,11 +112,3 @@ func (t *GPUTimer) ModExp(base, exp, mod *big.Int) (*big.Int, float64, error) {
 	}
 	return result, res.Cycles, nil
 }
-
-// TimedDecrypt runs a private-key operation under the timer.
-func (t *GPUTimer) TimedDecrypt(k *Key, c *big.Int) (*big.Int, float64, error) {
-	if c.Cmp(k.N) >= 0 || c.Sign() < 0 {
-		return nil, 0, fmt.Errorf("rsa: ciphertext out of range")
-	}
-	return t.ModExp(c, k.D, k.N)
-}

@@ -3,7 +3,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -73,18 +72,6 @@ func (h *Histogram) BinCenter(i int) float64 {
 	return h.Lo + w*(float64(i)+0.5)
 }
 
-// Mode returns the center of the most populated bin. Bimodality of the
-// A100 slice-bandwidth histogram (Fig. 13a) is detected via Peaks instead.
-func (h *Histogram) Mode() float64 {
-	best := 0
-	for i, c := range h.Counts {
-		if c > h.Counts[best] {
-			best = i
-		}
-	}
-	return h.BinCenter(best)
-}
-
 // Peaks returns the centers of local maxima whose count is at least
 // minFrac of the global maximum bin count, in ascending bin order.
 // Adjacent equal-count bins are treated as a single plateau peak.
@@ -139,25 +126,4 @@ func (h *Histogram) Render(width int) string {
 		fmt.Fprintf(&b, "%10.2f | %-*s %d\n", h.BinCenter(i), width, strings.Repeat("#", bar), c)
 	}
 	return b.String()
-}
-
-// Quantile returns the q-quantile (0 <= q <= 1) of the sample xs using
-// nearest-rank interpolation. Used for reporting latency spreads.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if q <= 0 {
-		return sorted[0]
-	}
-	if q >= 1 {
-		return sorted[len(sorted)-1]
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }

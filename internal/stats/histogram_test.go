@@ -53,17 +53,6 @@ func TestHistogramOfConstantSamples(t *testing.T) {
 	}
 }
 
-func TestHistogramMode(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 5; i++ {
-		h.Add(3.5)
-	}
-	h.Add(8.5)
-	if got := h.Mode(); !almostEqual(got, 3.5, 1e-12) {
-		t.Errorf("Mode = %v, want 3.5", got)
-	}
-}
-
 func TestHistogramPeaksBimodal(t *testing.T) {
 	h := NewHistogram(0, 100, 20)
 	for i := 0; i < 50; i++ {
@@ -143,46 +132,6 @@ func TestHistogramPropertyConservation(t *testing.T) {
 			sum += c
 		}
 		return sum == n && h.Total() == n
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	xs := []float64{4, 1, 3, 2}
-	if got := Quantile(xs, 0); got != 1 {
-		t.Errorf("q0 = %v, want 1", got)
-	}
-	if got := Quantile(xs, 1); got != 4 {
-		t.Errorf("q1 = %v, want 4", got)
-	}
-	if got := Quantile(xs, 0.5); !almostEqual(got, 2.5, 1e-12) {
-		t.Errorf("q0.5 = %v, want 2.5", got)
-	}
-	if got := Quantile(nil, 0.5); got != 0 {
-		t.Errorf("empty quantile = %v, want 0", got)
-	}
-}
-
-// Property: quantile is monotone in q and bounded by min/max.
-func TestQuantilePropertyMonotone(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(50)
-		xs := make([]float64, n)
-		for i := range xs {
-			xs[i] = rng.NormFloat64()
-		}
-		prev := Quantile(xs, 0)
-		for q := 0.1; q <= 1.0; q += 0.1 {
-			cur := Quantile(xs, q)
-			if cur < prev-1e-12 {
-				return false
-			}
-			prev = cur
-		}
-		return Quantile(xs, 0) >= Min(xs)-1e-12 && Quantile(xs, 1) <= Max(xs)+1e-12
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

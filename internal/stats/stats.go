@@ -194,38 +194,6 @@ func Argsort(xs []float64) []int {
 	return idx
 }
 
-// SpearmanRank returns the Spearman rank-correlation coefficient between xs
-// and ys: the Pearson correlation of their rank vectors. It is used to test
-// order-level (rather than value-level) agreement of latency profiles.
-// A constant series has constant ranks, so it propagates ErrZeroVariance
-// like Pearson does.
-func SpearmanRank(xs, ys []float64) (float64, error) {
-	if len(xs) != len(ys) {
-		return 0, ErrLengthMismatch
-	}
-	return Pearson(Ranks(xs), Ranks(ys))
-}
-
-// Ranks returns the 1-based fractional ranks of xs (average rank for ties).
-func Ranks(xs []float64) []float64 {
-	n := len(xs)
-	idx := Argsort(xs)
-	ranks := make([]float64, n)
-	for i := 0; i < n; {
-		j := i
-		// Group ties.
-		for j+1 < n && xs[idx[j+1]] == xs[idx[i]] {
-			j++
-		}
-		avg := float64(i+j)/2 + 1
-		for k := i; k <= j; k++ {
-			ranks[idx[k]] = avg
-		}
-		i = j + 1
-	}
-	return ranks
-}
-
 // LinearFit fits y = slope*x + intercept by ordinary least squares and also
 // returns the Pearson r of the fit. The GPU timing side-channels in Sec. V
 // rely on such linear relationships (timing vs. unique cache lines, timing

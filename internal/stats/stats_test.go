@@ -124,12 +124,6 @@ func TestCorrelationMatrixConstantRow(t *testing.T) {
 	}
 }
 
-func TestSpearmanConstantSeries(t *testing.T) {
-	if _, err := SpearmanRank([]float64{2, 2, 2}, []float64{1, 2, 3}); !errors.Is(err, ErrZeroVariance) {
-		t.Errorf("SpearmanRank on a constant series err = %v, want ErrZeroVariance", err)
-	}
-}
-
 func TestLinearFitConstantY(t *testing.T) {
 	if _, _, _, err := LinearFit([]float64{1, 2, 3}, []float64{4, 4, 4}); !errors.Is(err, ErrZeroVariance) {
 		t.Errorf("LinearFit with constant y err = %v, want ErrZeroVariance", err)
@@ -290,29 +284,6 @@ func TestArgsortPropertySorts(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestRanksWithTies(t *testing.T) {
-	xs := []float64{10, 20, 20, 30}
-	r := Ranks(xs)
-	want := []float64{1, 2.5, 2.5, 4}
-	for i := range want {
-		if !almostEqual(r[i], want[i], 1e-12) {
-			t.Fatalf("Ranks = %v, want %v", r, want)
-		}
-	}
-}
-
-func TestSpearmanMonotone(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	ys := []float64{1, 4, 9, 16, 25} // monotone but nonlinear
-	rho, err := SpearmanRank(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(rho, 1, 1e-12) {
-		t.Errorf("Spearman = %v, want 1", rho)
 	}
 }
 

@@ -1,10 +1,10 @@
 // Package workload generates synthetic memory-address traces with the
 // access structure of the Rodinia kernels the paper profiles in Fig. 16 -
 // bfs (irregular frontier expansion) and gaussian (a shrinking dense
-// elimination window) - plus a plain streaming baseline. Feeding a trace
-// through the device's address hash yields the per-L2-slice traffic
-// matrix over time, demonstrating Observation #12: however the footprint
-// and volume evolve, the hash keeps slice traffic balanced.
+// elimination window). Feeding a trace through the device's address hash
+// yields the per-L2-slice traffic matrix over time, demonstrating
+// Observation #12: however the footprint and volume evolve, the hash
+// keeps slice traffic balanced.
 package workload
 
 import (
@@ -163,40 +163,6 @@ func (g *Gaussian) Step(t int) []uint64 {
 	return addrs
 }
 
-// Streaming is a sequential read sweep split into equal timesteps, the
-// best case for any address hash.
-type Streaming struct {
-	bytesPerStep uint64
-	steps        int
-}
-
-// NewStreaming builds a streaming trace.
-func NewStreaming(bytesPerStep uint64, steps int) (*Streaming, error) {
-	if bytesPerStep == 0 || steps <= 0 {
-		return nil, fmt.Errorf("workload: streaming needs positive size and steps")
-	}
-	return &Streaming{bytesPerStep: bytesPerStep, steps: steps}, nil
-}
-
-// Name implements Generator.
-func (s *Streaming) Name() string { return "streaming" }
-
-// Steps implements Generator.
-func (s *Streaming) Steps() int { return s.steps }
-
-// Step implements Generator.
-func (s *Streaming) Step(t int) []uint64 {
-	if t < 0 || t >= s.steps {
-		return nil
-	}
-	var addrs []uint64
-	start := uint64(t) * s.bytesPerStep
-	for off := uint64(0); off < s.bytesPerStep; off += 32 {
-		addrs = append(addrs, start+off)
-	}
-	return addrs
-}
-
 // TrafficMatrix runs a trace through the device's address-to-slice hash
 // and returns matrix[t][slice] = accesses of slice during timestep t -
 // the data behind the Fig. 16 heat maps.
@@ -238,43 +204,4 @@ func AnalyzeBalance(matrix [][]float64, minTotal float64) []StepStats {
 		out = append(out, s)
 	}
 	return out
-}
-
-// Hotspot models an iterative 2-D stencil (like Rodinia's hotspot): every
-// timestep reads the full temperature and power grids at constant volume,
-// the opposite temporal profile of BFS's bursts and Gaussian's decay. The
-// trace is emitted at 128-byte-line granularity.
-type Hotspot struct {
-	n     int
-	steps int
-	base  uint64
-}
-
-// NewHotspot builds an n x n stencil trace of the given timestep count.
-func NewHotspot(n, steps int) (*Hotspot, error) {
-	if n <= 1 || steps <= 0 {
-		return nil, fmt.Errorf("workload: hotspot needs n > 1 and positive steps")
-	}
-	return &Hotspot{n: n, steps: steps, base: 0x6000_0000}, nil
-}
-
-// Name implements Generator.
-func (h *Hotspot) Name() string { return "hotspot" }
-
-// Steps implements Generator.
-func (h *Hotspot) Steps() int { return h.steps }
-
-// Step implements Generator: one full row-major sweep of both grids.
-func (h *Hotspot) Step(t int) []uint64 {
-	if t < 0 || t >= h.steps {
-		return nil
-	}
-	var addrs []uint64
-	elems := uint64(h.n) * uint64(h.n)
-	gridBytes := elems * 4
-	for off := uint64(0); off < gridBytes; off += 128 {
-		addrs = append(addrs, h.base+off)           // temperature grid
-		addrs = append(addrs, h.base+gridBytes+off) // power grid
-	}
-	return addrs
 }

@@ -67,31 +67,6 @@ func TestGaussianShrinkingWindow(t *testing.T) {
 	}
 }
 
-func TestStreaming(t *testing.T) {
-	s, err := NewStreaming(1024, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Steps() != 4 {
-		t.Fatal("steps")
-	}
-	step0 := s.Step(0)
-	if len(step0) != 32 { // 1024 / 32
-		t.Errorf("step size %d, want 32", len(step0))
-	}
-	// Steps cover disjoint, increasing ranges.
-	step1 := s.Step(1)
-	if step1[0] != 1024 {
-		t.Errorf("step 1 starts at %d, want 1024", step1[0])
-	}
-	if _, err := NewStreaming(0, 4); err == nil {
-		t.Error("zero size should fail")
-	}
-	if s.Step(9) != nil {
-		t.Error("out-of-range step should be nil")
-	}
-}
-
 // Observation #12 / Fig. 16: whatever the workload's temporal shape, the
 // address hash keeps per-slice traffic balanced within every substantial
 // timestep.
@@ -105,11 +80,7 @@ func TestTrafficStaysBalanced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stream, err := NewStreaming(64*1024, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, g := range []Generator{bfs, gauss, stream} {
+	for _, g := range []Generator{bfs, gauss} {
 		matrix, err := TrafficMatrix(dev, g)
 		if err != nil {
 			t.Fatal(err)
@@ -153,9 +124,16 @@ func TestTrafficVolumeVariesButBalanceHolds(t *testing.T) {
 	}
 }
 
+// noSteps is a Generator with no timesteps.
+type noSteps struct{}
+
+func (noSteps) Name() string      { return "empty" }
+func (noSteps) Steps() int        { return 0 }
+func (noSteps) Step(int) []uint64 { return nil }
+
 func TestTrafficMatrixValidation(t *testing.T) {
 	dev := gpu.MustNew(gpu.V100())
-	if _, err := TrafficMatrix(dev, &Streaming{steps: 0}); err == nil {
+	if _, err := TrafficMatrix(dev, noSteps{}); err == nil {
 		t.Error("empty generator should fail")
 	}
 }
@@ -171,41 +149,5 @@ func TestAnalyzeBalanceSkipsTinySteps(t *testing.T) {
 	}
 	if b[0].Total != 1 || b[1].Total != 400 {
 		t.Error("totals wrong")
-	}
-}
-
-func TestHotspotConstantVolume(t *testing.T) {
-	h, err := NewHotspot(128, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Name() != "hotspot" || h.Steps() != 6 {
-		t.Error("identity wrong")
-	}
-	first := len(h.Step(0))
-	for s := 1; s < h.Steps(); s++ {
-		if len(h.Step(s)) != first {
-			t.Fatalf("step %d volume %d != %d; stencil volume is constant", s, len(h.Step(s)), first)
-		}
-	}
-	if h.Step(-1) != nil || h.Step(99) != nil {
-		t.Error("out-of-range steps should be nil")
-	}
-	if _, err := NewHotspot(1, 3); err == nil {
-		t.Error("n=1 should fail")
-	}
-	if _, err := NewHotspot(16, 0); err == nil {
-		t.Error("zero steps should fail")
-	}
-	// Balanced through the hash like the others.
-	dev := gpu.MustNew(gpu.V100())
-	matrix, err := TrafficMatrix(dev, h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for s, b := range AnalyzeBalance(matrix, 500) {
-		if b.Total >= 500 && b.CV > 0.35 {
-			t.Errorf("hotspot step %d CV %.2f", s, b.CV)
-		}
 	}
 }
