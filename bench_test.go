@@ -428,9 +428,7 @@ func BenchmarkAblationScheduling(b *testing.B) {
 		b.Fatal(err)
 	}
 	mae := func(sched kernel.Scheduler) float64 {
-		opts := kernel.DefaultOptions()
-		opts.GridSync = true
-		m, err := kernel.NewMachine(dev, sched, opts)
+		m, err := kernel.NewMachine(dev, sched, kernel.Options{GridSync: true})
 		if err != nil {
 			b.Fatal(err)
 		}

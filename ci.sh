@@ -75,6 +75,17 @@ echo "==> e2ebench module: vet + tests"
 # it unnoticed. Its tests spawn nocserve on fixed ports 21480 and up.
 (cd e2ebench && go vet ./... && go test -count=1 .)
 
+echo "==> golden byte identity on every quick key (e2ebench matrix_quick)"
+# e2ebench's tests check expected.json's digests for noc_full only. One
+# matrix_quick pass renders all 73 quick (gpu, experiment) keys in the
+# four formats and compares every byte against expected.json; it exits
+# 1 on any wrong byte.
+golddir=$(mktemp -d)
+trap 'rm -rf "$golddir"' EXIT
+(cd e2ebench && go run . --workload matrix_quick --seconds 1 --expected expected.json --workdir "$golddir")
+rm -rf "$golddir"
+trap - EXIT
+
 echo "==> native fuzz targets (short -fuzztime)"
 # go test runs only the seed corpora; this stage mutates past them for a
 # few seconds per target, one go test -fuzz per target because -fuzz

@@ -54,8 +54,8 @@ type clusterNode struct {
 // other: listeners are bound first so every node's peer list names the
 // final URLs, then each node gets its own store (wrapping compute with
 // a per-node call counter), registry, and cluster router. The health
-// clock is injected per-node and the retry window is effectively
-// infinite, so a peer marked down stays down for the test's duration.
+// clock is frozen at 0, so the 5 s retry window never expires and a
+// peer marked down stays down for the test's duration.
 func newTestClusterNodes(t *testing.T, n int, compute func(context.Context, resultstore.Key) (*resultstore.Entry, error)) []*clusterNode {
 	t.Helper()
 	listeners := make([]net.Listener, n)
@@ -87,13 +87,10 @@ func newTestClusterNodes(t *testing.T, n int, compute func(context.Context, resu
 		}
 		sv := newServer(store, reg, serverConfig{})
 		cl, err := cluster.New(cluster.Options{
-			Self:       urls[i],
-			Peers:      urls,
-			Retries:    1,
-			Backoff:    time.Millisecond,
-			RetryAfter: time.Hour,
-			Clock:      func() time.Duration { return time.Since(t0) },
-			Obs:        reg.Scope("cluster"),
+			Self:  urls[i],
+			Peers: urls,
+			Clock: func() time.Duration { return 0 },
+			Obs:   reg.Scope("cluster"),
 		})
 		if err != nil {
 			t.Fatal(err)

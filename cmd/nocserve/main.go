@@ -122,14 +122,11 @@ func main() {
 	sv := newServer(store, reg, cfg)
 	if *peers != "" {
 		cl, err := cluster.New(cluster.Options{
-			Self:       *self,
-			Peers:      strings.Split(*peers, ","),
-			Retries:    2,
-			Backoff:    100 * time.Millisecond,
-			RetryAfter: 5 * time.Second,
-			Clock:      func() time.Duration { return time.Since(t0) },
-			Sleep:      time.Sleep,
-			Obs:        reg.Scope("cluster"),
+			Self:  *self,
+			Peers: strings.Split(*peers, ","),
+			Clock: func() time.Duration { return time.Since(t0) },
+			Sleep: time.Sleep,
+			Obs:   reg.Scope("cluster"),
 		})
 		if err != nil {
 			fatal(err)

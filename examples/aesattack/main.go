@@ -26,7 +26,7 @@ func main() {
 	const nBytes = 4
 
 	run := func(label string, sched gpunoc.Scheduler) {
-		m, err := kernel.NewMachine(dev, sched, kernel.DefaultOptions())
+		m, err := kernel.NewMachine(dev, sched, kernel.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -42,7 +42,7 @@ func main() {
 		truth := victim.Key().LastRoundKey()
 		hits := 0
 		for j := 0; j < nBytes; j++ {
-			r, err := sidechannel.RecoverAESKeyByte(obs, j, 32)
+			r, err := sidechannel.RecoverAESKeyByte(obs, j, kernel.SectorBytes)
 			if err != nil {
 				log.Fatal(err)
 			}

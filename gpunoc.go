@@ -177,7 +177,7 @@ type (
 
 // NewMachine builds a kernel machine with default runtime options.
 func NewMachine(dev *Device, sched Scheduler) (*Machine, error) {
-	return kernel.NewMachine(dev, sched, kernel.DefaultOptions())
+	return kernel.NewMachine(dev, sched, kernel.Options{})
 }
 
 // ClusterSMsByLatency reverse-engineers SM placement from timing alone

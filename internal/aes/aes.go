@@ -145,11 +145,10 @@ func (k *Key) LastRoundKey() [BlockSize]byte { return k.RoundKey(Rounds) }
 type Trace struct {
 	// RoundIndices[r][j] is the table index of round r+1's lookup that fed
 	// output byte j.
+	// RoundIndices[Rounds-1][j], the final round's lookup index for
+	// ciphertext byte j, is what attackers reconstruct as
+	// InvSBox(C[j] ^ K10[j]).
 	RoundIndices [Rounds][BlockSize]byte
-	// FinalIndices[j] is the final round's lookup index for ciphertext
-	// byte j (an alias of RoundIndices[Rounds-1]). Attackers reconstruct
-	// it as InvSBox(C[j] ^ K10[j]).
-	FinalIndices [BlockSize]byte
 }
 
 // Encrypt encrypts one 16-byte block, returning the ciphertext and the
@@ -194,7 +193,6 @@ func (k *Key) EncryptBlock(dst, src *[BlockSize]byte, tr *Trace) {
 	t0, t1, t2, t3 := shiftRowWords(s0, s1, s2, s3)
 	if tr != nil {
 		putWords(&tr.RoundIndices[Rounds-1], t0, t1, t2, t3)
-		tr.FinalIndices = tr.RoundIndices[Rounds-1]
 	}
 	binary.BigEndian.PutUint32(dst[0:], subWord(t0)^rk[Rounds][0])
 	binary.BigEndian.PutUint32(dst[4:], subWord(t1)^rk[Rounds][1])

@@ -31,8 +31,6 @@ type Result struct {
 	PerFlowGBs []units.GBps
 	// TotalGBs is the sum over flows.
 	TotalGBs units.GBps
-	// Utilization maps station names to utilization in [0, 1].
-	Utilization map[string]float64
 }
 
 // Engine solves bandwidth allocations for one device and profile.
@@ -66,13 +64,6 @@ func (e *Engine) Device() *gpu.Device { return e.dev }
 // Profile returns the engine's capacity profile.
 func (e *Engine) Profile() Profile { return e.prof }
 
-// station is one queueing resource.
-type station struct {
-	name string
-	// perLine is the service time in seconds for one cache line.
-	perLine float64
-}
-
 // demand is one flow's visit to a station: seconds of service per
 // completed line of the flow (visit ratio folded in).
 type demand struct {
@@ -82,7 +73,8 @@ type demand struct {
 
 // netModel is the assembled closed queueing network.
 type netModel struct {
-	stations []station
+	// stations names each queueing resource, in creation order.
+	stations []string
 	// classes[f] holds flow f's demands; population[f] its customers;
 	// think[f] its think time in seconds.
 	classes    [][]demand
@@ -117,27 +109,11 @@ func (e *Engine) Solve(flows []Flow) (Result, error) {
 	}
 
 	lineBytes := float64(cfg.CacheLineBytes)
-	res := Result{
-		PerFlowGBs:  make([]units.GBps, len(flows)),
-		Utilization: make(map[string]float64, len(m.stations)),
-	}
+	res := Result{PerFlowGBs: make([]units.GBps, len(flows))}
 	for f := range flows {
 		gbs := units.GBps(x[f] * lineBytes / 1e9)
 		res.PerFlowGBs[f] = gbs
 		res.TotalGBs += gbs
-	}
-	// Each station's utilization sums its visitors' x[f]*d in ascending
-	// class order, as the AMVA queue totals do.
-	util := make([]float64, len(m.stations))
-	for f, dms := range m.classes {
-		for _, dm := range dms {
-			util[dm.station] += x[f] * dm.d
-		}
-	}
-	for si, u := range util {
-		if u > 0 {
-			res.Utilization[m.stations[si].name] = u
-		}
 	}
 	return res, nil
 }
@@ -151,13 +127,13 @@ func (e *Engine) build(flows []Flow) *netModel {
 
 	m := &netModel{}
 	index := map[string]int{}
-	stationOf := func(name string, capGBs units.GBps) int {
+	stationOf := func(name string) int {
 		if i, ok := index[name]; ok {
 			return i
 		}
 		i := len(m.stations)
 		index[name] = i
-		m.stations = append(m.stations, station{name: name, perLine: lineBytes / (float64(capGBs) * 1e9)})
+		m.stations = append(m.stations, name)
 		return i
 	}
 
@@ -188,7 +164,7 @@ func (e *Engine) build(flows []Flow) *netModel {
 			if capGBs <= 0 || visit <= 0 {
 				return
 			}
-			dms = append(dms, demand{station: stationOf(name, capGBs), d: visit * lineBytes / (float64(capGBs) * 1e9)})
+			dms = append(dms, demand{station: stationOf(name), d: visit * lineBytes / (float64(capGBs) * 1e9)})
 		}
 
 		// Source-side hierarchy, visited by every line.
@@ -209,7 +185,7 @@ func (e *Engine) build(flows []Flow) *netModel {
 		mpVisits := map[int]float64{}
 		sliceVisits := map[int]float64{}
 		for _, s := range f.Slices {
-			serving := e.servingSlice(f.SM, s)
+			serving := e.dev.ServingSliceID(f.SM, s)
 			sliceVisits[serving] += perSlice
 			mpVisits[e.dev.MPOfSlice(serving)] += perSlice
 			if e.dev.PartitionOfSlice(serving) != srcPart {
@@ -255,12 +231,6 @@ func sortedIntKeys(m map[int]float64) []int {
 	}
 	sort.Ints(keys)
 	return keys
-}
-
-// servingSlice resolves which physical slice serves flow traffic to the
-// addressed slice (identity except under H100 partition-local caching).
-func (e *Engine) servingSlice(sm, slice int) int {
-	return e.dev.ServingSliceID(sm, slice)
 }
 
 // amvaMaxIter caps solveAMVA's fixed-point iterations. The slowest solve

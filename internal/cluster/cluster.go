@@ -128,6 +128,16 @@ type Doer interface {
 	Do(*http.Request) (*http.Response, error)
 }
 
+// The degraded-mode schedule: a failed forward is retried twice, after
+// sleeps of 100 ms and 200 ms, before the node computes locally, and a
+// peer marked unhealthy is skipped for 5 s before forwards probe it
+// again.
+const (
+	forwardRetries = 2
+	forwardBackoff = 100 * time.Millisecond
+	retryAfter     = 5 * time.Second
+)
+
 // Options configures a Cluster.
 type Options struct {
 	// Self is this node's base URL exactly as it appears in Peers.
@@ -140,15 +150,6 @@ type Options struct {
 	// simulation, and the caller's request context already bounds the
 	// wait when a deadline is configured.
 	Client Doer
-	// Retries is how many times a failed forward is retried before the
-	// node falls back to computing locally; negative means 0.
-	Retries int
-	// Backoff is the sleep before the first retry, doubling per attempt;
-	// <= 0 disables backoff sleeps.
-	Backoff time.Duration
-	// RetryAfter is how long a peer marked unhealthy stays skipped
-	// before forwards probe it again; <= 0 means 30s.
-	RetryAfter time.Duration
 	// Clock returns elapsed monotonic time from an origin of the
 	// caller's choosing (health windows, forward latency). Required.
 	Clock func() time.Duration
@@ -194,17 +195,9 @@ func New(o Options) (*Cluster, error) {
 	if o.Clock == nil {
 		return nil, errors.New("cluster: Options.Clock is required")
 	}
-	retryAfter := o.RetryAfter
-	if retryAfter <= 0 {
-		retryAfter = 30 * time.Second
-	}
 	c := &Cluster{
-		Router: router,
-		Pool: newPool(poolOptions{
-			clock:      o.Clock,
-			retryAfter: retryAfter,
-			unhealthy:  o.Obs.Counter("peer_unhealthy"),
-		}),
+		Router:        router,
+		Pool:          newPool(o.Clock, o.Obs.Counter("peer_unhealthy")),
 		fwd:           newForwarder(o),
 		clock:         o.Clock,
 		Forwarded:     o.Obs.Counter("forwarded"),

@@ -123,16 +123,12 @@ func TestRouterValidation(t *testing.T) {
 }
 
 // TestPoolHealthWindow drives the passive health pool on an injected
-// clock: down inside the window, probe-eligible after it, and the
+// clock: down inside the 5 s window, probe-eligible after it, and the
 // unhealthy counter ticks once per outage, not once per skip.
 func TestPoolHealthWindow(t *testing.T) {
 	var now time.Duration
 	reg := obs.New()
-	p := newPool(poolOptions{
-		clock:      func() time.Duration { return now },
-		retryAfter: 10 * time.Second,
-		unhealthy:  reg.Counter("peer_unhealthy"),
-	})
+	p := newPool(func() time.Duration { return now }, reg.Counter("peer_unhealthy"))
 	const peer = "http://n1:80"
 	if !p.Healthy(peer) {
 		t.Fatal("fresh pool reports peer unhealthy")
@@ -142,11 +138,11 @@ func TestPoolHealthWindow(t *testing.T) {
 		t.Fatal("peer healthy immediately after MarkDown")
 	}
 	p.MarkDown(peer) // losing probe restarts the window, no double count
-	now = 9 * time.Second
+	now = 4 * time.Second
 	if p.Healthy(peer) {
 		t.Fatal("peer healthy inside the retry window")
 	}
-	now = 10 * time.Second
+	now = 5 * time.Second
 	if !p.Healthy(peer) {
 		t.Fatal("peer still unhealthy after the retry window expired")
 	}
@@ -188,16 +184,14 @@ func (f *flakyOwner) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // newTestCluster builds a 2-member cluster whose forwarder talks to the
 // given owner URL, with a recording sleep.
-func newTestCluster(t *testing.T, owner string, retries int, sleeps *[]time.Duration) *Cluster {
+func newTestCluster(t *testing.T, owner string, sleeps *[]time.Duration) *Cluster {
 	t.Helper()
 	c, err := New(Options{
-		Self:    "http://self.invalid",
-		Peers:   []string{"http://self.invalid", owner},
-		Retries: retries,
-		Backoff: 10 * time.Millisecond,
-		Clock:   func() time.Duration { return 0 },
-		Sleep:   func(d time.Duration) { *sleeps = append(*sleeps, d) },
-		Obs:     obs.New().Scope("cluster"),
+		Self:  "http://self.invalid",
+		Peers: []string{"http://self.invalid", owner},
+		Clock: func() time.Duration { return 0 },
+		Sleep: func(d time.Duration) { *sleeps = append(*sleeps, d) },
+		Obs:   obs.New().Scope("cluster"),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -214,7 +208,7 @@ func TestForwardRetriesThenSucceeds(t *testing.T) {
 	ts := httptest.NewServer(owner)
 	defer ts.Close()
 	var sleeps []time.Duration
-	c := newTestCluster(t, ts.URL, 2, &sleeps)
+	c := newTestCluster(t, ts.URL, &sleeps)
 
 	resp, err := c.Forward(context.Background(), ts.URL, "/v1/v100/fig1?quick=1")
 	if err != nil {
@@ -234,8 +228,8 @@ func TestForwardRetriesThenSucceeds(t *testing.T) {
 			t.Errorf("request %d: %s = %q, want the forwarder's identity", i, ForwardedHeader, h)
 		}
 	}
-	if len(sleeps) != 2 || sleeps[0] != 10*time.Millisecond || sleeps[1] != 20*time.Millisecond {
-		t.Errorf("backoff sleeps = %v, want [10ms 20ms]", sleeps)
+	if len(sleeps) != 2 || sleeps[0] != 100*time.Millisecond || sleeps[1] != 200*time.Millisecond {
+		t.Errorf("backoff sleeps = %v, want [100ms 200ms]", sleeps)
 	}
 }
 
@@ -247,13 +241,13 @@ func TestForwardExhaustsRetries(t *testing.T) {
 	ts := httptest.NewServer(owner)
 	defer ts.Close()
 	var sleeps []time.Duration
-	c := newTestCluster(t, ts.URL, 1, &sleeps)
+	c := newTestCluster(t, ts.URL, &sleeps)
 
 	if _, err := c.Forward(context.Background(), ts.URL, "/v1/v100/fig1"); err == nil {
 		t.Fatal("Forward succeeded against a 502-only owner")
 	}
-	if owner.requests != 2 {
-		t.Errorf("owner saw %d requests, want 2 (initial + 1 retry)", owner.requests)
+	if owner.requests != 3 {
+		t.Errorf("owner saw %d requests, want 3 (initial + 2 retries)", owner.requests)
 	}
 	if got := c.ForwardErrs.Value(); got != 1 {
 		t.Errorf("forward_err = %d, want 1", got)
@@ -272,7 +266,7 @@ func TestForwardPassesThroughOwnerAnswers(t *testing.T) {
 			w.WriteHeader(status)
 		}))
 		var sleeps []time.Duration
-		c := newTestCluster(t, ts.URL, 3, &sleeps)
+		c := newTestCluster(t, ts.URL, &sleeps)
 		resp, err := c.Forward(context.Background(), ts.URL, "/v1/v100/fig1")
 		if err != nil {
 			t.Errorf("status %d: Forward errored: %v", status, err)
@@ -292,7 +286,7 @@ func TestForwardDeadPeer(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
 	ts.Close() // listener gone: every dial is refused
 	var sleeps []time.Duration
-	c := newTestCluster(t, ts.URL, 2, &sleeps)
+	c := newTestCluster(t, ts.URL, &sleeps)
 	if _, err := c.Forward(context.Background(), ts.URL, "/v1/v100/fig1"); err == nil {
 		t.Fatal("Forward succeeded against a closed listener")
 	}

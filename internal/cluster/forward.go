@@ -28,11 +28,9 @@ type Response struct {
 
 // forwarder performs single-hop ownership forwards with bounded retry.
 type forwarder struct {
-	client  Doer
-	self    string
-	retries int
-	backoff time.Duration
-	sleep   func(time.Duration)
+	client Doer
+	self   string
+	sleep  func(time.Duration)
 }
 
 // newForwarder builds the forwarder from the cluster options.
@@ -41,21 +39,11 @@ func newForwarder(o Options) *forwarder {
 	if client == nil {
 		client = &http.Client{}
 	}
-	retries := o.Retries
-	if retries < 0 {
-		retries = 0
-	}
 	sleep := o.Sleep
 	if sleep == nil {
 		sleep = func(time.Duration) {}
 	}
-	return &forwarder{
-		client:  client,
-		self:    o.Self,
-		retries: retries,
-		backoff: o.Backoff,
-		sleep:   sleep,
-	}
+	return &forwarder{client: client, self: o.Self, sleep: sleep}
 }
 
 // Forward proxies requestURI (path plus query, e.g.
@@ -81,13 +69,11 @@ func (c *Cluster) Forward(ctx context.Context, owner, requestURI string) (*Respo
 // forward is the retry loop behind Cluster.Forward.
 func (f *forwarder) forward(ctx context.Context, owner, requestURI string) (*Response, error) {
 	var lastErr error
-	backoff := f.backoff
-	for attempt := 0; attempt <= f.retries; attempt++ {
+	backoff := forwardBackoff
+	for attempt := 0; attempt <= forwardRetries; attempt++ {
 		if attempt > 0 {
-			if backoff > 0 {
-				f.sleep(backoff)
-				backoff *= 2
-			}
+			f.sleep(backoff)
+			backoff *= 2
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}

@@ -7,13 +7,6 @@ import (
 	"gpunoc/internal/obs"
 )
 
-// poolOptions configures a Pool.
-type poolOptions struct {
-	clock      func() time.Duration
-	retryAfter time.Duration
-	unhealthy  *obs.Counter
-}
-
 // Pool tracks peer health passively: a peer is healthy until a forward
 // to it fails, and an unhealthy peer is skipped (requests for its keys
 // compute locally) until the retry window expires, at which point the
@@ -22,9 +15,8 @@ type poolOptions struct {
 // goroutines and no wall clock: health state advances only when
 // requests flow, on the injected clock.
 type Pool struct {
-	mu         sync.Mutex
-	clock      func() time.Duration
-	retryAfter time.Duration
+	mu    sync.Mutex
+	clock func() time.Duration
 	// downUntil maps an unhealthy peer to the injected-clock time at
 	// which forwards may probe it again.
 	downUntil map[string]time.Duration
@@ -33,14 +25,10 @@ type Pool struct {
 	unhealthy *obs.Counter
 }
 
-// newPool builds a pool; every peer starts healthy.
-func newPool(o poolOptions) *Pool {
-	return &Pool{
-		clock:      o.clock,
-		retryAfter: o.retryAfter,
-		downUntil:  map[string]time.Duration{},
-		unhealthy:  o.unhealthy,
-	}
+// newPool builds a pool on the given clock, counting outages in
+// unhealthy; every peer starts healthy.
+func newPool(clock func() time.Duration, unhealthy *obs.Counter) *Pool {
+	return &Pool{clock: clock, downUntil: map[string]time.Duration{}, unhealthy: unhealthy}
 }
 
 // Healthy reports whether forwards to peer are currently allowed. A
@@ -71,7 +59,7 @@ func (p *Pool) MarkDown(peer string) {
 	if _, down := p.downUntil[peer]; !down {
 		p.unhealthy.Inc()
 	}
-	p.downUntil[peer] = p.clock() + p.retryAfter
+	p.downUntil[peer] = p.clock() + retryAfter
 }
 
 // MarkUp records a successful forward, clearing any outage early.

@@ -150,7 +150,7 @@ func runFig18(ctx *Context) ([]Artifact, error) {
 			rng := rand.New(rand.NewSource(99))
 			sched = kernel.RandomScheduler{Rand: rng.Uint64}
 		}
-		m, err := kernel.NewMachine(dev, sched, kernel.DefaultOptions())
+		m, err := kernel.NewMachine(dev, sched, kernel.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -168,7 +168,7 @@ func runFig18(ctx *Context) ([]Artifact, error) {
 			Columns: []string{"byte", "truth", "recovered", "corr(best)", "margin", "hit"},
 		}
 		for j := 0; j < nBytes; j++ {
-			r, err := sidechannel.RecoverAESKeyByte(obs, j, 32)
+			r, err := sidechannel.RecoverAESKeyByte(obs, j, kernel.SectorBytes)
 			if err != nil {
 				return nil, err
 			}
@@ -199,9 +199,7 @@ func runFig19(ctx *Context) ([]Artifact, error) {
 	gpc := dev.Config().GPCs
 
 	mkTimer := func(sched kernel.Scheduler) (*rsa.GPUTimer, error) {
-		opts := kernel.DefaultOptions()
-		opts.GridSync = true
-		m, err := kernel.NewMachine(dev, sched, opts)
+		m, err := kernel.NewMachine(dev, sched, kernel.Options{GridSync: true})
 		if err != nil {
 			return nil, err
 		}

@@ -62,8 +62,7 @@ func CheckImplications() ([]CheckResult, error) {
 		fmt.Sprintf("mean warp-timing shift between SM%d and SM%d: %.1f cycles", nearSM, farSM, shift))
 
 	// #3: random thread-block scheduling degrades the RSA channel.
-	opts := kernel.DefaultOptions()
-	opts.GridSync = true
+	opts := kernel.Options{GridSync: true}
 	staticM, err := kernel.NewMachine(a100.Device, kernel.ListScheduler{SMs: []int{0, 8}}, opts)
 	if err != nil {
 		return nil, err

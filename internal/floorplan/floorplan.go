@@ -104,10 +104,6 @@ type Plan struct {
 	// of perfectly negative.
 	HubPos []Point
 
-	// SpineDrop is the fixed vertical distance (gu) from a GPC row down to
-	// the central interconnect spine.
-	SpineDrop float64
-
 	// Width and Height are the die extents in gu.
 	Width, Height float64
 }
@@ -163,7 +159,6 @@ func Build(spec Spec) (*Plan, error) {
 		MPPos:        make([]Point, spec.MPs),
 		MPPartition:  make([]int, spec.MPs),
 		HubPos:       make([]Point, spec.Partitions),
-		SpineDrop:    midY - topRowY,
 		Height:       height,
 	}
 	p.Width = float64(spec.Partitions)*partWidth + float64(spec.Partitions-1)*spec.PartitionGap

@@ -13,7 +13,7 @@ import (
 
 func machine(t *testing.T, sched Scheduler) *Machine {
 	t.Helper()
-	m, err := NewMachine(gpu.MustNew(gpu.V100()), sched, DefaultOptions())
+	m, err := NewMachine(gpu.MustNew(gpu.V100()), sched, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,19 +327,8 @@ func TestSchedulerPanics(t *testing.T) {
 // --- Machine -----------------------------------------------------------------
 
 func TestNewMachineValidation(t *testing.T) {
-	if _, err := NewMachine(nil, nil, DefaultOptions()); err == nil {
+	if _, err := NewMachine(nil, nil, Options{}); err == nil {
 		t.Error("nil device should fail")
-	}
-	dev := gpu.MustNew(gpu.V100())
-	bad := DefaultOptions()
-	bad.IssueGapCycles = -1
-	if _, err := NewMachine(dev, nil, bad); err == nil {
-		t.Error("negative issue gap should fail")
-	}
-	bad = DefaultOptions()
-	bad.SyncSlice = 999
-	if _, err := NewMachine(dev, nil, bad); err == nil {
-		t.Error("out-of-range sync slice should fail")
 	}
 }
 
@@ -358,9 +347,9 @@ func TestLaunchValidation(t *testing.T) {
 
 func TestLaunchPlacementAndIdentity(t *testing.T) {
 	m := machine(t, nil)
-	var smids []int
-	res, err := m.Launch(6, 32, func(w *Warp) {
-		smids = append(smids, w.SMID())
+	smids := make([]int, 6)
+	_, err := m.Launch(6, 32, func(w *Warp) {
+		smids[w.BlockIdx()] = w.SMID()
 		if w.Lanes() != 32 || w.BlockDim() != 32 || w.GridDim() != 6 {
 			t.Errorf("warp geometry wrong: %d lanes, block %d, grid %d", w.Lanes(), w.BlockDim(), w.GridDim())
 		}
@@ -371,9 +360,9 @@ func TestLaunchPlacementAndIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for b, sm := range res.BlockSM {
-		if sm != b%84 || smids[b] != sm {
-			t.Errorf("block %d on SM %d (reported %d)", b, sm, smids[b])
+	for b, sm := range smids {
+		if sm != b%84 {
+			t.Errorf("block %d ran on SM %d, want %d", b, sm, b%84)
 		}
 	}
 }
@@ -481,7 +470,7 @@ func TestComputeAdvancesClock(t *testing.T) {
 }
 
 func TestLoadRemoteShared(t *testing.T) {
-	h, err := NewMachine(gpu.MustNew(gpu.H100()), PinnedScheduler{SM: 0}, DefaultOptions())
+	h, err := NewMachine(gpu.MustNew(gpu.H100()), PinnedScheduler{SM: 0}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -546,9 +535,8 @@ func TestGridSyncPartitionPenalty(t *testing.T) {
 	// On A100, a grid spanning both partitions pays a far-partition flag
 	// round trip; one co-located on the flag's partition does not.
 	dev := gpu.MustNew(gpu.A100())
-	opts := DefaultOptions()
-	opts.GridSync = true
-	opts.SyncSlice = 0                                                  // partition 0
+	// The flag lives in slice 0, on partition 0.
+	opts := Options{GridSync: true}
 	near, err := NewMachine(dev, ListScheduler{SMs: []int{0, 8}}, opts) // GPC0, both partition 0
 	if err != nil {
 		t.Fatal(err)
@@ -586,30 +574,30 @@ func TestLaunchNoiseVariesAcrossLaunches(t *testing.T) {
 	}
 }
 
-// Property: wall time is at least the max per-block time and at least the
-// launch overhead; block cycles are non-negative.
+// Property: every warp starts after the launch overhead, and wall time
+// is at least every warp's final clock.
 func TestLaunchPropertyTimes(t *testing.T) {
 	m := machine(t, nil)
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		grid := 1 + rng.Intn(8)
+		var ends []float64
+		early := false
 		res, err := m.Launch(grid, 32, func(w *Warp) {
+			early = early || w.Clock() < launchOverheadCycles
 			w.Compute(float64(rng.Intn(500)))
 			w.LoadCG([]uint64{uint64(rng.Intn(1 << 20))})
+			ends = append(ends, w.Clock())
 		})
-		if err != nil {
+		if err != nil || early || len(ends) != grid {
 			return false
 		}
-		maxBlock := 0.0
-		for _, c := range res.BlockCycles {
-			if c < 0 {
+		for _, c := range ends {
+			if res.Cycles < c {
 				return false
 			}
-			if c > maxBlock {
-				maxBlock = c
-			}
 		}
-		return res.Cycles >= maxBlock
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
@@ -619,8 +607,7 @@ func TestLaunchPropertyTimes(t *testing.T) {
 // --- L2 residency model -------------------------------------------------------
 
 func TestModelL2WarmupHitsAndOverflowMisses(t *testing.T) {
-	opts := DefaultOptions()
-	opts.ModelL2 = true
+	opts := Options{ModelL2: true}
 	m, err := NewMachine(gpu.MustNew(gpu.V100()), PinnedScheduler{SM: 0}, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -682,8 +669,7 @@ func TestStoreCG(t *testing.T) {
 }
 
 func TestStoreCGWarmsModelledL2(t *testing.T) {
-	opts := DefaultOptions()
-	opts.ModelL2 = true
+	opts := Options{ModelL2: true}
 	m, err := NewMachine(gpu.MustNew(gpu.V100()), PinnedScheduler{SM: 0}, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -745,8 +731,7 @@ func TestCoalesceLargeInputUsesMap(t *testing.T) {
 // accesses from every SM, with the L2 modelled, must leave both
 // machines' warps in bit-identical states after every access.
 func TestWarpLockstepTablesVsArithmetic(t *testing.T) {
-	opts := DefaultOptions()
-	opts.ModelL2 = true
+	opts := Options{ModelL2: true}
 	for _, cfg := range gpu.AllConfigs() {
 		ref := cfg
 		ref.Name += "-arith"
@@ -862,7 +847,6 @@ func (c *refSlice) access(addr uint64) bool {
 // canonical latency tables) prices each access.
 type refWarp struct {
 	dev    *gpu.Device
-	opts   Options
 	l2     []*refSlice // nil without the L2 model
 	sm     int
 	now    float64
@@ -874,7 +858,7 @@ func (r *refWarp) access(op int, addrs []uint64) int {
 	if len(addrs) == 0 {
 		return 0
 	}
-	sectors := referenceCoalesce(addrs, r.opts.SectorBytes)
+	sectors := referenceCoalesce(addrs, SectorBytes)
 	n := len(sectors)
 	last := sectors[n-1]
 	slice := r.dev.ServingSlice(r.sm, last)
@@ -902,7 +886,7 @@ func (r *refWarp) access(op int, addrs []uint64) int {
 	default: // LoadCGMiss
 		lat += r.dev.L2MissPenalty(r.sm, r.dev.HomeMP(last), r.iter)
 	}
-	r.now += float64(lat) + r.opts.IssueGapCycles*float64(n-1)
+	r.now += float64(lat) + IssueGapCycles*float64(n-1)
 	return n
 }
 
@@ -966,8 +950,7 @@ func TestWarpLockstepRuntimeVsReference(t *testing.T) {
 		arith.Name += "-arith"
 		refDev := gpu.MustNew(arith)
 		for _, modelL2 := range []bool{false, true} {
-			opts := DefaultOptions()
-			opts.ModelL2 = modelL2
+			opts := Options{ModelL2: modelL2}
 			m, err := NewMachine(gpu.MustNew(cfg), nil, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -985,7 +968,7 @@ func TestWarpLockstepRuntimeVsReference(t *testing.T) {
 			for step := 0; step < 1500; step++ {
 				sm := rng.Intn(cfg.SMs())
 				w := &Warp{m: m, sm: sm, lanes: WarpSize, now: float64(step), iter: uint64(step) << 16}
-				ref := &refWarp{dev: refDev, opts: opts, l2: refL2, sm: sm, now: w.now, iter: w.iter, launch: m.launchCount}
+				ref := &refWarp{dev: refDev, l2: refL2, sm: sm, now: w.now, iter: w.iter, launch: m.launchCount}
 				for a := 0; a < 4; a++ {
 					addrs := lockstepAddrs(rng, buf)
 					op := rng.Intn(3)
@@ -1033,9 +1016,9 @@ func TestLaunchStartsFromIdleSMs(t *testing.T) {
 	if res, err := m.Launch(2, 32, body); err != nil || res.Cycles != 1020 {
 		t.Fatalf("two blocks on SMs 5 and 6 after SM 5 ran took %v cycles (err %v), want 1020", res.Cycles, err)
 	}
-	// The result's BlockCycles and BlockSM, and the one Warp the kernel
-	// receives, are all a launch may allocate.
-	if n := testing.AllocsPerRun(100, func() { m.Launch(1, 32, body) }); n > 3 {
-		t.Errorf("a one-block launch allocates %.0f times, want at most 3", n)
+	// The scheduler's placement and the one Warp the kernel receives are
+	// all a launch may allocate.
+	if n := testing.AllocsPerRun(100, func() { m.Launch(1, 32, body) }); n > 2 {
+		t.Errorf("a one-block launch allocates %.0f times, want at most 2", n)
 	}
 }

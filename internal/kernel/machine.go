@@ -7,23 +7,30 @@ import (
 	"gpunoc/internal/gpu"
 )
 
-// Options tune the runtime's fixed costs.
-type Options struct {
+// The runtime's fixed costs.
+const (
 	// IssueGapCycles is the LSU serialization cost between the memory
 	// transactions of one coalesced warp access. Together with the NoC
 	// round trip it yields the linear latency-vs-unique-lines relationship
 	// of Fig. 17(a).
-	IssueGapCycles float64
+	IssueGapCycles = 4
 
 	// SectorBytes is the memory-transaction granularity of a warp access
 	// (the 32-byte L2 sector of modern NVIDIA GPUs). Coalescing counts
 	// unique sectors, which is the quantity GPU timing side channels
-	// infer; 0 defaults to 32.
-	SectorBytes int
+	// infer.
+	SectorBytes = 32
 
-	// LaunchOverheadCycles is charged once per block.
-	LaunchOverheadCycles float64
+	// launchOverheadCycles is charged once per block.
+	launchOverheadCycles = 20
 
+	// syncSlice is the L2 slice holding the grid synchronization flag.
+	syncSlice = 0
+)
+
+// Options select the runtime's optional models. The zero value is the
+// default: no grid synchronization and no L2 residency model.
+type Options struct {
 	// GridSync makes Launch model a grid-wide final synchronization
 	// through a shared L2 location: the kernel is not done until the
 	// slowest SM's flag round trip completes. With SMs co-located on one
@@ -32,9 +39,6 @@ type Options struct {
 	// (Fig. 17b).
 	GridSync bool
 
-	// SyncSlice is the L2 slice holding the synchronization flag.
-	SyncSlice int
-
 	// ModelL2 attaches a set-associative sectored cache to every L2 slice
 	// so hits and misses are determined by actual residency instead of
 	// the caller's assertion: Algorithm 1's warm-up pass genuinely
@@ -42,11 +46,6 @@ type Options struct {
 	// miss. Off by default; the calibrated experiments assume the paper's
 	// "working set fits within the L2" regime.
 	ModelL2 bool
-}
-
-// DefaultOptions returns the runtime defaults.
-func DefaultOptions() Options {
-	return Options{IssueGapCycles: 4, SectorBytes: 32, LaunchOverheadCycles: 20}
 }
 
 // Machine executes kernels on a device under a block scheduler. It is not
@@ -74,18 +73,6 @@ func NewMachine(dev *gpu.Device, sched Scheduler, opts Options) (*Machine, error
 	}
 	if sched == nil {
 		sched = StaticScheduler{}
-	}
-	if opts.IssueGapCycles < 0 || opts.LaunchOverheadCycles < 0 {
-		return nil, fmt.Errorf("kernel: negative cost options")
-	}
-	if opts.SectorBytes == 0 {
-		opts.SectorBytes = 32
-	}
-	if opts.SectorBytes < 0 || opts.SectorBytes&(opts.SectorBytes-1) != 0 {
-		return nil, fmt.Errorf("kernel: sector size %d not a power of two", opts.SectorBytes)
-	}
-	if opts.SyncSlice < 0 || opts.SyncSlice >= dev.Config().L2Slices {
-		return nil, fmt.Errorf("kernel: sync slice %d out of range", opts.SyncSlice)
 	}
 	m := &Machine{dev: dev, sched: sched, opts: opts}
 	if opts.ModelL2 {
@@ -206,13 +193,13 @@ func (w *Warp) LoadCG(addrs []uint64) int {
 	}
 	if w.m.l2 != nil && len(addrs) > 1 {
 		var buf [2 * WarpSize]uint64
-		sectors := coalesce(buf[:0], addrs, w.m.opts.SectorBytes)
+		sectors := coalesce(buf[:0], addrs, SectorBytes)
 		n := len(sectors)
 		return w.load(n, sectors[n-1], sectors[:n-1])
 	}
 	// Without the L2 model only the count and the last sector matter,
 	// and with it a one-lane access has no other sector to visit.
-	n, last := countLines(addrs, w.m.opts.SectorBytes)
+	n, last := countLines(addrs, SectorBytes)
 	return w.load(n, last, nil)
 }
 
@@ -245,7 +232,7 @@ func (w *Warp) load(n int, last uint64, others []uint64) int {
 			lat += dev.L2MissPenalty(w.sm, dev.MPOfSlice(home), w.iter)
 		}
 	}
-	w.now += float64(lat) + w.m.opts.IssueGapCycles*float64(n-1)
+	w.now += float64(lat) + IssueGapCycles*float64(n-1)
 	return n
 }
 
@@ -260,11 +247,11 @@ func (w *Warp) StoreCG(addrs []uint64) int {
 	}
 	if w.m.l2 != nil && len(addrs) > 1 {
 		var buf [2 * WarpSize]uint64
-		sectors := coalesce(buf[:0], addrs, w.m.opts.SectorBytes)
+		sectors := coalesce(buf[:0], addrs, SectorBytes)
 		n := len(sectors)
 		return w.store(n, sectors[n-1], sectors[:n-1])
 	}
-	n, last := countLines(addrs, w.m.opts.SectorBytes)
+	n, last := countLines(addrs, SectorBytes)
 	return w.store(n, last, nil)
 }
 
@@ -280,7 +267,7 @@ func (w *Warp) store(n int, last uint64, others []uint64) int {
 		}
 		w.m.l2[slice].Access(last)
 	}
-	w.now += float64(lat) + w.m.opts.IssueGapCycles*float64(n-1)
+	w.now += float64(lat) + IssueGapCycles*float64(n-1)
 	return n
 }
 
@@ -293,12 +280,12 @@ func (w *Warp) LoadCGMiss(addrs []uint64) int {
 		return 0
 	}
 	dev := w.m.dev
-	n, last := countLines(addrs, w.m.opts.SectorBytes)
+	n, last := countLines(addrs, SectorBytes)
 	slice := dev.ServingSlice(w.sm, last)
 	w.iter++
 	lat := dev.L2HitLatency(w.sm, slice, w.iter^w.m.launchCount<<32)
 	lat += dev.L2MissPenalty(w.sm, dev.HomeMP(last), w.iter)
-	w.now += float64(lat) + w.m.opts.IssueGapCycles*float64(n-1)
+	w.now += float64(lat) + IssueGapCycles*float64(n-1)
 	return n
 }
 
@@ -320,10 +307,6 @@ type Result struct {
 	// Cycles is the kernel wall time: the completion cycle of the slowest
 	// block plus any grid synchronization.
 	Cycles float64
-	// BlockCycles is each block's own execution time.
-	BlockCycles []float64
-	// BlockSM is the SM each block ran on.
-	BlockSM []int
 }
 
 // Launch runs a 1-D kernel of gridDim blocks with blockDim threads each.
@@ -344,10 +327,7 @@ func (m *Machine) Launch(gridDim, blockDim int, k Kernel) (Result, error) {
 			m.sched.Name(), len(placement), gridDim)
 	}
 
-	res := Result{
-		BlockCycles: make([]float64, gridDim),
-		BlockSM:     placement,
-	}
+	var res Result
 	if len(m.smBusyUntil) != numSMs {
 		m.smBusyUntil = make([]float64, numSMs)
 	}
@@ -360,7 +340,7 @@ func (m *Machine) Launch(gridDim, blockDim int, k Kernel) (Result, error) {
 			return Result{}, fmt.Errorf("kernel: scheduler %s placed block %d on SM %d (of %d)",
 				m.sched.Name(), b, sm, numSMs)
 		}
-		start := smBusyUntil[sm] + m.opts.LaunchOverheadCycles
+		start := smBusyUntil[sm] + launchOverheadCycles
 		blockEnd := start
 		for wi := 0; wi < warpsPerBlock; wi++ {
 			lanes := blockDim - wi*WarpSize
@@ -379,7 +359,6 @@ func (m *Machine) Launch(gridDim, blockDim int, k Kernel) (Result, error) {
 				blockEnd = w.now
 			}
 		}
-		res.BlockCycles[b] = blockEnd - start
 		smBusyUntil[sm] = blockEnd
 		if blockEnd > res.Cycles {
 			res.Cycles = blockEnd
@@ -400,7 +379,7 @@ func (m *Machine) gridSyncCost(placement []int) float64 {
 	worst := 0.0
 	for _, sm := range placement {
 		// A repeated SM repeats its latency, which cannot move the max.
-		if lat := float64(m.dev.L2HitLatencyMean(sm, m.opts.SyncSlice)); lat > worst {
+		if lat := float64(m.dev.L2HitLatencyMean(sm, syncSlice)); lat > worst {
 			worst = lat
 		}
 	}

@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"sort"
 	"strings"
@@ -41,7 +42,12 @@ func sortedKeys[V any](m map[string]V) []string {
 //     dispatch: an edge to every module method with the same name. This
 //     over-approximates (unrelated same-named methods become reachable)
 //     and never under-approximates within the loaded package set.
-//   - Calls through plain function-typed values resolve to nothing. The
+//   - Package-level var initializers run in init, so "pkg.init" gets
+//     their references as edges. A package-level variable of function
+//     type is a node ("pkg.name") with its initializer's edges, and a
+//     reference to it is an edge to it: a call through `var hook = f`
+//     reaches f.
+//   - Calls through other function-typed values resolve to nothing. The
 //     reference that produced the value already created an edge at the
 //     point the function was named, so the only escape is a function
 //     value that crosses a package boundary as data — accepted and
@@ -61,11 +67,11 @@ type Program struct {
 	methodsByName map[string][]string
 }
 
-// cgNode is one declared function or method of the module. Every init
-// of a package shares the ID "pkg.init", so their declarations and edges
-// merge into one node.
+// cgNode is one declared function or method of the module, or one
+// package-level variable of function type (a node without decls). Every
+// init of a package shares the ID "pkg.init", so their declarations,
+// and the package's variable initializers, merge into one node.
 type cgNode struct {
-	id    string
 	pkg   *Package
 	decls []*ast.FuncDecl
 	// calls holds resolved module-local callee IDs (including plain
@@ -88,11 +94,16 @@ func NewProgram(pkgs []*Package) *Program {
 	for _, p := range pkgs {
 		for _, f := range p.Files {
 			for _, d := range f.Decls {
-				fn, ok := d.(*ast.FuncDecl)
-				if !ok || fn.Body == nil {
-					continue
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					if d.Body != nil {
+						prog.addNode(p, d)
+					}
+				case *ast.GenDecl:
+					if d.Tok == token.VAR {
+						prog.addVars(p, d)
+					}
 				}
-				prog.addNode(p, fn)
 			}
 		}
 	}
@@ -111,23 +122,65 @@ func modulePathOf(p *Package) string {
 	return strings.TrimSuffix(p.ImportPath, "/"+rel)
 }
 
+// node returns the node for id, creating it in package p.
+func (prog *Program) node(p *Package, id string) *cgNode {
+	n := prog.nodes[id]
+	if n == nil {
+		n = &cgNode{pkg: p}
+		prog.nodes[id] = n
+	}
+	return n
+}
+
 // addNode registers a declared function and collects its call edges.
 func (prog *Program) addNode(p *Package, fn *ast.FuncDecl) {
 	id := prog.declID(p, fn)
-	n := prog.nodes[id]
-	if n == nil {
-		n = &cgNode{id: id, pkg: p}
-		prog.nodes[id] = n
-		if fn.Recv != nil {
-			prog.methodsByName[fn.Name.Name] = append(prog.methodsByName[fn.Name.Name], id)
+	if _, ok := prog.nodes[id]; !ok && fn.Recv != nil {
+		prog.methodsByName[fn.Name.Name] = append(prog.methodsByName[fn.Name.Name], id)
+	}
+	n := prog.node(p, id)
+	n.decls = append(n.decls, fn)
+	prog.addRefs(p, n, fn.Body)
+}
+
+// addVars adds a var declaration's initializer references to the
+// package's init node and to the node of each variable of function type
+// the declaration names (conservatively, all of a spec's values).
+func (prog *Program) addVars(p *Package, d *ast.GenDecl) {
+	for _, spec := range d.Specs {
+		vs := spec.(*ast.ValueSpec)
+		nodes := []*cgNode{prog.node(p, p.ImportPath+".init")}
+		for _, name := range vs.Names {
+			if id, ok := prog.funcVarID(p.Info.Defs[name]); ok {
+				nodes = append(nodes, prog.node(p, id))
+			}
+		}
+		for _, n := range nodes {
+			for _, v := range vs.Values {
+				prog.addRefs(p, n, v)
+			}
 		}
 	}
-	n.decls = append(n.decls, fn)
-	// Per declaration; a callee shared by two inits is listed twice,
-	// which Reachable tolerates.
+}
+
+// funcVarID returns the node ID of obj when it is a module-local
+// package-level variable of function type.
+func (prog *Program) funcVarID(obj types.Object) (string, bool) {
+	v, ok := obj.(*types.Var)
+	if !ok || v.Pkg() == nil || v.Parent() != v.Pkg().Scope() || !prog.moduleLocal(v.Pkg().Path()) {
+		return "", false
+	}
+	_, isFunc := v.Type().Underlying().(*types.Signature)
+	return v.Pkg().Path() + "." + v.Name(), isFunc
+}
+
+// addRefs appends the edges of every reference under root to n. Edges
+// are deduplicated per call; a callee shared by two inits is listed
+// twice, which Reachable tolerates.
+func (prog *Program) addRefs(p *Package, n *cgNode, root ast.Node) {
 	seen := map[string]bool{}
 	dynSeen := map[string]bool{}
-	ast.Inspect(fn.Body, func(node ast.Node) bool {
+	ast.Inspect(root, func(node ast.Node) bool {
 		ident, ok := node.(*ast.Ident)
 		if !ok {
 			return true
@@ -136,26 +189,22 @@ func (prog *Program) addNode(p *Package, fn *ast.FuncDecl) {
 		if !ok {
 			return true
 		}
-		callee, ok := obj.(*types.Func)
-		if !ok {
-			return true
-		}
-		sig, ok := callee.Type().(*types.Signature)
-		if ok && sig.Recv() != nil && types.IsInterface(sig.Recv().Type()) {
-			// Interface method: conservative dispatch by name.
-			if !dynSeen[callee.Name()] {
-				dynSeen[callee.Name()] = true
-				n.dynCalls = append(n.dynCalls, callee.Name())
+		cid, ok := prog.funcVarID(obj)
+		if callee, isFunc := obj.(*types.Func); isFunc {
+			sig, _ := callee.Type().(*types.Signature)
+			if sig != nil && sig.Recv() != nil && types.IsInterface(sig.Recv().Type()) {
+				// Interface method: conservative dispatch by name.
+				if !dynSeen[callee.Name()] {
+					dynSeen[callee.Name()] = true
+					n.dynCalls = append(n.dynCalls, callee.Name())
+				}
+				return true
 			}
-			return true
+			// A generic method's instantiation (ring[flit].push) names no
+			// declaration; its origin is the declared method.
+			cid, ok = callee.Origin().FullName(), callee.Pkg() != nil && prog.moduleLocal(callee.Pkg().Path())
 		}
-		if callee.Pkg() == nil || !prog.moduleLocal(callee.Pkg().Path()) {
-			return true
-		}
-		// A generic method's instantiation (ring[flit].push) names no
-		// declaration; its origin is the declared method.
-		cid := callee.Origin().FullName()
-		if !seen[cid] {
+		if ok && !seen[cid] {
 			seen[cid] = true
 			n.calls = append(n.calls, cid)
 		}

@@ -34,9 +34,10 @@ func TestStaleIgnore(t *testing.T) {
 
 // TestCallGraphReachability pins the graph's conservatism on the shapes
 // that matter: recursion terminates, a method value creates a may-call
-// edge, an interface call fans out to every same-named module method,
-// unreferenced functions stay unreachable, and every init of a package
-// keeps its edges.
+// edge, an interface call fans out to every same-named module method, a
+// call through a package-level function variable reaches the function
+// its initializer names, unreferenced functions stay unreachable, and
+// every init of a package keeps its edges, initializers included.
 func TestCallGraphReachability(t *testing.T) {
 	p := loadFixture(t, "callgraph")
 	prog := NewProgram([]*Package{p})
@@ -54,7 +55,7 @@ func TestCallGraphReachability(t *testing.T) {
 			t.Errorf("%s attributed to root %s, want %s", id, root, roots[0])
 		}
 	}
-	for _, want := range []string{"(*Sim).Step", "(*Sim).helper", "spin", "(*A).Walk", "(*B).Walk"} {
+	for _, want := range []string{"(*Sim).Step", "(*Sim).helper", "spin", "(*A).Walk", "(*B).Walk", "hook", "viaVar"} {
 		if !short[want] {
 			t.Errorf("%s not reachable; got %v", want, short)
 		}
@@ -62,13 +63,14 @@ func TestCallGraphReachability(t *testing.T) {
 	if short["lonely"] {
 		t.Errorf("lonely is unreachable by construction but was reached; got %v", short)
 	}
-	if len(short) != 5 {
-		t.Errorf("reachable set has %d entries, want 5: %v", len(short), short)
+	if len(short) != 7 {
+		t.Errorf("reachable set has %d entries, want 7: %v", len(short), short)
 	}
 
-	// Both inits' callees are reachable from the one merged init node.
+	// Both inits' callees, and the function hook's initializer names, are
+	// reachable from the one merged init node.
 	inits := prog.Reachable([]string{p.ImportPath + ".init"})
-	for _, want := range []string{"first", "second"} {
+	for _, want := range []string{"first", "second", "viaVar"} {
 		if _, ok := inits[p.ImportPath+"."+want]; !ok {
 			t.Errorf("%s is called by an init but unreachable from it; got %v", want, inits)
 		}

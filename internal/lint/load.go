@@ -26,8 +26,6 @@ type Package struct {
 	// Files holds the parsed sources (tests and testdata excluded),
 	// ordered by file name.
 	Files []*ast.File
-	// Types is the checked package; partial when sources have errors.
-	Types *types.Package
 	// Info carries the use/def/type maps analyzers consult. Lenient
 	// checking fills it as far as possible even for broken fixtures.
 	Info *types.Info
@@ -162,9 +160,9 @@ func (l *Loader) Load(dir string) (*Package, error) {
 		Importer: l,
 		Error:    func(err error) { p.TypeErrors = append(p.TypeErrors, err) },
 	}
-	// Check always returns a package; with conf.Error set it keeps going
-	// past errors and fills Info as far as it can.
-	p.Types, _ = conf.Check(path, l.Fset, files, p.Info)
+	// With conf.Error set, Check keeps going past errors and fills Info
+	// as far as it can; its error is the first of p.TypeErrors.
+	_, _ = conf.Check(path, l.Fset, files, p.Info)
 	return p, nil
 }
 

@@ -1,5 +1,6 @@
 // Package callgraph is the call-graph unit-test fixture: recursion,
-// method values, interface dispatch, and an unreachable function.
+// method values, interface dispatch, a call through a package-level
+// function variable, and an unreachable function.
 package callgraph
 
 // Walker is dispatched through an interface.
@@ -24,13 +25,20 @@ type Sim struct {
 }
 
 // Step is the hot root: recursion via spin, a method value handed off
-// (reference = may-call), and an interface call resolved by
-// conservative name dispatch.
+// (reference = may-call), an interface call resolved by conservative
+// name dispatch, and a call through hook.
 func (s *Sim) Step() {
 	spin(3)
 	s.f = s.helper
 	s.w.Walk()
+	hook()
 }
+
+// hook names viaVar only in its initializer.
+var hook = viaVar
+
+// viaVar is reached only through hook.
+func viaVar() {}
 
 // helper is only referenced as a method value, never called directly.
 func (s *Sim) helper() {}

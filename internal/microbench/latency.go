@@ -53,7 +53,7 @@ func (b *Bench) measureLatency(dev *gpu.Device, sm, slice, iters int, miss bool)
 	if !ok {
 		return LatencyResult{}, fmt.Errorf("microbench: no address maps to slice %d", slice)
 	}
-	m, err := kernel.NewMachine(dev, kernel.PinnedScheduler{SM: sm}, kernel.DefaultOptions())
+	m, err := kernel.NewMachine(dev, kernel.PinnedScheduler{SM: sm}, kernel.Options{})
 	if err != nil {
 		return LatencyResult{}, err
 	}
@@ -173,7 +173,7 @@ func SMToSMLatencyMatrix(dev *gpu.Device, gpc, iters int) ([][]float64, error) {
 // out of the warp closure, and the mean divides by the iterations that
 // actually completed rather than by iters.
 func remoteSharedMean(dev *gpu.Device, srcSM, dstSM, iters int) (float64, error) {
-	m, err := kernel.NewMachine(dev, kernel.PinnedScheduler{SM: srcSM}, kernel.DefaultOptions())
+	m, err := kernel.NewMachine(dev, kernel.PinnedScheduler{SM: srcSM}, kernel.Options{})
 	if err != nil {
 		return 0, err
 	}

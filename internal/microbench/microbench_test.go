@@ -277,12 +277,14 @@ func TestBuildSliceMapProfilerFailsAggregated(t *testing.T) {
 // serving slice of the prober's two SM groups: SM 0 reaches the class
 // anchor, SM 8 the probed line. On V100 and A100 that is also one home
 // slice per class; on H100 partition-local L2 caching (Fig. 8f) puts
-// lines of different home slices behind one serving slice.
+// lines of different home slices behind one serving slice. The class
+// counts are pinned: 64 lines reach 30, 42 and 32 serving slices.
 func TestBuildSliceMapByContentionGroups(t *testing.T) {
 	for _, tc := range []struct {
 		cfg       gpu.Config
+		classes   int
 		homeMixed bool
-	}{{gpu.V100(), false}, {gpu.A100(), false}, {gpu.H100(), true}} {
+	}{{gpu.V100(), 30, false}, {gpu.A100(), 42, false}, {gpu.H100(), 32, true}} {
 		t.Run(string(tc.cfg.Name), func(t *testing.T) {
 			eng := engine(t, tc.cfg)
 			dev := eng.Device()
@@ -290,8 +292,8 @@ func TestBuildSliceMapByContentionGroups(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if classes < 2 || classes != len(m.Addrs) {
-				t.Fatalf("found %d classes over %d label sets, want several", classes, len(m.Addrs))
+			if classes != tc.classes || classes != len(m.Addrs) {
+				t.Fatalf("found %d classes over %d label sets, want %d", classes, len(m.Addrs), tc.classes)
 			}
 			classOf := map[int]int{} // serving slice -> class
 			mixed := 0

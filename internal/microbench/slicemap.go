@@ -59,9 +59,9 @@ type ContentionProber struct {
 	// must be large enough to saturate a slice on its own so that sharing
 	// is visible.
 	smsA, smsB []int
-	// solo caches group A's uncontended bandwidth per slice. Bandwidth is
-	// near-uniform across slices (Observation #8), which is what makes
-	// the probe reliable, but caching per slice avoids relying on it.
+	// solo caches group A's uncontended bandwidth per home slice. It is
+	// near-uniform across slices (Observation #8), which is what makes the
+	// probe reliable, but caching per slice avoids relying on it.
 	solo map[int]float64
 }
 
@@ -83,11 +83,12 @@ func NewContentionProber(eng *bandwidth.Engine, groupSize int) (*ContentionProbe
 // SameSlice probes whether addrA and addrB map to the same slice: it
 // compares group A's bandwidth on addrA while group B hammers addrB
 // against group A's solo bandwidth. Contention (a drop beyond 25%) means
-// a shared slice.
+// a shared slice. The flows address each line's home slice; the engine
+// resolves which slice serves each SM, as the hardware does.
 func (cp *ContentionProber) SameSlice(addrA, addrB uint64) (bool, error) {
 	dev := cp.eng.Device()
-	sliceA := dev.ServingSlice(cp.smsA[0], addrA)
-	sliceB := dev.ServingSlice(cp.smsB[0], addrB)
+	sliceA := dev.HomeSlice(addrA)
+	sliceB := dev.HomeSlice(addrB)
 	soloA, ok := cp.solo[sliceA]
 	if !ok {
 		var err error

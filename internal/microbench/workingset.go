@@ -30,9 +30,7 @@ func WorkingSetSweep(dev *gpu.Device, sm int, sizesBytes []int) ([]WorkingSetPoi
 	if sm < 0 || sm >= cfg.SMs() {
 		return nil, fmt.Errorf("microbench: SM %d out of range", sm)
 	}
-	opts := kernel.DefaultOptions()
-	opts.ModelL2 = true
-	m, err := kernel.NewMachine(dev, kernel.PinnedScheduler{SM: sm}, opts)
+	m, err := kernel.NewMachine(dev, kernel.PinnedScheduler{SM: sm}, kernel.Options{ModelL2: true})
 	if err != nil {
 		return nil, err
 	}

@@ -39,7 +39,6 @@ type FairnessResult struct {
 	// ComputeNodes[i].
 	Throughput   []float64
 	ComputeNodes []int
-	MCs          []int
 	// MaxMinRatio is max/min over compute-node throughputs, the paper's
 	// unfairness figure of merit (~2.4x under round-robin, ~1 under
 	// age-based arbitration).
@@ -71,7 +70,7 @@ func RunFairness(cfg FairnessConfig) (*FairnessResult, error) {
 		return nil, fmt.Errorf("noc: fairness injection rate %v invalid", cfg.InjectRate)
 	}
 	base := offerLoad(m, compute, mcs, cfg.PacketFlits, cfg.InjectRate, cfg.Warmup, cfg.Cycles, cfg.Seed, m.AcceptedPackets)
-	res := &FairnessResult{ComputeNodes: compute, MCs: mcs}
+	res := &FairnessResult{ComputeNodes: compute}
 	res.fold(m.AcceptedPackets, base, cfg.Cycles)
 	return res, nil
 }

@@ -95,10 +95,9 @@ type mcState struct {
 	// replyTo is the destination of a serviced request's reply that
 	// could not yet be injected (reply-side backpressure stalls the
 	// channel); it is valid while hasReply is set.
-	replyTo    int
-	hasReply   bool
-	busyCycles int64
-	served     int64
+	replyTo  int
+	hasReply bool
+	served   int64
 }
 
 // Accept admits or refuses one flit of a request packet. The admission
@@ -247,7 +246,7 @@ func (g *gpuSim) issue() error {
 // replies injected this cycle.
 //
 //lint:hotpath per-cycle MC service loop; runs every simulated cycle
-func (g *gpuSim) serviceMCs(measuring bool) (busyNow int, injected int64, err error) {
+func (g *gpuSim) serviceMCs() (busyNow int, injected int64, err error) {
 	cycle := g.reqNet.Cycle()
 	for _, n := range g.mcs {
 		st := g.mcStates[n]
@@ -288,9 +287,6 @@ func (g *gpuSim) serviceMCs(measuring bool) (busyNow int, injected int64, err er
 		if busy {
 			busyNow++
 			g.mcBusy.Inc()
-			if measuring {
-				st.busyCycles++
-			}
 		}
 	}
 	return busyNow, injected, nil
@@ -309,7 +305,7 @@ func (g *gpuSim) run() (*GPUSimResult, error) {
 		if err := g.issue(); err != nil {
 			return nil, err
 		}
-		busyNow, injected, err := g.serviceMCs(measuring)
+		busyNow, injected, err := g.serviceMCs()
 		if err != nil {
 			return nil, err
 		}

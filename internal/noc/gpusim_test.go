@@ -206,7 +206,7 @@ func TestGPUSimHotMethodsDoNotAllocate(t *testing.T) {
 		t.Errorf("issue() allocates %.1f per cycle at full windows, want 0", avg)
 	}
 	if avg := testing.AllocsPerRun(1000, func() {
-		if _, _, err := g.serviceMCs(true); err != nil {
+		if _, _, err := g.serviceMCs(); err != nil {
 			t.Fatal(err)
 		}
 	}); avg != 0 {

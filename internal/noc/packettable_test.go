@@ -66,7 +66,7 @@ func TestPacketTableBoundedByPeakInFlight(t *testing.T) {
 		}
 		probe := &peakProbe{network: m, nextID: &m.nextID, delivered: m.AcceptedPackets}
 		base := offerLoad(probe, compute, mcs, cfg.PacketFlits, cfg.InjectRate, cfg.Warmup, cfg.Cycles, cfg.Seed, m.AcceptedPackets)
-		got := &FairnessResult{ComputeNodes: compute, MCs: mcs}
+		got := &FairnessResult{ComputeNodes: compute}
 		got.fold(m.AcceptedPackets, base, cfg.Cycles)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("probed run diverged from RunFairness: %+v vs %+v", got, want)
@@ -94,7 +94,7 @@ func TestPacketTableBoundedByPeakInFlight(t *testing.T) {
 		}
 		probe := &peakProbe{network: x, nextID: &x.nextID, delivered: x.AcceptedPackets}
 		base := offerLoad(probe, nodes, ports, cfg.PacketFlits, cfg.InjectRate, cfg.Warmup, cfg.Cycles, cfg.Seed, x.AcceptedPackets)
-		got := &FairnessResult{ComputeNodes: nodes, MCs: ports}
+		got := &FairnessResult{ComputeNodes: nodes}
 		got.fold(x.AcceptedPackets, base, cfg.Cycles)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("probed run diverged from RunXbarFairness: %+v vs %+v", got, want)
@@ -118,7 +118,7 @@ func TestPacketTableBoundedByPeakInFlight(t *testing.T) {
 			if err := g.issue(); err != nil {
 				t.Fatal(err)
 			}
-			if _, _, err := g.serviceMCs(c >= cfg.Warmup); err != nil {
+			if _, _, err := g.serviceMCs(); err != nil {
 				t.Fatal(err)
 			}
 			req.Step()

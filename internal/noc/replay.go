@@ -16,16 +16,16 @@ import (
 // ReplayConfig configures a trace replay.
 type ReplayConfig struct {
 	Mesh MeshConfig
-	// MCs lists the memory-controller nodes; empty means the bottom row.
-	MCs []int
-	// PortOf maps a transaction's byte address to an index into MCs.
-	// This is where an address hash (or the lack of one) plugs in.
+	// PortOf maps a transaction's byte address to one of the bottom-row
+	// memory controllers, numbered from the left; this is where an
+	// address hash (or the lack of one) plugs in.
 	PortOf func(addr uint64) int
 }
 
 // replayCyclesPerTxn bounds how long one step may take to drain, per
-// transaction injected: a step past the bound is aborted (safety for
-// pathological mappings) and reported as not drained.
+// transaction injected: a step past the bound aborts the replay with an
+// error (safety for pathological mappings), so no reported makespan is
+// truncated.
 const replayCyclesPerTxn = 4096
 
 // ReplayStepStats reports one timestep of the replay.
@@ -35,18 +35,16 @@ type ReplayStepStats struct {
 	// Makespan is the cycles from first injection until the network
 	// drained.
 	Makespan int64
-	// AvgLatency is the mean packet latency.
-	AvgLatency float64
 	// PortCV is the coefficient of variation of per-MC transaction counts
 	// (0 = perfectly balanced, the regime Observation #12 reports).
 	PortCV float64
-	// Drained is false if the step hit the replayCyclesPerTxn bound.
-	Drained bool
 }
 
 // ReplayTrace injects each timestep's transactions (round-robin across
 // the compute nodes) as one-flit request packets toward PortOf(addr) and
-// runs the mesh until the step drains, returning per-step statistics.
+// runs the mesh until the step drains, returning per-step statistics. A
+// step that does not drain within replayCyclesPerTxn cycles per
+// transaction is an error.
 func ReplayTrace(cfg ReplayConfig, steps [][]uint64) ([]ReplayStepStats, error) {
 	if cfg.PortOf == nil {
 		return nil, fmt.Errorf("noc: replay needs a PortOf mapping")
@@ -58,14 +56,9 @@ func ReplayTrace(cfg ReplayConfig, steps [][]uint64) ([]ReplayStepStats, error) 
 	if err != nil {
 		return nil, err
 	}
-	mcs, compute, err := m.placeMCs(cfg.MCs)
+	mcs, compute, err := m.placeMCs(nil)
 	if err != nil {
 		return nil, err
-	}
-	sinks := make([]*latencySink, len(mcs))
-	for i, n := range mcs {
-		sinks[i] = &latencySink{}
-		m.SetSink(n, sinks[i])
 	}
 	if len(compute) == 0 {
 		return nil, fmt.Errorf("noc: no compute nodes")
@@ -73,18 +66,13 @@ func ReplayTrace(cfg ReplayConfig, steps [][]uint64) ([]ReplayStepStats, error) 
 
 	out := make([]ReplayStepStats, 0, len(steps))
 	for _, addrs := range steps {
-		st := ReplayStepStats{Transactions: len(addrs), Drained: true}
+		st := ReplayStepStats{Transactions: len(addrs)}
 		if len(addrs) == 0 {
 			out = append(out, st)
 			continue
 		}
 		portCounts := make([]float64, len(mcs))
 		start := m.Cycle()
-		var basePkts, baseLat int64
-		for _, s := range sinks {
-			basePkts += s.packets
-			baseLat += s.latencySum
-		}
 		// Queue every transaction; injection drains as buffers allow.
 		for i, addr := range addrs {
 			port := cfg.PortOf(addr)
@@ -100,22 +88,11 @@ func ReplayTrace(cfg ReplayConfig, steps [][]uint64) ([]ReplayStepStats, error) 
 		limit := replayCyclesPerTxn * len(addrs)
 		for cycles := 0; !m.Drained(); cycles++ {
 			if cycles >= limit {
-				st.Drained = false
-				break
+				return nil, fmt.Errorf("noc: replay step %d of %d transactions did not drain in %d cycles", len(out), len(addrs), limit)
 			}
 			m.Step()
 		}
 		st.Makespan = m.Cycle() - start
-		var pkts, lat int64
-		for _, s := range sinks {
-			pkts += s.packets
-			lat += s.latencySum
-		}
-		pkts -= basePkts
-		lat -= baseLat
-		if pkts > 0 {
-			st.AvgLatency = float64(lat) / float64(pkts)
-		}
 		if mean := stats.Mean(portCounts); mean > 0 {
 			st.PortCV = stats.StdDev(portCounts) / mean
 		}

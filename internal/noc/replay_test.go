@@ -33,11 +33,6 @@ func TestReplayValidation(t *testing.T) {
 	if _, err := ReplayTrace(bad, sequentialTrace(1, 4)); err == nil {
 		t.Error("out-of-range port should fail")
 	}
-	badMC := replayConfig(HashedPortMapping(1))
-	badMC.MCs = []int{999}
-	if _, err := ReplayTrace(badMC, sequentialTrace(1, 4)); err == nil {
-		t.Error("bad MC node should fail")
-	}
 }
 
 func TestReplayEmptyStep(t *testing.T) {
@@ -48,7 +43,7 @@ func TestReplayEmptyStep(t *testing.T) {
 	if stats[0].Transactions != 0 || stats[0].Makespan != 0 {
 		t.Error("empty step should be free")
 	}
-	if stats[1].Transactions != 2 || !stats[1].Drained {
+	if stats[1].Transactions != 2 || stats[1].Makespan <= 0 {
 		t.Error("second step should deliver")
 	}
 }
@@ -71,9 +66,6 @@ func TestReplayHashingPreventsMemoryCamping(t *testing.T) {
 	}
 	for s := range trace {
 		h, c := hashed[s], camped[s]
-		if !h.Drained || !c.Drained {
-			t.Fatalf("step %d did not drain", s)
-		}
 		if h.PortCV > 0.2 {
 			t.Errorf("step %d: hashed port CV %.2f, want balanced", s, h.PortCV)
 		}
@@ -89,16 +81,6 @@ func TestReplayHashingPreventsMemoryCamping(t *testing.T) {
 	ideal := float64(h0.Transactions) / 6.0
 	if float64(h0.Makespan) > 1.6*ideal {
 		t.Errorf("hashed makespan %d vs ideal %.0f; too far from port-limited", h0.Makespan, ideal)
-	}
-}
-
-func TestReplayLatencyReported(t *testing.T) {
-	stats, err := ReplayTrace(replayConfig(HashedPortMapping(6)), sequentialTrace(1, 100))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats[0].AvgLatency <= 0 {
-		t.Error("latency should be positive")
 	}
 }
 
@@ -120,5 +102,28 @@ func TestPortMappings(t *testing.T) {
 	c := CampedPortMapping(4, 1024)
 	if c(0) != 0 || c(1023) != 0 || c(1024) != 1 || c(4096) != 0 {
 		t.Error("camped mapping wrong")
+	}
+}
+
+// A one-transaction step drains in its hop count plus 2 cycles, so on a
+// one-column mesh the top node's transaction to the single bottom-row MC
+// meets the replayCyclesPerTxn bound at a height of 4095 and passes it
+// at 4096. Passing it is an error, not a truncated makespan.
+func TestReplayStepPastBoundIsError(t *testing.T) {
+	column := func(height int) ReplayConfig {
+		return ReplayConfig{
+			Mesh:   MeshConfig{Width: 1, Height: height, BufferFlits: 1, Arbiter: RoundRobin},
+			PortOf: func(uint64) int { return 0 },
+		}
+	}
+	stats, err := ReplayTrace(column(replayCyclesPerTxn-1), [][]uint64{{0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats[0].Makespan != replayCyclesPerTxn {
+		t.Fatalf("makespan %d at the bound, want %d", stats[0].Makespan, replayCyclesPerTxn)
+	}
+	if stats, err := ReplayTrace(column(replayCyclesPerTxn), [][]uint64{{0}}); err == nil {
+		t.Fatalf("a step past the bound returned %+v, want an error", stats)
 	}
 }

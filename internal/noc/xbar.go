@@ -345,7 +345,7 @@ func RunXbarFairness(cfg XbarFairnessConfig) (*FairnessResult, error) {
 		ports[p] = p
 	}
 	base := offerLoad(x, nodes, ports, cfg.PacketFlits, cfg.InjectRate, cfg.Warmup, cfg.Cycles, cfg.Seed, x.AcceptedPackets)
-	res := &FairnessResult{ComputeNodes: nodes, MCs: ports}
+	res := &FairnessResult{ComputeNodes: nodes}
 	res.fold(x.AcceptedPackets, base, cfg.Cycles)
 	return res, nil
 }

@@ -224,7 +224,7 @@ func TestXbarUniformBandwidthVsMesh(t *testing.T) {
 	if xr.MaxMinRatio > mesh.MaxMinRatio/1.5 {
 		t.Errorf("crossbar ratio %.2f should be far below mesh ratio %.2f", xr.MaxMinRatio, mesh.MaxMinRatio)
 	}
-	if len(xr.Throughput) != 30 || len(xr.MCs) != 6 {
+	if len(xr.Throughput) != 30 || len(xr.ComputeNodes) != 30 {
 		t.Error("default crossbar topology wrong")
 	}
 }

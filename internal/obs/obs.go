@@ -279,7 +279,7 @@ func (r *Registry) Tracer() *Tracer {
 	defer r.root.mu.Unlock()
 	t, ok := r.root.tracers[r.prefix]
 	if !ok {
-		t = &Tracer{scope: r.prefix}
+		t = &Tracer{}
 		r.root.tracers[r.prefix] = t
 	}
 	return t
@@ -322,7 +322,6 @@ const maxTraceEvents = 1 << 20
 // no-ops. Not safe for concurrent use; give each goroutine its own
 // scope.
 type Tracer struct {
-	scope   string
 	events  []event
 	dropped int64
 }

@@ -277,7 +277,7 @@ func TestInstrumentsAreNamedSingletons(t *testing.T) {
 }
 
 func TestTracerCapCountsDrops(t *testing.T) {
-	tr := &Tracer{scope: "t/"}
+	tr := &Tracer{}
 	const extra = 7
 	for i := 0; i < maxTraceEvents+extra; i++ {
 		tr.Instant("c", "n", int64(i), 0, 0)

@@ -88,9 +88,7 @@ func TestOpString(t *testing.T) {
 func newTimer(t *testing.T, sms []int, sync bool) *GPUTimer {
 	t.Helper()
 	dev := gpu.MustNew(gpu.A100())
-	opts := kernel.DefaultOptions()
-	opts.GridSync = sync
-	m, err := kernel.NewMachine(dev, kernel.ListScheduler{SMs: sms}, opts)
+	m, err := kernel.NewMachine(dev, kernel.ListScheduler{SMs: sms}, kernel.Options{GridSync: sync})
 	if err != nil {
 		t.Fatal(err)
 	}

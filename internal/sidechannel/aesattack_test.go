@@ -17,7 +17,7 @@ var testKey = []byte{0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6, 0xab, 0xf7,
 
 func victim(t *testing.T, sched kernel.Scheduler) *AESVictim {
 	t.Helper()
-	m, err := kernel.NewMachine(gpu.MustNew(gpu.V100()), sched, kernel.DefaultOptions())
+	m, err := kernel.NewMachine(gpu.MustNew(gpu.V100()), sched, kernel.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestNewAESVictimValidation(t *testing.T) {
 	if _, err := NewAESVictim(nil, testKey); err == nil {
 		t.Error("nil machine should fail")
 	}
-	m, err := kernel.NewMachine(gpu.MustNew(gpu.V100()), nil, kernel.DefaultOptions())
+	m, err := kernel.NewMachine(gpu.MustNew(gpu.V100()), nil, kernel.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,13 +71,12 @@ func TimingVsUniqueLines(dev *gpu.Device, sm int, maxSectors, repeats int) ([]fl
 	if repeats <= 0 {
 		return nil, fmt.Errorf("sidechannel: repeats must be positive")
 	}
-	opts := kernel.DefaultOptions()
-	m, err := kernel.NewMachine(dev, kernel.PinnedScheduler{SM: sm}, opts)
+	m, err := kernel.NewMachine(dev, kernel.PinnedScheduler{SM: sm}, kernel.Options{})
 	if err != nil {
 		return nil, err
 	}
 	out := make([]float64, maxSectors)
-	sector := uint64(opts.SectorBytes)
+	sector := uint64(kernel.SectorBytes)
 	for n := 1; n <= maxSectors; n++ {
 		var total float64
 		_, err := m.Launch(1, kernel.WarpSize, func(w *kernel.Warp) {

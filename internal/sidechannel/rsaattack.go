@@ -12,12 +12,10 @@ import (
 )
 
 // RSATiming is one observation of the square-and-multiply loop: the
-// (secret) exponent's ones count, the known bit length, and the measured
-// kernel cycles. The attack's ground truth keeps the ones count for
+// (secret) exponent's ones count and the measured kernel cycles. The attack's ground truth keeps the ones count for
 // evaluation; a real attacker only sees Cycles.
 type RSATiming struct {
 	Ones   int
-	Bits   int
 	Cycles float64
 }
 
@@ -56,7 +54,7 @@ func CollectRSATimings(t *rsa.GPUTimer, bits int, onesCounts []int, repeats int,
 			if err != nil {
 				return nil, err
 			}
-			out = append(out, RSATiming{Ones: rsa.OnesCount(exp), Bits: bits, Cycles: cycles})
+			out = append(out, RSATiming{Ones: rsa.OnesCount(exp), Cycles: cycles})
 		}
 	}
 	return out, nil
@@ -109,9 +107,7 @@ func SquareKernelSweep(dev *gpu.Device, fixedSM int, candidates []int) ([]float6
 	mod := big.NewInt(1_000_033)
 	out := make([]float64, len(candidates))
 	for i, other := range candidates {
-		opts := kernel.DefaultOptions()
-		opts.GridSync = true
-		m, err := kernel.NewMachine(dev, kernel.ListScheduler{SMs: []int{fixedSM, other}}, opts)
+		m, err := kernel.NewMachine(dev, kernel.ListScheduler{SMs: []int{fixedSM, other}}, kernel.Options{GridSync: true})
 		if err != nil {
 			return nil, err
 		}

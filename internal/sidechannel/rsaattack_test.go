@@ -12,9 +12,7 @@ import (
 
 func rsaTimer(t *testing.T, dev *gpu.Device, sched kernel.Scheduler) *rsa.GPUTimer {
 	t.Helper()
-	opts := kernel.DefaultOptions()
-	opts.GridSync = true
-	m, err := kernel.NewMachine(dev, sched, opts)
+	m, err := kernel.NewMachine(dev, sched, kernel.Options{GridSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}

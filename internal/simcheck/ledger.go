@@ -26,7 +26,6 @@ type ledger struct {
 
 	injectedFlits  int64
 	deliveredFlits int64
-	injectedPkts   int64
 	deliveredPkts  int64
 }
 
@@ -46,7 +45,6 @@ func (l *ledger) record(p noc.Packet, minLat int64) bool {
 	})
 	l.index[p.ID] = len(l.entries) - 1
 	l.injectedFlits += int64(p.Flits)
-	l.injectedPkts++
 	return true
 }
 
