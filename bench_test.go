@@ -12,7 +12,6 @@
 package gpunoc_test
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -242,7 +241,7 @@ func BenchmarkResultRender(b *testing.B) {
 func BenchmarkResultstoreCold(b *testing.B) {
 	entry := &resultstore.Entry{JSON: []byte(`{"ok":true}`), Text: []byte("ok")}
 	s, err := resultstore.New(resultstore.Options{
-		Compute: func(context.Context, resultstore.Key) (*resultstore.Entry, error) {
+		Compute: func(resultstore.Key) (*resultstore.Entry, error) {
 			return entry, nil
 		},
 	})
@@ -267,7 +266,7 @@ func BenchmarkResultstoreCold(b *testing.B) {
 func BenchmarkResultstoreWarm(b *testing.B) {
 	entry := &resultstore.Entry{JSON: []byte(`{"ok":true}`), Text: []byte("ok")}
 	s, err := resultstore.New(resultstore.Options{
-		Compute: func(context.Context, resultstore.Key) (*resultstore.Entry, error) {
+		Compute: func(resultstore.Key) (*resultstore.Entry, error) {
 			return entry, nil
 		},
 	})

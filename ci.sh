@@ -101,6 +101,7 @@ fuzz_target FuzzCacheAccess ./internal/cache
 fuzz_target FuzzParseTrace ./internal/simcheck
 fuzz_target FuzzNoCCase ./internal/simcheck
 fuzz_target FuzzParseBenchOutput ./cmd/nocbench
+fuzz_target FuzzHandleResult ./cmd/nocserve
 
 echo "==> native fuzz seeded-failure smoke"
 # Prove the stage bites: a transient package whose fuzz target fails on
@@ -177,28 +178,28 @@ echo "==> nocchar -all parallel determinism smoke (race)"
 tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT
 go build -race -o "$tmpdir/nocchar" ./cmd/nocchar
-"$tmpdir/nocchar" -gpu v100 -all -quick -parallel 1 \
+GOMAXPROCS=1 "$tmpdir/nocchar" -gpu v100 -all -quick \
 	-metrics "$tmpdir/seq.metrics.json" -trace "$tmpdir/seq.trace.json" \
 	>"$tmpdir/seq.out" 2>/dev/null
-"$tmpdir/nocchar" -gpu v100 -all -quick -parallel 8 \
+GOMAXPROCS=8 "$tmpdir/nocchar" -gpu v100 -all -quick \
 	-metrics "$tmpdir/par.metrics.json" -trace "$tmpdir/par.trace.json" \
 	>"$tmpdir/par.out" 2>/dev/null
 if ! cmp -s "$tmpdir/seq.out" "$tmpdir/par.out"; then
-	echo "nocchar -all output differs between -parallel 1 and -parallel 8" >&2
+	echo "nocchar -all output differs between GOMAXPROCS=1 and GOMAXPROCS=8" >&2
 	diff "$tmpdir/seq.out" "$tmpdir/par.out" | head -20 >&2
 	exit 1
 fi
-"$tmpdir/nocchar" -gpu v100 -all -quick -parallel 8 >"$tmpdir/plain.out" 2>/dev/null
+GOMAXPROCS=8 "$tmpdir/nocchar" -gpu v100 -all -quick >"$tmpdir/plain.out" 2>/dev/null
 if ! cmp -s "$tmpdir/seq.out" "$tmpdir/plain.out"; then
 	echo "nocchar -all stdout changes when -metrics/-trace are enabled" >&2
 	exit 1
 fi
 if ! cmp -s "$tmpdir/seq.metrics.json" "$tmpdir/par.metrics.json"; then
-	echo "nocchar -metrics output differs between -parallel 1 and -parallel 8" >&2
+	echo "nocchar -metrics output differs between GOMAXPROCS=1 and GOMAXPROCS=8" >&2
 	exit 1
 fi
 if ! cmp -s "$tmpdir/seq.trace.json" "$tmpdir/par.trace.json"; then
-	echo "nocchar -trace output differs between -parallel 1 and -parallel 8" >&2
+	echo "nocchar -trace output differs between GOMAXPROCS=1 and GOMAXPROCS=8" >&2
 	exit 1
 fi
 

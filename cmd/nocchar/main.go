@@ -8,21 +8,21 @@
 //	nocchar -gpu v100 -exp fig1
 //	nocchar -gpu a100 -exp fig12 -csv
 //	nocchar -gpu h100 -all
-//	nocchar -gpu h100 -all -parallel 8
+//	GOMAXPROCS=8 nocchar -gpu h100 -all
 //	nocchar -gpu v100 -all -quick -metrics metrics.json -trace trace.json
 //	nocchar -observations
 //
-// -parallel N sets GOMAXPROCS, which sizes the deterministic worker pool:
-// experiments of an -all run and the row sweeps inside each experiment
-// fan out across it, with results landing in index-addressed slots, so
-// the output is byte-identical for every N.
+// The GOMAXPROCS environment variable sizes the deterministic worker
+// pool: experiments of an -all run and the row sweeps inside each
+// experiment fan out across it, with results landing in index-addressed
+// slots, so the output is byte-identical for every GOMAXPROCS.
 //
 // -metrics FILE dumps every simulator instrument (counters, gauges,
 // histograms) as sorted-key JSON, each experiment's under its own
 // "<id>/<GPU>/" scope; -trace FILE dumps the cycle-stamped
 // event trace as Chrome trace-event JSON (load it in chrome://tracing or
 // Perfetto). Both files are byte-identical across runs at a fixed seed
-// and across -parallel values, and neither flag changes stdout.
+// and across GOMAXPROCS values, and neither flag changes stdout.
 //
 // -report FILE writes every experiment the GPU (or, with -all, every
 // GPU) supports as one Markdown report, so it refuses -exp, -csv and
@@ -40,7 +40,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
@@ -61,7 +60,6 @@ func main() {
 		implications = flag.Bool("implications", false, "check the paper's 6 implications")
 		report       = flag.String("report", "", "write a full Markdown report of every experiment to this file")
 		jsonOut      = flag.Bool("json", false, "emit artifacts as JSON")
-		procs        = flag.Int("parallel", 0, "set GOMAXPROCS, the worker-pool size for experiment fan-out and sweep sharding; 0 leaves it as is (output is byte-identical for every value)")
 		metricsOut   = flag.String("metrics", "", "write collected instruments (counters, gauges, histograms) as deterministic JSON to this file")
 		traceOut     = flag.String("trace", "", "write the cycle-stamped event trace as Chrome trace-event JSON to this file")
 	)
@@ -79,12 +77,6 @@ func main() {
 		metrics: *metricsOut, trace: *traceOut, quick: *quick, gpu: gpuSet,
 	}); err != nil {
 		fatal(err)
-	}
-
-	if *procs > 0 {
-		// GOMAXPROCS is the one pool size: the experiment fan-out and
-		// every sweep inside an experiment read it.
-		runtime.GOMAXPROCS(*procs)
 	}
 
 	if *list {

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"math/rand"
 	"net"
@@ -56,7 +55,7 @@ type clusterNode struct {
 // a per-node call counter), registry, and cluster router. The health
 // clock is frozen at 0, so the 5 s retry window never expires and a
 // peer marked down stays down for the test's duration.
-func newTestClusterNodes(t *testing.T, n int, compute func(context.Context, resultstore.Key) (*resultstore.Entry, error)) []*clusterNode {
+func newTestClusterNodes(t *testing.T, n int, compute func(resultstore.Key) (*resultstore.Entry, error)) []*clusterNode {
 	t.Helper()
 	listeners := make([]net.Listener, n)
 	urls := make([]string, n)
@@ -71,9 +70,9 @@ func newTestClusterNodes(t *testing.T, n int, compute func(context.Context, resu
 	nodes := make([]*clusterNode, n)
 	for i := range nodes {
 		node := &clusterNode{url: urls[i], calls: &keyCounter{}}
-		counted := func(ctx context.Context, key resultstore.Key) (*resultstore.Entry, error) {
+		counted := func(key resultstore.Key) (*resultstore.Entry, error) {
 			node.calls.inc(key)
-			return compute(ctx, key)
+			return compute(key)
 		}
 		reg := obs.New()
 		t0 := time.Now()
@@ -123,10 +122,12 @@ func ownerIndex(t *testing.T, nodes []*clusterNode, key resultstore.Key) int {
 }
 
 // stubCompute returns deterministic per-key bytes, so any node
-// computing a key — owner or fallback — produces identical output.
-func stubCompute(_ context.Context, key resultstore.Key) (*resultstore.Entry, error) {
-	body := []byte(fmt.Sprintf("{\"key\":%q}\n", key))
-	return &resultstore.Entry{JSON: body, CSV: body, Text: body, Markdown: body}, nil
+// computing a key — owner or fallback — produces identical output. Each
+// format's body names the format and the key, so a response shows which
+// key and rendering the handler resolved.
+func stubCompute(key resultstore.Key) (*resultstore.Entry, error) {
+	body := func(format string) []byte { return []byte(format + " " + key.String() + "\n") }
+	return &resultstore.Entry{JSON: body("json"), CSV: body("csv"), Text: body("text"), Markdown: body("md")}, nil
 }
 
 // TestClusterConformance is the acceptance drill for the sharded tier:
@@ -250,7 +251,7 @@ func TestClusterDegradesWhenPeerDies(t *testing.T) {
 		if status != http.StatusOK {
 			t.Fatalf("GET %s after peer death: status %d: %s", url, status, body)
 		}
-		want, _ := stubCompute(context.Background(), key)
+		want, _ := stubCompute(key)
 		if !bytes.Equal(body, want.JSON) {
 			t.Errorf("%s: degraded-mode bytes differ from the deterministic result", key)
 		}
@@ -272,7 +273,7 @@ func TestClusterDegradesWhenPeerDies(t *testing.T) {
 			if status != http.StatusOK {
 				t.Fatalf("GET %s (dead owner) = %d: %s", url, status, body)
 			}
-			want, _ := stubCompute(context.Background(), key)
+			want, _ := stubCompute(key)
 			if !bytes.Equal(body, want.JSON) {
 				t.Errorf("%s: dead-owner fallback bytes differ", key)
 			}

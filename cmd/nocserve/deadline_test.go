@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"net/http"
 	"strings"
 	"sync/atomic"
@@ -15,9 +14,8 @@ import (
 
 // gatedComputer is a fault-injection stub: every compute blocks on the
 // gate channel (close it to release all fills at once) and counts its
-// invocations. The compute deliberately ignores its context — it models
-// a wedged simulation that cannot be interrupted, the worst case the
-// deadline machinery must absorb.
+// invocations. It models a wedged simulation that cannot be
+// interrupted, the worst case the deadline machinery must absorb.
 type gatedComputer struct {
 	gate  chan struct{}
 	calls atomic.Int64
@@ -27,11 +25,10 @@ func newGatedComputer() *gatedComputer {
 	return &gatedComputer{gate: make(chan struct{})}
 }
 
-func (g *gatedComputer) compute(_ context.Context, key resultstore.Key) (*resultstore.Entry, error) {
+func (g *gatedComputer) compute(key resultstore.Key) (*resultstore.Entry, error) {
 	g.calls.Add(1)
 	<-g.gate
-	body := []byte(fmt.Sprintf("{\"key\":%q}\n", key))
-	return &resultstore.Entry{JSON: body, CSV: body, Text: body, Markdown: body}, nil
+	return stubCompute(key)
 }
 
 // Test504OnRequestTimeout is the tentpole's acceptance path: a request

@@ -13,7 +13,9 @@
 //	GET /v1                         list every servable (gpu, exp) pair
 //	GET /v1/{gpu}/{exp}             the experiment's artifacts
 //	    ?format=json|csv|text|md    response rendering (default json)
-//	    ?quick=1                    quick-mode run (nocchar -quick)
+//	    ?quick=1|true|0|false       quick-mode run (nocchar -quick);
+//	                                any strconv.ParseBool form, default
+//	                                false, anything else is a 400
 //	GET /metricz                    instruments as sorted-key JSON
 //	GET /healthz                    liveness probe
 //
@@ -40,9 +42,11 @@
 //	-read-timeout D      net/http ReadTimeout (full request read)
 //	-idle-timeout D      net/http IdleTimeout (keep-alive connections)
 //
-// -drain bounds how long shutdown waits for in-flight requests
-// and fills after SIGINT/SIGTERM; /healthz answers 503 from the moment
-// drain begins so balancers stop routing before the listener closes.
+// Fills always finish: SIGINT/SIGTERM never aborts a simulation.
+// -drain bounds how long shutdown waits for in-flight requests and for
+// every running fill to complete, cache and spill; /healthz answers 503
+// from the moment drain begins so balancers stop routing before the
+// listener closes.
 //
 // Sharded cluster mode (off by default):
 //
@@ -98,9 +102,7 @@ func main() {
 		fatal(errors.New("-peers and -self must be set together"))
 	}
 
-	// The signal context is the store's Base: cancelling it (SIGINT,
-	// SIGTERM) aborts in-flight simulations at their next sweep-row
-	// checkpoint.
+	// The signal context starts the drain (SIGINT, SIGTERM).
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -108,7 +110,6 @@ func main() {
 	t0 := time.Now()
 	store, err := resultstore.New(resultstore.Options{
 		Compute:       newComputer(),
-		Base:          ctx,
 		MaxBytes:      *cacheBytes,
 		SpillDir:      *spillDir,
 		SpillMaxBytes: *spillMax,
@@ -179,10 +180,9 @@ func main() {
 	if err := srv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fatal(fmt.Errorf("shutdown: %w", err))
 	}
-	// Detached fills (from timed-out or disconnected requests) may still
-	// be publishing into the cache and spill; give them the remainder of
-	// the drain budget. The Base context is already cancelled, so each
-	// stops at its next sweep-row checkpoint rather than running long.
+	// Fills still running (a request's own, or one a timed-out or
+	// disconnected request left behind) finish, cache and spill within
+	// the remainder of the drain budget.
 	fillsDone := make(chan struct{})
 	go func() { store.Wait(); close(fillsDone) }()
 	select {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -18,12 +19,11 @@ import (
 
 // newComputer builds the store's cold-key path: one full experiment run
 // through the same core.RunResult pipeline cmd/nocchar prints from, so
-// every served byte is the CLI's byte. The context is the store's Base
-// (server drain), never a request's: it reaches the experiment as core's
-// Cancel, so a draining process stops simulating at the next sweep-row
-// checkpoint while request deadlines never abort a shared fill.
-func newComputer() func(context.Context, resultstore.Key) (*resultstore.Entry, error) {
-	return func(cancel context.Context, key resultstore.Key) (*resultstore.Entry, error) {
+// every served byte is the CLI's byte. No context reaches it: request
+// deadlines detach waiters, and a fill running at shutdown finishes
+// inside the drain window.
+func newComputer() func(resultstore.Key) (*resultstore.Entry, error) {
+	return func(key resultstore.Key) (*resultstore.Entry, error) {
 		cfg, err := gpu.ByName(string(key.GPU))
 		if err != nil {
 			return nil, err
@@ -36,7 +36,6 @@ func newComputer() func(context.Context, resultstore.Key) (*resultstore.Entry, e
 		if err != nil {
 			return nil, err
 		}
-		ctx.Cancel = cancel
 		res, err := core.RunResult(ctx, e)
 		if err != nil {
 			return nil, err
@@ -193,13 +192,19 @@ func (s *server) handleResult(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("unknown format %q (want json, csv, text, or md)", format))
 		return
 	}
-	quick := r.URL.Query().Get("quick") == "1"
+	var quick bool
+	if q := r.URL.Query().Get("quick"); q != "" {
+		if quick, err = strconv.ParseBool(q); err != nil {
+			s.fail(w, http.StatusBadRequest, fmt.Errorf("bad quick %q (want a boolean such as 1, 0, true or false)", q))
+			return
+		}
+	}
 	key := resultstore.Key{GPU: cfg.Name, Exp: e.ID, Quick: quick}
 
 	// Request-scoped cancellation: the client's connection context,
 	// tightened by the configured per-request deadline. It governs this
 	// waiter only — a fired context detaches the request while the
-	// shared fill keeps running under the store's Base and still caches.
+	// shared fill keeps running and still caches.
 	ctx := r.Context()
 	if s.cfg.requestTimeout > 0 {
 		var cancel context.CancelFunc

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -18,20 +17,18 @@ import (
 	"gpunoc/internal/resultstore"
 )
 
-// newTestServer wires a server over the given (context-free) compute
-// function with the zero serverConfig — no deadline, no admission — and
-// returns it with its registry and a running httptest listener.
+// newTestServer wires a server over the given compute function with the
+// zero serverConfig — no deadline, no admission — and returns it with
+// its registry and a running httptest listener.
 func newTestServer(t *testing.T, compute func(resultstore.Key) (*resultstore.Entry, error)) (*httptest.Server, *obs.Registry) {
 	t.Helper()
-	ts, _, reg := newConfiguredServer(t, serverConfig{},
-		func(_ context.Context, key resultstore.Key) (*resultstore.Entry, error) { return compute(key) })
+	ts, _, reg := newConfiguredServer(t, serverConfig{}, compute)
 	return ts, reg
 }
 
 // newConfiguredServer is the full-control variant: explicit ingress
-// config and a context-aware compute, with the store exposed so tests
-// can Wait() for detached fills.
-func newConfiguredServer(t *testing.T, cfg serverConfig, compute func(context.Context, resultstore.Key) (*resultstore.Entry, error)) (*httptest.Server, *resultstore.Store, *obs.Registry) {
+// config, with the store exposed so tests can Wait() for detached fills.
+func newConfiguredServer(t *testing.T, cfg serverConfig, compute func(resultstore.Key) (*resultstore.Entry, error)) (*httptest.Server, *resultstore.Store, *obs.Registry) {
 	t.Helper()
 	reg := obs.New()
 	t0 := time.Now()
@@ -246,6 +243,7 @@ func TestServeRejectsBadTuples(t *testing.T) {
 		{"/v1/gtx480/fig1", http.StatusNotFound}, // unknown GPU
 		{"/v1/v100/fig999", http.StatusNotFound}, // unknown experiment
 		{"/v1/v100/fig1?format=xml", http.StatusBadRequest},
+		{"/v1/v100/fig1?quick=yes", http.StatusBadRequest},
 		{"/v2/v100/fig1", http.StatusNotFound}, // unknown API version
 	}
 	for _, c := range cases {
@@ -256,6 +254,31 @@ func TestServeRejectsBadTuples(t *testing.T) {
 	}
 	if computed {
 		t.Error("a rejected request reached the compute path")
+	}
+}
+
+// TestServeQuickForms: every strconv.ParseBool spelling of quick selects
+// the same key, the form resultstore.Key.String writes (quick=true)
+// included, and an absent or empty value means full fidelity.
+func TestServeQuickForms(t *testing.T) {
+	ts, _ := newTestServer(t, stubCompute)
+	for _, c := range []struct {
+		query string
+		quick bool
+	}{
+		{"", false},
+		{"?quick=", false},
+		{"?quick=0", false},
+		{"?quick=false", false},
+		{"?quick=1", true},
+		{"?quick=true", true},
+		{"?quick=TRUE", true},
+	} {
+		want, _ := stubCompute(resultstore.Key{GPU: gpu.GenV100, Exp: "fig1", Quick: c.quick})
+		status, _, body := get(t, ts.URL+"/v1/v100/fig1"+c.query)
+		if status != http.StatusOK || !bytes.Equal(body, want.JSON) {
+			t.Errorf("GET fig1%s = (%d, %q), want (200, %q)", c.query, status, body, want.JSON)
+		}
 	}
 }
 
@@ -323,7 +346,7 @@ func TestHealthz(t *testing.T) {
 func TestHealthzDuringDrain(t *testing.T) {
 	reg := obs.New()
 	store, err := resultstore.New(resultstore.Options{
-		Compute: func(_ context.Context, key resultstore.Key) (*resultstore.Entry, error) {
+		Compute: func(resultstore.Key) (*resultstore.Entry, error) {
 			b := []byte("{}\n")
 			return &resultstore.Entry{JSON: b, CSV: b, Text: b, Markdown: b}, nil
 		},

@@ -93,7 +93,7 @@ func runFig9(ctx *Context) ([]Artifact, error) {
 			pairs = append(pairs, pair{sm: sm, s: s})
 		}
 	}
-	single, err := parallel.MapContext(ctx.Cancel, len(pairs), func(i int) (float64, error) {
+	single, err := parallel.Map(len(pairs), func(i int) (float64, error) {
 		return microbench.SliceBandwidth(ctx.Engine, []int{pairs[i].sm}, pairs[i].s)
 	})
 	if err != nil {
@@ -106,7 +106,7 @@ func runFig9(ctx *Context) ([]Artifact, error) {
 	}
 
 	// (c) whole GPC -> single slice, one task per GPC.
-	gpcBW, err := parallel.MapContext(ctx.Cancel, cfg.GPCs, func(g int) (float64, error) {
+	gpcBW, err := parallel.Map(cfg.GPCs, func(g int) (float64, error) {
 		return microbench.SliceBandwidth(ctx.Engine, dev.SMsOfGPC(g), 5)
 	})
 	if err != nil {
@@ -128,9 +128,6 @@ func runFig10(ctx *Context) ([]Artifact, error) {
 		Columns: []string{"stage", "SMs", "read speedup", "write speedup", "full"},
 	}
 	add := func(stage string, sms []int) error {
-		if err := ctx.Interrupted(); err != nil {
-			return err
-		}
 		r, err := microbench.Speedup(ctx.Engine, sms, false)
 		if err != nil {
 			return err
@@ -206,9 +203,6 @@ func runFig12(ctx *Context) ([]Artifact, error) {
 		slices = append(slices, s)
 	}
 	for _, sm := range []int{0, cfg.GPCs / 2} {
-		if err := ctx.Interrupted(); err != nil {
-			return nil, err
-		}
 		y, err := microbench.PerSliceBandwidth(ctx.Engine, sm, slices)
 		if err != nil {
 			return nil, err
@@ -262,7 +256,7 @@ func runFig14(ctx *Context) ([]Artifact, error) {
 	// One task per SM-count point; each point solves its near and far
 	// flows together so the pair stays adjacent in the cache.
 	type point struct{ near, far float64 }
-	pts, err := parallel.MapContext(ctx.Cancel, maxN, func(i int) (point, error) {
+	pts, err := parallel.Map(maxN, func(i int) (point, error) {
 		n := i + 1
 		bwN, err := microbench.SliceBandwidth(ctx.Engine, sms[:n], nearSlice)
 		if err != nil {
@@ -318,9 +312,6 @@ func runFig15(ctx *Context) ([]Artifact, error) {
 	// (a) all SMs to N slices, contiguous (one MP) vs distributed.
 	ta := &Table{Name: "Fig 15(a): all SMs, slice placement", Columns: []string{"slices", "contiguous MP GB/s", "distributed MP GB/s"}}
 	for _, n := range []int{1, 2, 4} {
-		if err := ctx.Interrupted(); err != nil {
-			return nil, err
-		}
 		contig := dev.SlicesOfMP(0)[:n]
 		distrib := make([]int, n)
 		for i := range distrib {
@@ -341,9 +332,6 @@ func runFig15(ctx *Context) ([]Artifact, error) {
 	tb := &Table{Name: "Fig 15(b): SM placement, one MP", Columns: []string{"SMs", "contiguous GB/s", "distributed GB/s"}}
 	oneMP := dev.SlicesOfMP(0)
 	for _, n := range []int{14, 28} {
-		if err := ctx.Interrupted(); err != nil {
-			return nil, err
-		}
 		contig := append(append([]int{}, dev.SMsOfGPC(0)...), dev.SMsOfGPC(1)...)[:n]
 		distrib := allSMs[:n]
 		c, err := run(contig, oneMP)
@@ -360,9 +348,6 @@ func runFig15(ctx *Context) ([]Artifact, error) {
 	// (c) 14 SMs to 1..4 MPs.
 	tc := &Table{Name: "Fig 15(c): 14 SMs, widening MP set", Columns: []string{"MPs", "contiguous SM GB/s", "distributed SM GB/s"}}
 	for _, n := range []int{1, 2, 4} {
-		if err := ctx.Interrupted(); err != nil {
-			return nil, err
-		}
 		c, err := run(dev.SMsOfGPC(0), mpSlices(n))
 		if err != nil {
 			return nil, err

@@ -59,9 +59,6 @@ func runExt1(ctx *Context) ([]Artifact, error) {
 		Columns: []string{"topology", "arbitration", "max/min ratio"},
 	}
 	for _, arb := range []noc.Arbiter{noc.RoundRobin, noc.AgeBased} {
-		if err := ctx.Interrupted(); err != nil {
-			return nil, err
-		}
 		mcfg := noc.DefaultFairnessConfig(arb, 42)
 		mcfg.Cycles, mcfg.Warmup = cycles, warmup
 		mcfg.Obs = ctx.Obs.Scope("mesh-" + arb.String())
@@ -99,9 +96,6 @@ func runExt2(ctx *Context) ([]Artifact, error) {
 	bits := 64
 	if ctx.Quick {
 		bits = 16
-	}
-	if err := ctx.Interrupted(); err != nil {
-		return nil, err
 	}
 	ber, err := ch.BitErrorRate(bits, 0xfeed)
 	if err != nil {
@@ -229,9 +223,6 @@ func runExt5(ctx *Context) ([]Artifact, error) {
 	mesh := noc.MeshConfig{Width: 6, Height: 6, BufferFlits: 8, Arbiter: noc.RoundRobin}
 	hashed, err := noc.ReplayTrace(noc.ReplayConfig{Mesh: mesh, PortOf: noc.HashedPortMapping(6)}, steps)
 	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Interrupted(); err != nil {
 		return nil, err
 	}
 	camped, err := noc.ReplayTrace(noc.ReplayConfig{Mesh: mesh, PortOf: noc.CampedPortMapping(6, 1<<22)}, steps)

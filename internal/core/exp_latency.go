@@ -122,9 +122,6 @@ func runFig1(ctx *Context) ([]Artifact, error) {
 		Columns: []string{"GPC", "mean", "sigma", "min", "max"},
 	}
 	for g := 0; g < cfg.GPCs; g++ {
-		if err := ctx.Interrupted(); err != nil {
-			return nil, err
-		}
 		var xs []float64
 		for _, sm := range dev.SMsOfGPC(g) {
 			// Sampling a subset of SMs keeps the quick mode fast while
@@ -154,9 +151,6 @@ func runFig2(ctx *Context) ([]Artifact, error) {
 	b := microbench.NewBench(ctx.Obs)
 	var arts []Artifact
 	for _, g := range []int{0, 2} {
-		if err := ctx.Interrupted(); err != nil {
-			return nil, err
-		}
 		var xs []float64
 		for _, sm := range dev.SMsOfGPC(g) {
 			p, err := b.LatencyProfile(dev, sm, iters)
@@ -211,9 +205,6 @@ func runFig3(ctx *Context) ([]Artifact, error) {
 		ms.X[i] = float64(i)
 	}
 	for _, sm := range sms {
-		if err := ctx.Interrupted(); err != nil {
-			return nil, err
-		}
 		p, err := b.LatencyProfile(dev, sm, iters)
 		if err != nil {
 			return nil, err
@@ -249,9 +240,6 @@ func runFig5(ctx *Context) ([]Artifact, error) {
 		hm.XLabels = append(hm.XLabels, fmt.Sprintf("s%d", s))
 	}
 	for _, sm := range dev.SMsOfGPC(gpc) {
-		if err := ctx.Interrupted(); err != nil {
-			return nil, err
-		}
 		hm.YLabels = append(hm.YLabels, fmt.Sprintf("SM%d", sm))
 		row := make([]float64, 0, cfg.SlicesPerMP())
 		for _, s := range dev.SlicesOfMP(mp) {
@@ -323,9 +311,6 @@ func runFig8(ctx *Context) ([]Artifact, error) {
 	b := microbench.NewBench(ctx.Obs)
 	hit, err := b.GPCToMPLatency(dev, 0, iters)
 	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Interrupted(); err != nil {
 		return nil, err
 	}
 	pen, err := b.GPCToMPMissPenalty(dev, 0, iters)

@@ -56,9 +56,6 @@ func runFig21(ctx *Context) ([]Artifact, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := ctx.Interrupted(); err != nil {
-		return nil, err
-	}
 	wideCfg := cfg
 	wideCfg.ReplyFlits = 1
 	wideCfg.Obs = ctx.Obs.Scope("wide")
@@ -110,9 +107,6 @@ func runFig22(ctx *Context) ([]Artifact, error) {
 func runFig23(ctx *Context) ([]Artifact, error) {
 	var arts []Artifact
 	for _, arb := range []noc.Arbiter{noc.RoundRobin, noc.AgeBased} {
-		if err := ctx.Interrupted(); err != nil {
-			return nil, err
-		}
 		cfg := noc.DefaultFairnessConfig(arb, 42)
 		if ctx.Quick {
 			cfg.Cycles = 5000

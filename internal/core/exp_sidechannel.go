@@ -55,9 +55,6 @@ func runFig16(ctx *Context) ([]Artifact, error) {
 	}
 	var arts []Artifact
 	for _, g := range []workload.Generator{bfs, gauss} {
-		if err := ctx.Interrupted(); err != nil {
-			return nil, err
-		}
 		matrix, err := workload.TrafficMatrix(dev, g)
 		if err != nil {
 			return nil, err
@@ -97,9 +94,6 @@ func runFig17(ctx *Context) ([]Artifact, error) {
 		ms.X = append(ms.X, float64(n))
 	}
 	for _, sm := range []int{0, cfg.GPCs, 4 * cfg.GPCs} {
-		if err := ctx.Interrupted(); err != nil {
-			return nil, err
-		}
 		curve, err := sidechannel.TimingVsUniqueLines(dev, sm, 32, repeats)
 		if err != nil {
 			return nil, err
@@ -142,9 +136,6 @@ func runFig18(ctx *Context) ([]Artifact, error) {
 	}
 	var arts []Artifact
 	for _, mode := range []string{"static", "random"} {
-		if err := ctx.Interrupted(); err != nil {
-			return nil, err
-		}
 		var sched kernel.Scheduler = kernel.StaticScheduler{}
 		if mode == "random" {
 			rng := rand.New(rand.NewSource(99))
@@ -230,9 +221,6 @@ func runFig19(ctx *Context) ([]Artifact, error) {
 	t.Rows = append(t.Rows, []string{"static", fmt.Sprintf("%.4f", fit.R), fmt.Sprintf("%.0f", fit.Slope), fmt.Sprintf("%.2f", mae)})
 
 	// Random scheduling: calibration no longer predicts execution.
-	if err := ctx.Interrupted(); err != nil {
-		return nil, err
-	}
 	schedRng := rand.New(rand.NewSource(7))
 	random, err := mkTimer(kernel.RandomScheduler{Rand: schedRng.Uint64})
 	if err != nil {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"slices"
 
@@ -19,35 +18,11 @@ type Context struct {
 	// Quick trades statistical depth for speed (used by `go test -bench`
 	// wrappers); experiments reduce sample counts under it.
 	Quick bool
-	// Cancel, when non-nil, lets the caller abort the run early: a
-	// timed-out HTTP request, a draining server, an interrupted sweep.
-	// Experiments consult it only between sweep rows — via Interrupted
-	// and the parallel runner's claim-boundary checks — never inside
-	// simulator Step loops, so the hot paths stay context-free and a
-	// never-cancelled run produces byte-identical artifacts to a nil
-	// Cancel. A partially complete run returns the wrapped context
-	// error and no artifacts.
-	Cancel context.Context
 	// Obs receives the experiment's instruments. Run hands each
 	// (experiment, generation) pair of an observed run its own scope;
 	// the nil default runs unobserved at zero cost and leaves all stdout
 	// byte-identical.
 	Obs *obs.Registry
-}
-
-// Interrupted reports whether the run's Cancel context has fired,
-// wrapping its error for the experiment to return as-is. It is the
-// sweep-row cancellation checkpoint: experiments call it between rows
-// and between major phases, and a nil Cancel answers at zero cost, so
-// sprinkling checkpoints is free for every non-serving caller.
-func (c *Context) Interrupted() error {
-	if c.Cancel == nil {
-		return nil
-	}
-	if err := c.Cancel.Err(); err != nil {
-		return fmt.Errorf("core: run canceled: %w", err)
-	}
-	return nil
 }
 
 // NewContext builds a context for a generation config.

@@ -34,9 +34,6 @@ func RunResult(ctx *Context, e *Experiment) (*Result, error) {
 	if !e.SupportsGPU(name) {
 		return nil, fmt.Errorf("core: experiment %s does not apply to %s (supported: %v)", e.ID, name, e.GPUs)
 	}
-	if err := ctx.Interrupted(); err != nil {
-		return nil, err
-	}
 	arts, err := e.Run(ctx)
 	if err != nil {
 		return nil, err

@@ -1,7 +1,6 @@
 package parallel
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"reflect"
@@ -14,7 +13,7 @@ import (
 
 func TestMapOrdersResultsByIndex(t *testing.T) {
 	for _, workers := range []int{runtime.GOMAXPROCS(0), 1, 2, 7, 64} {
-		got, err := mapSized(nil, workers, 10, func(i int) (int, error) { return i * i, nil })
+		got, err := mapSized(workers, 10, func(i int) (int, error) { return i * i, nil })
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -30,7 +29,7 @@ func TestMapOrdersResultsByIndex(t *testing.T) {
 // for every worker count, including N > items and N = 1.
 func TestMapIdenticalAcrossPoolSizes(t *testing.T) {
 	run := func(workers int) []string {
-		out, err := mapSized(nil, workers, 23, func(i int) (string, error) {
+		out, err := mapSized(workers, 23, func(i int) (string, error) {
 			return fmt.Sprintf("row-%02d", i), nil
 		})
 		if err != nil {
@@ -47,12 +46,12 @@ func TestMapIdenticalAcrossPoolSizes(t *testing.T) {
 }
 
 func TestMapEmptyAndEdgePools(t *testing.T) {
-	out, err := mapSized(nil, 4, 0, func(i int) (int, error) { return 0, errors.New("must not run") })
+	out, err := mapSized(4, 0, func(i int) (int, error) { return 0, errors.New("must not run") })
 	if err != nil || out != nil {
 		t.Errorf("n=0: got (%v, %v), want (nil, nil)", out, err)
 	}
 	// workers > n must not panic or leak goroutines; n=1 with a large pool.
-	one, err := mapSized(nil, 1000, 1, func(i int) (int, error) { return 42, nil })
+	one, err := mapSized(1000, 1, func(i int) (int, error) { return 42, nil })
 	if err != nil || len(one) != 1 || one[0] != 42 {
 		t.Errorf("workers>n: got (%v, %v)", one, err)
 	}
@@ -63,7 +62,7 @@ func TestMapEmptyAndEdgePools(t *testing.T) {
 // what a sequential loop would have stopped at — for every pool size.
 func TestMapLowestIndexErrorWins(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
-		_, err := mapSized(nil, workers, 16, func(i int) (int, error) {
+		_, err := mapSized(workers, 16, func(i int) (int, error) {
 			if i >= 5 {
 				return 0, fmt.Errorf("task %d failed", i)
 			}
@@ -81,7 +80,7 @@ func TestMapLowestIndexErrorWins(t *testing.T) {
 func TestMapCancelsOnFirstError(t *testing.T) {
 	const n, workers = 1000, 4
 	var ran atomic.Int64
-	_, err := mapSized(nil, workers, n, func(i int) (int, error) {
+	_, err := mapSized(workers, n, func(i int) (int, error) {
 		ran.Add(1)
 		if i == 3 {
 			return 0, errors.New("early failure")
@@ -98,126 +97,27 @@ func TestMapCancelsOnFirstError(t *testing.T) {
 	}
 }
 
-// TestMapPoolIsGOMAXPROCS pins the one pool-size knob: Map and
-// MapContext never run more tasks at once than GOMAXPROCS.
+// TestMapPoolIsGOMAXPROCS pins the one pool-size knob: Map never runs
+// more tasks at once than GOMAXPROCS.
 func TestMapPoolIsGOMAXPROCS(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	for _, run := range []func(fn func(int) (int, error)) error{
-		func(fn func(int) (int, error)) error { _, err := Map(64, fn); return err },
-		func(fn func(int) (int, error)) error { _, err := MapContext(context.Background(), 64, fn); return err },
-	} {
-		var mu sync.Mutex
-		active, peak := 0, 0
-		err := run(func(i int) (int, error) {
-			mu.Lock()
-			active++
-			peak = max(peak, active)
-			mu.Unlock()
-			time.Sleep(time.Millisecond)
-			mu.Lock()
-			active--
-			mu.Unlock()
-			return i, nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if peak > 2 {
-			t.Errorf("%d tasks ran at once under GOMAXPROCS=2", peak)
-		}
-	}
-}
-
-// TestMapContextNilAndBackgroundMatchMap pins the no-cancel contract:
-// a nil context and a never-cancelled one reduce to exactly Map's
-// output for every pool size.
-func TestMapContextNilAndBackgroundMatchMap(t *testing.T) {
-	fn := func(i int) (int, error) { return i * 3, nil }
-	want, err := Map(17, fn)
+	var mu sync.Mutex
+	active, peak := 0, 0
+	_, err := Map(64, func(i int) (int, error) {
+		mu.Lock()
+		active++
+		peak = max(peak, active)
+		mu.Unlock()
+		time.Sleep(time.Millisecond)
+		mu.Lock()
+		active--
+		mu.Unlock()
+		return i, nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, ctx := range []context.Context{nil, context.Background()} {
-		for _, workers := range []int{1, 2, 8} {
-			got, err := mapSized(ctx, workers, 17, fn)
-			if err != nil {
-				t.Fatalf("ctx=%v workers=%d: %v", ctx, workers, err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("ctx=%v workers=%d: got %v, want %v", ctx, workers, got, want)
-			}
-		}
-	}
-}
-
-// TestMapContextCancelStopsDispatch wedges the pool's first tasks, then
-// cancels: no new index may be claimed after the cancel, the call must
-// return ctx.Err(), and the in-flight tasks still complete (tasks are
-// never interrupted mid-body).
-func TestMapContextCancelStopsDispatch(t *testing.T) {
-	const n, workers = 1000, 4
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var started sync.WaitGroup
-	started.Add(workers)
-	release := make(chan struct{})
-	var ran atomic.Int64
-	go func() {
-		// Once the whole first wave is parked inside its task bodies,
-		// cancel and release: each worker finishes its in-flight task,
-		// observes the dead context at the claim boundary, and exits.
-		started.Wait()
-		cancel()
-		close(release)
-	}()
-	_, err := mapSized(ctx, workers, n, func(i int) (int, error) {
-		ran.Add(1)
-		started.Done()
-		<-release
-		return i, nil
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if got := ran.Load(); got != workers {
-		t.Errorf("%d tasks ran; want exactly the %d in flight at cancel time", got, workers)
-	}
-}
-
-// TestMapContextLowestIndexErrorBeatsCancel: when a task has already
-// failed, external cancellation must not mask the deterministic
-// lowest-index error.
-func TestMapContextLowestIndexErrorBeatsCancel(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	sentinel := errors.New("task failure")
-	_, err := mapSized(ctx, 2, 50, func(i int) (int, error) {
-		if i == 0 {
-			cancel() // cancel and fail in the same breath
-			return 0, sentinel
-		}
-		return i, nil
-	})
-	if !errors.Is(err, sentinel) {
-		t.Errorf("err = %v, want the task's own error to win over ctx.Err()", err)
-	}
-}
-
-// TestMapContextSkipsUndispatched: with a pre-cancelled context no task
-// runs at all, on both the sequential and pooled paths.
-func TestMapContextSkipsUndispatched(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	for _, workers := range []int{1, 4} {
-		var ran atomic.Int64
-		_, err := mapSized(ctx, workers, 100, func(i int) (int, error) {
-			ran.Add(1)
-			return i, nil
-		})
-		if !errors.Is(err, context.Canceled) {
-			t.Errorf("workers=%d: err = %v, want context.Canceled", workers, err)
-		}
-		if ran.Load() != 0 {
-			t.Errorf("workers=%d: %d tasks ran under a dead context", workers, ran.Load())
-		}
+	if peak > 2 {
+		t.Errorf("%d tasks ran at once under GOMAXPROCS=2", peak)
 	}
 }

@@ -19,10 +19,6 @@
 //     index-free and order-free, so it cannot leak scheduling order into
 //     any output; the sweeps inside the computation still shard through
 //     internal/parallel.
-//   - Deadline propagation: fills run under Options.Base (the server's
-//     shutdown context), handed to Options.Compute so a draining process
-//     aborts in-flight simulations at their next sweep-row checkpoint
-//     instead of simulating into the void.
 //   - LRU with byte accounting: entries are bounded by a byte budget,
 //     not a count, because artifact payloads span two orders of
 //     magnitude. Eviction picks the least-recently-used entry and breaks
@@ -150,16 +146,10 @@ func (o Outcome) String() string {
 type Options struct {
 	// Compute runs the simulation for a cold key. Required. It must be
 	// safe for concurrent invocation with distinct keys; the store
-	// guarantees at most one in-flight invocation per key. The context
-	// it receives is derived from Base, NOT from any individual waiter:
-	// waiters detaching on their own deadlines leave the computation
-	// running, and only cancelling Base (process shutdown) aborts it.
-	Compute func(ctx context.Context, key Key) (*Entry, error)
-	// Base, when non-nil, is the context every fill runs under;
-	// cancelling it (server drain) makes in-flight computations abort at
-	// their next cancellation checkpoint. Nil means context.Background():
-	// fills always run to completion.
-	Base context.Context
+	// guarantees at most one in-flight invocation per key. No waiter's
+	// context reaches it: waiters detaching on their own deadlines leave
+	// the computation running, and every fill runs to completion.
+	Compute func(key Key) (*Entry, error)
 	// MaxBytes bounds the in-memory entries' total Size; <= 0 means
 	// unbounded. An entry alone exceeding the budget is served but not
 	// cached.
@@ -210,7 +200,6 @@ type spillFile struct {
 // Store is the cache. It is safe for concurrent use.
 type Store struct {
 	opts Options
-	base context.Context
 
 	mu       sync.Mutex
 	entries  map[Key]*cached
@@ -247,13 +236,8 @@ func New(opts Options) (*Store, error) {
 			return nil, fmt.Errorf("resultstore: spill dir: %w", err)
 		}
 	}
-	base := opts.Base
-	if base == nil {
-		base = context.Background()
-	}
 	s := &Store{
 		opts:     opts,
-		base:     base,
 		entries:  map[Key]*cached{},
 		inflight: map[Key]*call{},
 
@@ -345,8 +329,7 @@ func (s *Store) Get(key Key) (*Entry, Outcome, error) {
 // entry is ready, this caller detaches and receives ctx.Err(), but the
 // in-flight fill — shared with any other waiters — keeps running and
 // still populates the cache, so the abandoned work is served to the
-// next request for the key. Cancelling ctx never cancels the
-// computation; only the store's Base context does that.
+// next request for the key. Nothing cancels the computation.
 func (s *Store) GetContext(ctx context.Context, key Key) (*Entry, Outcome, error) {
 	s.mu.Lock()
 	if c, ok := s.entries[key]; ok {
@@ -400,8 +383,8 @@ func (s *Store) wait(ctx context.Context, fl *call, initiator bool) (*Entry, Out
 }
 
 // runFill executes one cold key's fill on its own goroutine and
-// publishes the result to every waiter. It runs under the store's Base
-// context — never a waiter's — so abandoned fills complete and cache.
+// publishes the result to every waiter. No waiter's context reaches it,
+// so abandoned fills complete and cache.
 func (s *Store) runFill(key Key, fl *call) {
 	defer s.fills.Done()
 	entry, outcome, err := s.fill(key)
@@ -425,7 +408,7 @@ func (s *Store) runFill(key Key, fl *call) {
 func (s *Store) Wait() { s.fills.Wait() }
 
 // fill produces the entry for a cold key: from the disk spill when
-// possible, otherwise by running the simulation under the Base context.
+// possible, otherwise by running the simulation.
 func (s *Store) fill(key Key) (*Entry, Outcome, error) {
 	if e, ok := s.loadSpill(key); ok {
 		s.spillLoads.Inc()
@@ -436,7 +419,7 @@ func (s *Store) fill(key Key) (*Entry, Outcome, error) {
 	if s.opts.Clock != nil {
 		start = s.opts.Clock()
 	}
-	e, err := s.opts.Compute(s.base, key)
+	e, err := s.opts.Compute(key)
 	if err != nil {
 		s.computeErrs.Inc()
 		return nil, OutcomeMiss, err

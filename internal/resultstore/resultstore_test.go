@@ -38,7 +38,7 @@ type countingComputer struct {
 	gate chan struct{}
 }
 
-func (c *countingComputer) compute(ctx context.Context, key Key) (*Entry, error) {
+func (c *countingComputer) compute(key Key) (*Entry, error) {
 	c.mu.Lock()
 	if c.calls == nil {
 		c.calls = map[Key]int{}
@@ -47,14 +47,9 @@ func (c *countingComputer) compute(ctx context.Context, key Key) (*Entry, error)
 	gate := c.gate
 	c.mu.Unlock()
 	if gate != nil {
-		// The gate deliberately ignores the waiters' contexts: fills are
-		// abandoned by detaching waiters, never interrupted by them.
-		// Only the store's Base context may abort a fill.
-		select {
-		case <-gate:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
+		// No waiter's context reaches the fill: fills are abandoned by
+		// detaching waiters, never interrupted by them.
+		<-gate
 	}
 	return fakeEntry(key, c.pad), nil
 }
@@ -272,7 +267,7 @@ func TestDiskSpillRoundTrip(t *testing.T) {
 func TestComputeErrorNotCached(t *testing.T) {
 	boom := errors.New("boom")
 	var calls atomic.Int64
-	s, err := New(Options{Compute: func(context.Context, Key) (*Entry, error) {
+	s, err := New(Options{Compute: func(Key) (*Entry, error) {
 		calls.Add(1)
 		return nil, boom
 	}})
@@ -400,21 +395,64 @@ func TestCoalescedWaiterDetachesIndependently(t *testing.T) {
 	}
 }
 
-// TestBaseContextAbortsFills: cancelling the store's Base context — the
-// server-drain path — reaches the Compute function.
-func TestBaseContextAbortsFills(t *testing.T) {
-	base, stop := context.WithCancel(context.Background())
+// TestDrainFinishesDetachedFill is the shutdown contract: once every
+// waiter on a cold key has detached, as the HTTP server's own drain
+// leaves them, Wait still returns only after the fill has finished, and
+// by then the entry is resident and spilled, so nothing the fill
+// computed is lost to the restart.
+func TestDrainFinishesDetachedFill(t *testing.T) {
+	dir := t.TempDir()
 	comp := &countingComputer{gate: make(chan struct{})}
-	s, err := New(Options{Compute: comp.compute, Base: base})
+	s, err := New(Options{Compute: comp.compute, SpillDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := key(gpu.GenH100, "fig13")
-	stop()
-	if _, _, err := s.Get(k); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Get under a dead Base = %v, want context.Canceled", err)
+	k := Key{GPU: gpu.GenH100, Exp: "fig18"}
+	spill := filepath.Join(dir, k.ContentAddress()+".json")
+
+	ctx, cancel := context.WithCancel(context.Background())
+	const waiters = 3
+	detached := make(chan error, waiters)
+	for i := 0; i < waiters; i++ {
+		go func() {
+			_, _, err := s.GetContext(ctx, k)
+			detached <- err
+		}()
 	}
-	s.Wait()
+	for comp.callCount(k) == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	for i := 0; i < waiters; i++ {
+		if err := <-detached; !errors.Is(err, context.Canceled) {
+			t.Fatalf("waiter %d err = %v, want context.Canceled", i, err)
+		}
+	}
+	if s.Contains(k) {
+		t.Fatal("entry resident before its fill finished")
+	}
+	if _, err := os.Stat(spill); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("spill file before the fill finished: stat err = %v", err)
+	}
+
+	waited := make(chan struct{})
+	go func() { s.Wait(); close(waited) }()
+	select {
+	case <-waited:
+		t.Fatal("Wait returned while the detached fill was still running")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(comp.gate)
+	<-waited
+	if !s.Contains(k) {
+		t.Error("drained fill is not resident")
+	}
+	if _, err := os.Stat(spill); err != nil {
+		t.Errorf("drained fill left no spill file: %v", err)
+	}
+	if n := comp.callCount(k); n != 1 {
+		t.Errorf("compute ran %d times, want 1", n)
+	}
 }
 
 // TestSpillByteCapPrunesOldest drives the spill past its byte budget
