@@ -55,8 +55,8 @@ trap - EXIT
 echo "==> go test -race -shuffle=on"
 # -shuffle randomizes test (and subtest-group) execution order every
 # run, so inter-test state dependencies fail in CI instead of lurking.
-# This runs every fuzz target's seed corpus too, among them
-# FuzzNoCCase's 64 seeded NoC cases under the simcheck invariant audit.
+# This runs every fuzz target's seed corpus too, among them the 64
+# committed FuzzNoCCase NoC cases under the simcheck invariant audit.
 go test -race -shuffle=on ./...
 
 echo "==> examples run"
@@ -98,6 +98,7 @@ fuzz_target() {
 fuzz_target FuzzEncryptBlock ./internal/aes
 fuzz_target FuzzCoalesce ./internal/kernel
 fuzz_target FuzzCacheAccess ./internal/cache
+fuzz_target FuzzLoadSpill ./internal/resultstore
 fuzz_target FuzzParseTrace ./internal/simcheck
 fuzz_target FuzzNoCCase ./internal/simcheck
 fuzz_target FuzzParseBenchOutput ./cmd/nocbench

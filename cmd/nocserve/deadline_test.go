@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"gpunoc/internal/gpu"
 	"gpunoc/internal/resultstore"
 )
 
@@ -244,5 +245,29 @@ func TestIngressConfigPreservesBytes(t *testing.T) {
 	guarded := fetch(serverConfig{requestTimeout: time.Minute, maxInflight: 4, queueDepth: 16})
 	if !bytes.Equal(plain, guarded) {
 		t.Error("ingress config changed the served bytes")
+	}
+}
+
+// waitFills is the drain's last step: a fill still gated past the
+// deadline must give an error (nocserve then exits 1 without logging
+// "drained"), and a finished fill must give nil.
+func TestWaitFillsReportsUnfinishedFill(t *testing.T) {
+	g := newGatedComputer()
+	store, err := resultstore.New(resultstore.Options{Compute: g.compute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gone, leave := context.WithCancel(context.Background())
+	leave() // the waiter detaches at once and leaves the fill gated
+	k := resultstore.Key{GPU: gpu.GenV100, Exp: "fig1", Quick: true}
+	_, _, _ = store.GetContext(gone, k)
+	short, stop := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer stop()
+	if err := waitFills(short, store); err == nil {
+		t.Fatal("waitFills returned nil with a gated fill past its deadline")
+	}
+	close(g.gate)
+	if err := waitFills(context.Background(), store); err != nil || !store.Contains(k) {
+		t.Fatalf("after the fill finished: waitFills = %v, entry cached = %v", err, store.Contains(k))
 	}
 }

@@ -46,7 +46,9 @@
 // -drain bounds how long shutdown waits for in-flight requests and for
 // every running fill to complete, cache and spill; /healthz answers 503
 // from the moment drain begins so balancers stop routing before the
-// listener closes.
+// listener closes. A clean drain logs "drained" and exits 0. If the
+// deadline passes with requests or fills still running, nocserve logs
+// why and exits 1; a fill cut off that way leaves no spill file.
 //
 // Sharded cluster mode (off by default):
 //
@@ -183,14 +185,23 @@ func main() {
 	// Fills still running (a request's own, or one a timed-out or
 	// disconnected request left behind) finish, cache and spill within
 	// the remainder of the drain budget.
-	fillsDone := make(chan struct{})
-	go func() { store.Wait(); close(fillsDone) }()
-	select {
-	case <-fillsDone:
-	case <-shutdownCtx.Done():
-		fmt.Fprintln(os.Stderr, "nocserve: drain deadline reached with fills still unwinding")
+	if err := waitFills(shutdownCtx, store); err != nil {
+		fatal(err)
 	}
 	fmt.Fprintln(os.Stderr, "nocserve: drained")
+}
+
+// waitFills blocks until every fill in store has finished, or returns
+// an error once ctx is done with fills still running.
+func waitFills(ctx context.Context, store *resultstore.Store) error {
+	done := make(chan struct{})
+	go func() { store.Wait(); close(done) }()
+	select {
+	case <-done:
+		return nil
+	case <-ctx.Done():
+		return fmt.Errorf("drain deadline reached with fills still running: %w", ctx.Err())
+	}
 }
 
 func fatal(err error) {

@@ -23,12 +23,8 @@ func gpuCfg() noc.GPUSimConfig {
 // The real simulator must clear its own audit: deterministic across
 // runs and inside the physical envelope.
 func TestCheckGPUSimClean(t *testing.T) {
-	v, err := CheckGPUSim(gpuCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(v) != 0 {
-		t.Fatalf("audit of a healthy run reported violations: %v", v)
+	if v, err := CheckGPUSim(gpuCfg()); err != nil || len(v) != 0 {
+		t.Fatalf("audit of a healthy run: error %v, violations %v", err, v)
 	}
 }
 

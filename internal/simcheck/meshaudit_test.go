@@ -22,25 +22,36 @@ func hasInvariant(vs []Violation, name string) bool {
 	return false
 }
 
-func smallMesh(t *testing.T, cfg noc.MeshConfig) *noc.Mesh {
+// mesh2x2 is the smallest mesh with a two-hop path.
+var mesh2x2 = noc.MeshConfig{Width: 2, Height: 2, BufferFlits: 2, Arbiter: noc.RoundRobin}
+
+// auditedMesh builds a mesh and its auditor.
+func auditedMesh(t *testing.T, cfg noc.MeshConfig) (*noc.Mesh, *MeshAuditor) {
 	t.Helper()
 	m, err := noc.NewMesh(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m
+	return m, NewMeshAuditor(m)
 }
 
-// runAudited drives a mesh until drained under audit, without the
-// final reconciliation (tests tamper before calling CheckFinal).
-func runAudited(t *testing.T, m *noc.Mesh, a *MeshAuditor, inject func()) {
+// runAudited injects and ledgers every packet at cycle 0, then drives
+// the mesh or crossbar until drained under audit, without the final
+// reconciliation (tests tamper before calling CheckFinal).
+func runAudited(t *testing.T, net network, a auditor, injections []Injection) {
 	t.Helper()
-	inject()
-	for guard := 0; !m.Drained(); guard++ {
-		if guard > 100000 {
-			t.Fatal("mesh failed to drain")
+	for _, inj := range injections {
+		p, err := net.Inject(inj.Src, inj.Dst, inj.Flits)
+		if err != nil {
+			t.Fatal(err)
 		}
-		m.Step()
+		a.RecordInject(p)
+	}
+	for guard := 0; !net.Drained(); guard++ {
+		if guard > 100000 {
+			t.Fatal("network failed to drain")
+		}
+		net.Step()
 		a.CheckCycle()
 	}
 }
@@ -48,19 +59,14 @@ func runAudited(t *testing.T, m *noc.Mesh, a *MeshAuditor, inject func()) {
 // A real traffic mix over every pattern the auditor checks must run
 // violation-free: the harness cannot cry wolf.
 func TestCleanRunHasNoViolations(t *testing.T) {
-	m := smallMesh(t, noc.MeshConfig{Width: 3, Height: 3, BufferFlits: 2, Arbiter: noc.RoundRobin})
-	a := NewMeshAuditor(m)
-	runAudited(t, m, a, func() {
-		for src := 0; src < m.Nodes(); src++ {
-			for dst := 0; dst < m.Nodes(); dst++ {
-				p, err := m.Inject(src, dst, 1+(src+dst)%3)
-				if err != nil {
-					t.Fatal(err)
-				}
-				a.RecordInject(p)
-			}
+	m, a := auditedMesh(t, noc.MeshConfig{Width: 3, Height: 3, BufferFlits: 2, Arbiter: noc.RoundRobin})
+	var all []Injection
+	for src := 0; src < m.Nodes(); src++ {
+		for dst := 0; dst < m.Nodes(); dst++ {
+			all = append(all, Injection{Src: src, Dst: dst, Flits: 1 + (src+dst)%3})
 		}
-	})
+	}
+	runAudited(t, m, a, all)
 	a.CheckFinal()
 	if !a.Ok() {
 		t.Fatalf("clean run reported violations:\n%s", a.Summary())
@@ -73,22 +79,11 @@ func TestCleanRunHasNoViolations(t *testing.T) {
 // conservation: double-booking tails inflates delivered beyond
 // injected; the per-cycle balance must notice.
 func TestConservationViolationDetected(t *testing.T) {
-	m := smallMesh(t, noc.MeshConfig{Width: 2, Height: 2, BufferFlits: 2, Arbiter: noc.RoundRobin})
-	a := NewMeshAuditor(m)
-	if err := a.SetSabotage(SabotageDoubleTail); err != nil {
-		t.Fatal(err)
-	}
-	runAudited(t, m, a, func() {
-		p, err := m.Inject(0, 3, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a.RecordInject(p)
-	})
-	a.CheckFinal()
+	v, err := RunCase(Case{Kind: "mesh", Mesh: mesh2x2, Sabotage: SabotageDoubleTail,
+		Injections: []Injection{{Src: 0, Dst: 3, Flits: 2}}})
 	for _, inv := range []string{"conservation", "duplication", "aggregate"} {
-		if !hasInvariant(a.Violations(), inv) {
-			t.Errorf("double-tail sabotage did not trip %q; got:\n%s", inv, a.Summary())
+		if err != nil || !hasInvariant(v, inv) {
+			t.Errorf("double-tail sabotage did not trip %q; got %v (error %v)", inv, v, err)
 		}
 	}
 }
@@ -96,31 +91,19 @@ func TestConservationViolationDetected(t *testing.T) {
 // conservation (the other direction): deliveries the ledger never saw
 // injected are flagged as unknown packets.
 func TestUnrecordedDeliveryDetected(t *testing.T) {
-	m := smallMesh(t, noc.MeshConfig{Width: 2, Height: 2, BufferFlits: 2, Arbiter: noc.RoundRobin})
-	a := NewMeshAuditor(m)
-	if err := a.SetSabotage(SabotageDropRecord); err != nil {
-		t.Fatal(err)
+	c := Case{Kind: "mesh", Mesh: mesh2x2, Sabotage: SabotageDropRecord}
+	for i := 0; i < 6; i++ {
+		c.Injections = append(c.Injections, Injection{Src: i % 4, Dst: (i + 1) % 4, Flits: 1})
 	}
-	runAudited(t, m, a, func() {
-		for i := 0; i < 6; i++ {
-			p, err := m.Inject(i%4, (i+1)%4, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			a.RecordInject(p)
-		}
-	})
-	a.CheckFinal()
-	if !hasInvariant(a.Violations(), "conservation") {
-		t.Errorf("dropped ledger records did not trip conservation; got:\n%s", a.Summary())
+	if v, err := RunCase(c); err != nil || !hasInvariant(v, "conservation") {
+		t.Errorf("dropped ledger records did not trip conservation; got %v (error %v)", v, err)
 	}
 }
 
 // occupancy: a FIFO reading outside [0, capacity] is a credit-balance
 // breach (a leaked credit lets the upstream overfill the buffer).
 func TestOccupancyViolationDetected(t *testing.T) {
-	m := smallMesh(t, noc.MeshConfig{Width: 2, Height: 1, BufferFlits: 4, Arbiter: noc.RoundRobin})
-	a := NewMeshAuditor(m)
+	_, a := auditedMesh(t, noc.MeshConfig{Width: 2, Height: 1, BufferFlits: 4, Arbiter: noc.RoundRobin})
 	a.checkFIFOBound(0, 1, 2, 5, 4)  // one flit over capacity
 	a.checkFIFOBound(0, 0, 0, -1, 4) // negative: double-returned credit
 	if got := len(a.Violations()); got != 2 || !hasInvariant(a.Violations(), "occupancy") {
@@ -134,8 +117,7 @@ func TestOccupancyViolationDetected(t *testing.T) {
 
 // routing: a flit ejected anywhere but its destination.
 func TestWrongDestinationDetected(t *testing.T) {
-	m := smallMesh(t, noc.MeshConfig{Width: 2, Height: 2, BufferFlits: 2, Arbiter: noc.RoundRobin})
-	a := NewMeshAuditor(m)
+	_, a := auditedMesh(t, mesh2x2)
 	p := noc.Packet{ID: 1, Src: 0, Dst: 3, Flits: 1, CreatedAt: 0}
 	a.RecordInject(p)
 	a.noteDelivery(2, p, true, 5) // ejects at node 2, not 3
@@ -147,8 +129,7 @@ func TestWrongDestinationDetected(t *testing.T) {
 
 // duplication: the same tail booked twice.
 func TestDuplicateTailDetected(t *testing.T) {
-	m := smallMesh(t, noc.MeshConfig{Width: 2, Height: 2, BufferFlits: 2, Arbiter: noc.RoundRobin})
-	a := NewMeshAuditor(m)
+	_, a := auditedMesh(t, mesh2x2)
 	p := noc.Packet{ID: 1, Src: 0, Dst: 1, Flits: 1, CreatedAt: 0}
 	a.RecordInject(p)
 	a.noteDelivery(1, p, true, 2)
@@ -161,8 +142,7 @@ func TestDuplicateTailDetected(t *testing.T) {
 
 // duplication: a reused packet ID is rejected at the ledger.
 func TestReusedPacketIDDetected(t *testing.T) {
-	m := smallMesh(t, noc.MeshConfig{Width: 2, Height: 2, BufferFlits: 2, Arbiter: noc.RoundRobin})
-	a := NewMeshAuditor(m)
+	_, a := auditedMesh(t, mesh2x2)
 	a.RecordInject(noc.Packet{ID: 7, Src: 0, Dst: 1, Flits: 1})
 	a.RecordInject(noc.Packet{ID: 7, Src: 2, Dst: 3, Flits: 1})
 	if !hasInvariant(a.Violations(), "duplication") {
@@ -173,8 +153,7 @@ func TestReusedPacketIDDetected(t *testing.T) {
 // framing: a tail flag before the packet's flit count, and a flit
 // count reached without a tail flag.
 func TestFramingViolationsDetected(t *testing.T) {
-	m := smallMesh(t, noc.MeshConfig{Width: 2, Height: 2, BufferFlits: 2, Arbiter: noc.RoundRobin})
-	a := NewMeshAuditor(m)
+	_, a := auditedMesh(t, mesh2x2)
 	early := noc.Packet{ID: 1, Src: 0, Dst: 1, Flits: 3, CreatedAt: 0}
 	a.RecordInject(early)
 	a.noteDelivery(1, early, true, 4) // tail after only 1 of 3 flits
@@ -189,8 +168,7 @@ func TestFramingViolationsDetected(t *testing.T) {
 
 // wormhole: two packets' flits interleaving at one ejection port.
 func TestWormholeInterleaveDetected(t *testing.T) {
-	m := smallMesh(t, noc.MeshConfig{Width: 2, Height: 2, BufferFlits: 2, Arbiter: noc.RoundRobin})
-	a := NewMeshAuditor(m)
+	_, a := auditedMesh(t, mesh2x2)
 	pa := noc.Packet{ID: 1, Src: 0, Dst: 3, Flits: 2, CreatedAt: 0}
 	pb := noc.Packet{ID: 2, Src: 1, Dst: 3, Flits: 2, CreatedAt: 0}
 	a.RecordInject(pa)
@@ -206,8 +184,7 @@ func TestWormholeInterleaveDetected(t *testing.T) {
 // latency-bound: a tail arriving before Manhattan hops + flits cycles
 // is physically impossible in this mesh.
 func TestLatencyBoundViolationDetected(t *testing.T) {
-	m := smallMesh(t, noc.MeshConfig{Width: 3, Height: 3, BufferFlits: 2, Arbiter: noc.RoundRobin})
-	a := NewMeshAuditor(m)
+	_, a := auditedMesh(t, noc.MeshConfig{Width: 3, Height: 3, BufferFlits: 2, Arbiter: noc.RoundRobin})
 	p := noc.Packet{ID: 1, Src: 0, Dst: 8, Flits: 2, CreatedAt: 10}
 	a.RecordInject(p)
 	a.noteDelivery(8, p, false, 12)
@@ -220,8 +197,7 @@ func TestLatencyBoundViolationDetected(t *testing.T) {
 
 // monotone-id: packet IDs must strictly increase in injection order.
 func TestMonotoneIDViolationDetected(t *testing.T) {
-	m := smallMesh(t, noc.MeshConfig{Width: 2, Height: 2, BufferFlits: 2, Arbiter: noc.RoundRobin})
-	a := NewMeshAuditor(m)
+	_, a := auditedMesh(t, mesh2x2)
 	a.RecordInject(noc.Packet{ID: 5, Src: 0, Dst: 1, Flits: 1})
 	a.RecordInject(noc.Packet{ID: 3, Src: 1, Dst: 2, Flits: 1})
 	if !hasInvariant(a.Violations(), "monotone-id") {
@@ -232,8 +208,7 @@ func TestMonotoneIDViolationDetected(t *testing.T) {
 // drained-ledger, direction 1: Drained() true while the ledger still
 // holds an in-flight packet.
 func TestDrainedButLedgerOpenDetected(t *testing.T) {
-	m := smallMesh(t, noc.MeshConfig{Width: 2, Height: 2, BufferFlits: 2, Arbiter: noc.RoundRobin})
-	a := NewMeshAuditor(m)
+	_, a := auditedMesh(t, mesh2x2)
 	// Ledgered but never actually injected into the mesh: the mesh
 	// drains trivially while the ledger waits forever.
 	a.RecordInject(noc.Packet{ID: 1, Src: 0, Dst: 1, Flits: 2, CreatedAt: 0})
@@ -246,8 +221,7 @@ func TestDrainedButLedgerOpenDetected(t *testing.T) {
 // drained-ledger, direction 2: the ledger balances while the mesh
 // still holds flits it never saw.
 func TestLedgerEmptyButNotDrainedDetected(t *testing.T) {
-	m := smallMesh(t, noc.MeshConfig{Width: 2, Height: 2, BufferFlits: 2, Arbiter: noc.RoundRobin})
-	a := NewMeshAuditor(m)
+	m, a := auditedMesh(t, mesh2x2)
 	if _, err := m.Inject(0, 3, 2); err != nil { // injected behind the ledger's back
 		t.Fatal(err)
 	}
@@ -259,15 +233,8 @@ func TestLedgerEmptyButNotDrainedDetected(t *testing.T) {
 
 // aggregate: the mesh's own counters must reconcile with the ledger.
 func TestAggregateMismatchDetected(t *testing.T) {
-	m := smallMesh(t, noc.MeshConfig{Width: 2, Height: 2, BufferFlits: 2, Arbiter: noc.RoundRobin})
-	a := NewMeshAuditor(m)
-	runAudited(t, m, a, func() {
-		p, err := m.Inject(0, 3, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a.RecordInject(p)
-	})
+	m, a := auditedMesh(t, mesh2x2)
+	runAudited(t, m, a, []Injection{{Src: 0, Dst: 3, Flits: 1}})
 	m.AcceptedFlits[3]++ // tamper: the counter now over-reports
 	a.CheckFinal()
 	if !hasInvariant(a.Violations(), "aggregate") {
@@ -278,8 +245,7 @@ func TestAggregateMismatchDetected(t *testing.T) {
 // The violation cap must suppress, not grow without bound, and the
 // summary must say so.
 func TestViolationCapSuppresses(t *testing.T) {
-	m := smallMesh(t, noc.MeshConfig{Width: 2, Height: 1, BufferFlits: 2, Arbiter: noc.RoundRobin})
-	a := NewMeshAuditor(m)
+	_, a := auditedMesh(t, noc.MeshConfig{Width: 2, Height: 1, BufferFlits: 2, Arbiter: noc.RoundRobin})
 	for i := 0; i < maxViolations+10; i++ {
 		a.checkFIFOBound(int64(i), 0, 0, 99, 2)
 	}
@@ -302,10 +268,10 @@ func TestViolationCapSuppresses(t *testing.T) {
 // this documents that the invariant holds.
 func TestDrainedLedgerOracleUnderRefusalRegression(t *testing.T) {
 	c := Case{
-		Seed: 97, Kind: "mesh",
-		Mesh:        noc.MeshConfig{Width: 2, Height: 2, BufferFlits: 1, Arbiter: noc.RoundRobin},
-		RefusePct:   60,
-		DrainCycles: 20000,
+		Kind:       "mesh",
+		Mesh:       noc.MeshConfig{Width: 2, Height: 2, BufferFlits: 1, Arbiter: noc.RoundRobin},
+		RefusePct:  60,
+		RefuseSalt: 97,
 	}
 	// Every node fires 3-flit packets at node 3 back-to-back, so the
 	// run ends with long injection backlogs and wormholes parked
@@ -313,14 +279,7 @@ func TestDrainedLedgerOracleUnderRefusalRegression(t *testing.T) {
 	for i := 0; i < 24; i++ {
 		c.Injections = append(c.Injections, Injection{Cycle: i / 4, Src: i % 4, Dst: 3, Flits: 3})
 	}
-	rep, err := RunCase(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Drained {
-		t.Fatal("regression case failed to drain")
-	}
-	if !rep.Ok() {
-		t.Fatalf("Drained/ledger oracle violated:\n%v", rep.Violations)
+	if v, err := RunCase(c); err != nil || len(v) != 0 {
+		t.Fatalf("Drained/ledger oracle violated (a drain timeout included): error %v\n%v", err, v)
 	}
 }

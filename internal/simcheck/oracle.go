@@ -2,6 +2,7 @@ package simcheck
 
 import (
 	"fmt"
+	"math/rand"
 	"strconv"
 	"strings"
 
@@ -99,14 +100,14 @@ func ArbiterLowLoadEquivalence(cfg noc.MeshConfig, seed int64, packets int) ([]V
 		return nil, err
 	}
 	var log violationLog
-	r := newRNG(seed)
+	r := rand.New(rand.NewSource(seed))
 	type sample struct{ src, dst, flits int }
 	schedule := make([]sample, packets)
 	for i := range schedule {
 		schedule[i] = sample{
-			src:   r.intn(mRR.Nodes()),
-			dst:   r.intn(mRR.Nodes()),
-			flits: 1 + r.intn(4),
+			src:   r.Intn(mRR.Nodes()),
+			dst:   r.Intn(mRR.Nodes()),
+			flits: 1 + r.Intn(4),
 		}
 	}
 	latRR := make([]int64, packets)

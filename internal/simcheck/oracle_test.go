@@ -2,6 +2,7 @@ package simcheck
 
 import (
 	"bytes"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -18,12 +19,8 @@ func TestZeroLoadLatencyOracle(t *testing.T) {
 		{Width: 4, Height: 2, BufferFlits: 2, Arbiter: noc.AgeBased},
 		{Width: 4, Height: 4, BufferFlits: 2, Arbiter: noc.RoundRobin},
 	} {
-		v, err := ZeroLoadLatency(cfg, []int{1, 2, 3, 5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(v) != 0 {
-			t.Fatalf("%dx%d mesh diverges from the zero-load model: %v", cfg.Width, cfg.Height, v[0])
+		if v, err := ZeroLoadLatency(cfg, []int{1, 2, 3, 5}); err != nil || len(v) != 0 {
+			t.Fatalf("%dx%d mesh diverges from the zero-load model: error %v, %v", cfg.Width, cfg.Height, err, v)
 		}
 	}
 }
@@ -33,12 +30,8 @@ func TestZeroLoadLatencyOracle(t *testing.T) {
 func TestArbiterLowLoadEquivalenceOracle(t *testing.T) {
 	cfg := noc.MeshConfig{Width: 4, Height: 4, BufferFlits: 2, Arbiter: noc.RoundRobin}
 	for _, tc := range []struct{ seed, packets int }{{3, 64}, {11, 48}} {
-		v, err := ArbiterLowLoadEquivalence(cfg, int64(tc.seed), tc.packets)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(v) != 0 {
-			t.Fatalf("seed %d: arbiters diverge on uncontended traffic: %v", tc.seed, v[0])
+		if v, err := ArbiterLowLoadEquivalence(cfg, int64(tc.seed), tc.packets); err != nil || len(v) != 0 {
+			t.Fatalf("seed %d: arbiters diverge on uncontended traffic: error %v, %v", tc.seed, err, v)
 		}
 	}
 }
@@ -66,12 +59,8 @@ func TestReplayDeterminismOracle(t *testing.T) {
 		{{0x0, 0x80, 0x4000, 0x4080}, {}, {0x10000}},
 		{{0x1000, 0x2080, 0x40100}, {}, {0x8000, 0x8080}},
 	} {
-		v, err := ReplayDeterminism(cfg, steps, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(v) != 0 {
-			t.Fatalf("replay of %#x nondeterministic: %v", steps, v[0])
+		if v, err := ReplayDeterminism(cfg, steps, 3); err != nil || len(v) != 0 {
+			t.Fatalf("replay of %#x nondeterministic: error %v, %v", steps, err, v)
 		}
 	}
 }
@@ -79,12 +68,12 @@ func TestReplayDeterminismOracle(t *testing.T) {
 // Trace codec: serialization is deterministic and the round trip is
 // lossless (up to nil-vs-empty of individual steps).
 func TestTraceCodecRoundTrip(t *testing.T) {
-	r := newRNG(5)
+	r := rand.New(rand.NewSource(5))
 	steps := make([][]uint64, 12)
 	for i := range steps {
-		step := make([]uint64, r.intn(8))
+		step := make([]uint64, r.Intn(8))
 		for j := range step {
-			step[j] = r.next()
+			step[j] = r.Uint64()
 		}
 		steps[i] = step
 	}
@@ -96,18 +85,8 @@ func TestTraceCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(parsed) != len(steps) {
-		t.Fatalf("round trip changed step count: %d -> %d", len(steps), len(parsed))
-	}
-	for i := range steps {
-		if len(parsed[i]) != len(steps[i]) {
-			t.Fatalf("step %d changed length: %d -> %d", i, len(steps[i]), len(parsed[i]))
-		}
-		for j := range steps[i] {
-			if parsed[i][j] != steps[i][j] {
-				t.Fatalf("step %d addr %d changed: %#x -> %#x", i, j, steps[i][j], parsed[i][j])
-			}
-		}
+	if !slices.EqualFunc(parsed, steps, slices.Equal) {
+		t.Fatalf("round trip changed the trace: %#x -> %#x", steps, parsed)
 	}
 }
 
@@ -153,13 +132,8 @@ func FuzzParseTrace(f *testing.F) {
 		if err != nil {
 			t.Fatalf("TraceBytes of %q's steps does not parse: %v", data, err)
 		}
-		if len(again) != len(steps) {
-			t.Fatalf("%q: %d steps round-trip to %d", data, len(steps), len(again))
-		}
-		for i := range steps {
-			if !slices.Equal(steps[i], again[i]) {
-				t.Fatalf("%q: step %d %v round-trips to %v", data, i, steps[i], again[i])
-			}
+		if !slices.EqualFunc(steps, again, slices.Equal) {
+			t.Fatalf("%q: steps %v round-trip to %v", data, steps, again)
 		}
 	})
 }

@@ -1,7 +1,9 @@
 package simcheck
 
 import (
+	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"gpunoc/internal/noc"
@@ -20,12 +22,12 @@ func replayCfg() noc.ReplayConfig {
 }
 
 func replaySteps(seed int64) [][]uint64 {
-	r := newRNG(seed)
+	r := rand.New(rand.NewSource(seed))
 	steps := make([][]uint64, 10)
 	for i := range steps {
-		step := make([]uint64, 4+r.intn(28))
+		step := make([]uint64, 4+r.Intn(28))
 		for j := range step {
-			step[j] = r.next() % (1 << 30)
+			step[j] = uint64(r.Int63n(1 << 30))
 		}
 		steps[i] = step
 	}
@@ -48,14 +50,8 @@ func TestReplayStatsIdenticalAcrossPoolSizes(t *testing.T) {
 			t.Fatal(err)
 		}
 		for ri, got := range runs {
-			if len(got) != len(base) {
-				t.Fatalf("GOMAXPROCS=%d run %d: %d steps, want %d", procs, ri, len(got), len(base))
-			}
-			for si := range base {
-				if got[si] != base[si] {
-					t.Fatalf("GOMAXPROCS=%d run %d step %d: %+v, sequential says %+v",
-						procs, ri, si, got[si], base[si])
-				}
+			if !slices.Equal(got, base) {
+				t.Fatalf("GOMAXPROCS=%d run %d: %+v, sequential says %+v", procs, ri, got, base)
 			}
 		}
 	}
@@ -85,12 +81,7 @@ func TestReplaySaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(want) {
-		t.Fatalf("round-tripped trace replayed %d steps, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("step %d diverged after save/load: %+v vs %+v", i, got[i], want[i])
-		}
+	if !slices.Equal(got, want) {
+		t.Fatalf("round-tripped trace diverged after save/load: %+v vs %+v", got, want)
 	}
 }

@@ -1,9 +1,10 @@
 // Package simcheck is the correctness harness for the NoC simulators:
 // a reusable invariant auditor for Mesh and Xbar runs, differential
 // oracles that cross-check the simulators against closed-form answers
-// and against each other, and a deterministic case generator (driven by
-// the FuzzNoCCase fuzz target) that hunts for conservation bugs across
-// randomized configurations and traffic patterns.
+// and against each other, and RunCase, the audited case driver behind
+// the FuzzNoCCase fuzz target. The target decodes mesh and crossbar
+// configurations and injection schedules from its input bytes to hunt
+// for conservation bugs.
 //
 // The invariant catalogue (every entry has a unit test that would
 // catch its violation; see DESIGN.md "simcheck"):
@@ -52,14 +53,14 @@ type Violation struct {
 	Detail string
 }
 
-// String renders the violation for reports and reproducer output.
+// String renders the violation for reports and fuzz failures.
 func (v Violation) String() string {
 	return fmt.Sprintf("[%s] cycle %d: %s", v.Invariant, v.Cycle, v.Detail)
 }
 
 // maxViolations caps how many violations one auditor accumulates. A
 // single broken invariant (say, conservation) re-fires every cycle of
-// a long drain; the cap keeps reports readable and shrinking fast. The
+// a long drain; the cap keeps reports readable and minimizing fast. The
 // suppressed count is reported by Summary.
 const maxViolations = 100
 

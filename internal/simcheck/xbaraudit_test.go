@@ -6,7 +6,8 @@ import (
 	"gpunoc/internal/noc"
 )
 
-func smallXbar(t *testing.T) *noc.Xbar {
+// auditedXbar builds a small crossbar and its auditor.
+func auditedXbar(t *testing.T) (*noc.Xbar, *XbarAuditor) {
 	t.Helper()
 	x, err := noc.NewXbar(noc.XbarConfig{
 		Clusters: 2, NodesPerCluster: 2, MemPorts: 2,
@@ -15,35 +16,18 @@ func smallXbar(t *testing.T) *noc.Xbar {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return x
-}
-
-func runXbarAudited(t *testing.T, x *noc.Xbar, a *XbarAuditor, inject func()) {
-	t.Helper()
-	inject()
-	for guard := 0; !x.Drained(); guard++ {
-		if guard > 100000 {
-			t.Fatal("xbar failed to drain")
-		}
-		x.Step()
-		a.CheckCycle()
-	}
+	return x, NewXbarAuditor(x)
 }
 
 func TestXbarCleanRunHasNoViolations(t *testing.T) {
-	x := smallXbar(t)
-	a := NewXbarAuditor(x)
-	runXbarAudited(t, x, a, func() {
-		for node := 0; node < x.Nodes(); node++ {
-			for port := 0; port < 2; port++ {
-				p, err := x.Inject(node, port, 1+(node+port)%3)
-				if err != nil {
-					t.Fatal(err)
-				}
-				a.RecordInject(p)
-			}
+	x, a := auditedXbar(t)
+	var all []Injection
+	for node := 0; node < x.Nodes(); node++ {
+		for port := 0; port < 2; port++ {
+			all = append(all, Injection{Src: node, Dst: port, Flits: 1 + (node+port)%3})
 		}
-	})
+	}
+	runAudited(t, x, a, all)
 	a.CheckFinal()
 	if !a.Ok() {
 		t.Fatalf("clean crossbar run reported violations:\n%s", a.Summary())
@@ -53,7 +37,7 @@ func TestXbarCleanRunHasNoViolations(t *testing.T) {
 // occupancy: a VOQ over its depth bound means hub-side flow control
 // leaked.
 func TestXbarOccupancyViolationDetected(t *testing.T) {
-	a := NewXbarAuditor(smallXbar(t))
+	_, a := auditedXbar(t)
 	a.checkVOQBound(0, 1, 1, 5, 4)
 	a.checkVOQBound(0, 0, 0, -2, 4)
 	if len(a.Violations()) != 2 || !hasInvariant(a.Violations(), "occupancy") {
@@ -68,8 +52,7 @@ func TestXbarOccupancyViolationDetected(t *testing.T) {
 // conservation: a ledgered injection the crossbar never saw unbalances
 // the per-cycle book.
 func TestXbarConservationViolationDetected(t *testing.T) {
-	x := smallXbar(t)
-	a := NewXbarAuditor(x)
+	x, a := auditedXbar(t)
 	a.RecordInject(noc.Packet{ID: 1, Src: 0, Dst: 0, Flits: 3}) // ledger-only
 	x.Step()
 	a.CheckCycle()
@@ -81,15 +64,14 @@ func TestXbarConservationViolationDetected(t *testing.T) {
 // drained-ledger, both directions.
 func TestXbarDrainedLedgerViolationsDetected(t *testing.T) {
 	// Direction 1: ledger open, crossbar drained.
-	a := NewXbarAuditor(smallXbar(t))
+	_, a := auditedXbar(t)
 	a.RecordInject(noc.Packet{ID: 1, Src: 0, Dst: 1, Flits: 2})
 	a.CheckFinal()
 	if !hasInvariant(a.Violations(), "drained-ledger") {
 		t.Fatalf("drained-with-open-ledger not flagged:\n%s", a.Summary())
 	}
 	// Direction 2: traffic behind the ledger's back.
-	x := smallXbar(t)
-	b := NewXbarAuditor(x)
+	x, b := auditedXbar(t)
 	if _, err := x.Inject(0, 1, 2); err != nil {
 		t.Fatal(err)
 	}
@@ -104,15 +86,8 @@ func TestXbarDrainedLedgerViolationsDetected(t *testing.T) {
 
 // aggregate: per-source delivered packets must reconcile.
 func TestXbarAggregateMismatchDetected(t *testing.T) {
-	x := smallXbar(t)
-	a := NewXbarAuditor(x)
-	runXbarAudited(t, x, a, func() {
-		p, err := x.Inject(2, 1, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a.RecordInject(p)
-	})
+	x, a := auditedXbar(t)
+	runAudited(t, x, a, []Injection{{Src: 2, Dst: 1, Flits: 2}})
 	x.AcceptedPackets[2]++ // tamper
 	a.CheckFinal()
 	if !hasInvariant(a.Violations(), "aggregate") {
@@ -121,7 +96,7 @@ func TestXbarAggregateMismatchDetected(t *testing.T) {
 }
 
 func TestXbarMonotoneIDViolationDetected(t *testing.T) {
-	a := NewXbarAuditor(smallXbar(t))
+	_, a := auditedXbar(t)
 	a.RecordInject(noc.Packet{ID: 9, Src: 0, Dst: 0, Flits: 1})
 	a.RecordInject(noc.Packet{ID: 4, Src: 1, Dst: 1, Flits: 1})
 	if !hasInvariant(a.Violations(), "monotone-id") {
